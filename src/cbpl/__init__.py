@@ -7,8 +7,8 @@ for constraint certification, exact tabular oracles, and importance-
 sampling off-policy evaluation baselines.
 """
 
-from .batchrl import (CostSelector, FittedRun, LspiResult, fqe, fqi, lspi,
-                      lspi_policy, lstdq, lstdq_policy)
+from .batchrl import (CostSelector, EmpiricalModel, FittedRun, LspiResult,
+                      fqe, fqi, lspi, lspi_policy, lstdq, lstdq_policy)
 from .dataset import (Dataset, collect, datasets_equal, full_coverage_dataset,
                       load, make_frozenlake_behavior, save, subsample)
 from .funcapprox import (FeatureMap, QFunction, fit_least_squares,

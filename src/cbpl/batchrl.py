@@ -6,7 +6,7 @@ import collections
 import numpy as np
 
 from .funcapprox import QFunction, fit_least_squares, greedy_policy
-from .mdp import DeterministicPolicy, StochasticPolicy, as_stochastic
+from .mdp import StochasticPolicy
 
 
 class CostSelector:
@@ -54,6 +54,64 @@ FittedRun = collections.namedtuple("FittedRun",
 LspiResult = collections.namedtuple("LspiResult",
                                     ["weights", "converged", "iterations"])
 
+# Q values within this distance of a state's minimum count as tied in the
+# FQI greedy policy (lowest action index wins), so the policy does not
+# depend on the order in which the regression sums its targets.
+FQI_TIE_TOL = 1e-9
+
+
+class EmpiricalModel:
+    """The distinct (x, a, x_next, done, c, g_1..g_m) rows of a dataset, each
+    with the number of samples it stands for, plus the t = 0 start states.
+
+    A tabular or linear regression weighted by these counts equals the
+    regression over the original samples, so FQE and FQI sweep a table of a
+    few hundred rows instead of every transition. Rows come out sorted, so
+    the model (and every result computed on it) does not depend on the
+    order of the samples.
+    """
+
+    def __init__(self, x, a, x_next, done, c, g, count, starts):
+        self.x = np.asarray(x, dtype=np.int64)
+        self.a = np.asarray(a, dtype=np.int64)
+        self.x_next = np.asarray(x_next, dtype=np.int64)
+        self.done = np.asarray(done, dtype=bool)
+        self.c = np.asarray(c, dtype=float)
+        self.g = np.asarray(g, dtype=float)
+        self.count = np.asarray(count, dtype=float)
+        self.starts = np.asarray(starts, dtype=np.int64)
+
+    @classmethod
+    def from_dataset(cls, dataset):
+        """Group equal rows with one lexsort and adjacent differences."""
+        keys = [dataset.x, dataset.a, dataset.x_next, dataset.done, dataset.c,
+                *dataset.g.T]
+        order = np.lexsort(keys[::-1])
+        new_row = np.zeros(len(order), dtype=bool)
+        new_row[:1] = True
+        for key in keys:
+            key = key[order]
+            new_row[1:] |= key[1:] != key[:-1]
+        first = np.flatnonzero(new_row)
+        count = np.diff(np.append(first, len(order)))
+        rows = order[first]
+        return cls(dataset.x[rows], dataset.a[rows], dataset.x_next[rows],
+                   dataset.done[rows], dataset.c[rows], dataset.g[rows], count,
+                   dataset.x[dataset.t == 0])
+
+    def __len__(self):
+        return len(self.x)
+
+    @property
+    def m(self):
+        return self.g.shape[1]
+
+
+def _as_model(data):
+    if isinstance(data, EmpiricalModel):
+        return data
+    return EmpiricalModel.from_dataset(data)
+
 
 def _resolve_gamma(gamma, mdp):
     if gamma is not None:
@@ -63,10 +121,11 @@ def _resolve_gamma(gamma, mdp):
     raise ValueError("provide gamma or an mdp handle")
 
 
-def _initial_distribution(dataset, mdp, num_states):
+def _initial_distribution(starts, mdp, num_states):
+    """mdp's initial distribution, else the empirical one of the t = 0
+    states in starts."""
     if mdp is not None:
         return mdp.initial_dist
-    starts = dataset.x[dataset.t == 0]
     if len(starts) == 0:
         raise ValueError("dataset has no t=0 samples to infer the initial "
                          "distribution from")
@@ -74,75 +133,64 @@ def _initial_distribution(dataset, mdp, num_states):
     return chi / chi.sum()
 
 
-def _policy_bootstrap(q, policy, x_next):
-    """Q(x', pi(x')) per sample, for deterministic or stochastic pi."""
+def _state_values(q, policy):
+    """V(x) = sum_a pi(a|x) Q(x, a) for every state."""
     vals = q.values()
     if isinstance(policy, StochasticPolicy):
-        return np.einsum("na,na->n", policy.probs[x_next], vals[x_next])
-    return vals[x_next, policy.actions[x_next]]
+        return np.einsum("xa,xa->x", policy.probs, vals)
+    return vals[np.arange(vals.shape[0]), policy.actions]
+
+
+def _fitted_sweeps(model, cost, K, template, ridge, gamma, bootstrap_of):
+    """K regressions of y = c + gamma * bootstrap_of(Q)[x'] (y = c on done
+    rows), each weighted by the row counts. Returns (Q_K, residuals), the
+    residual being the RMS Bellman error over the original samples."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if len(model) == 0:
+        raise ValueError("dataset is empty")
+    costs = cost.select(model)
+    xs, aa, nx, done, w = model.x, model.a, model.x_next, model.done, model.count
+    total = w.sum()
+    q = template
+    residuals = []
+    for _ in range(K):
+        y = costs + gamma * np.where(done, 0.0, bootstrap_of(q)[nx])
+        q = fit_least_squares((xs, aa), y, template, ridge=ridge, weights=w)
+        err = q.values()[xs, aa] - y
+        residuals.append(float(np.sqrt(np.dot(w, err * err) / total)))
+    return q, residuals
 
 
 def fqe(dataset, policy, cost, K, template, ridge=1e-8, gamma=None, mdp=None):
     """Fitted Q evaluation of a fixed policy.
 
-    K rounds of regression on targets y = c + gamma * Q(x', pi(x'))
+    dataset: a Dataset or its EmpiricalModel. K rounds of regression on
+    targets y = c + gamma * V(x') with V(x) = sum_a pi(a|x) Q(x, a)
     (y = c on done samples); returns (estimate, FittedRun) where the
-    estimate averages Q_K(x, pi(x)) over the initial distribution.
+    estimate averages V_K over the initial distribution.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
+    model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
-    costs = cost.select(dataset)
-    xs, aa, nx, done = dataset.x, dataset.a, dataset.x_next, dataset.done
-    pol_next = None if isinstance(policy, StochasticPolicy) else policy.actions[nx]
-    q = template
-    residuals = []
-    for _ in range(K):
-        if pol_next is None:
-            bootstrap = _policy_bootstrap(q, policy, nx)
-        else:
-            bootstrap = q.values()[nx, pol_next]
-        y = costs + gamma * np.where(done, 0.0, bootstrap)
-        q = fit_least_squares((xs, aa), y, template, ridge=ridge)
-        fitted = q.values()[xs, aa]
-        residuals.append(float(np.sqrt(np.mean((fitted - y) ** 2))))
-    num_states = q.values().shape[0]
-    chi = _initial_distribution(dataset, mdp, num_states)
-    vals = q.values()
-    if isinstance(policy, StochasticPolicy):
-        v_pi = np.einsum("xa,xa->x", policy.probs, vals)
-    else:
-        v_pi = vals[np.arange(num_states), policy.actions]
-    estimate = float(chi @ v_pi)
-    return estimate, FittedRun(q, residuals, K)
+    q, residuals = _fitted_sweeps(model, cost, K, template, ridge, gamma,
+                                  lambda q: _state_values(q, policy))
+    v_pi = _state_values(q, policy)
+    chi = _initial_distribution(model.starts, mdp, len(v_pi))
+    return float(chi @ v_pi), FittedRun(q, residuals, K)
 
 
 def fqi(dataset, cost, K, template, ridge=1e-8, gamma=None, mdp=None):
     """Fitted Q iteration toward the optimal scalarized cost-to-go.
 
-    Targets y = c + gamma * min_a Q(x', a) (y = c on done samples);
-    returns (greedy policy of Q_K, FittedRun).
+    dataset: a Dataset or its EmpiricalModel. Targets
+    y = c + gamma * min_a Q(x', a) (y = c on done samples); returns (greedy
+    policy of Q_K with ties within FQI_TIE_TOL, FittedRun).
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
+    model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
-    costs = cost.select(dataset)
-    xs, aa, nx, done = dataset.x, dataset.a, dataset.x_next, dataset.done
-    q = template
-    residuals = []
-    for _ in range(K):
-        # Reduce per state, then gather: min over (S, A) is far cheaper
-        # than over the (n, A) gathered copy, and gives the same values.
-        bootstrap = q.values().min(axis=1)[nx]
-        y = costs + gamma * np.where(done, 0.0, bootstrap)
-        q = fit_least_squares((xs, aa), y, template, ridge=ridge)
-        fitted = q.values()[xs, aa]
-        residuals.append(float(np.sqrt(np.mean((fitted - y) ** 2))))
-    return greedy_policy(q), FittedRun(q, residuals, K)
+    q, residuals = _fitted_sweeps(model, cost, K, template, ridge, gamma,
+                                  lambda q: q.values().min(axis=1))
+    return greedy_policy(q, tol=FQI_TIE_TOL), FittedRun(q, residuals, K)
 
 
 def lspi_policy(weights, features, tol=1e-6):

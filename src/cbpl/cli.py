@@ -74,42 +74,70 @@ def save_mixture(mixture, path):
                 fh.write(f"{i},{w:.17g},{x},{a}\n")
 
 
-def load_policy(path):
-    """Load a deterministic policy or a mixture, depending on the header."""
+def _action_table(pairs, num_states, num_actions, path):
+    """Actions indexed by state from (state, action) pairs. Every state of
+    0..S-1 must appear exactly once, S being num_states when given (the
+    map's) and else one more than the largest state listed; actions must
+    lie in [0, num_actions) when num_actions is given."""
+    if not pairs:
+        raise ValidationError(f"policy file {path} lists no states")
+    states = sorted(x for x, _ in pairs)
+    S = states[-1] + 1 if num_states is None else num_states
+    if states != list(range(S)):
+        raise ValidationError(
+            f"policy file {path} lists {len(states)} state rows in "
+            f"{states[0]}..{states[-1]}; expected each of the {S} states "
+            f"0..{S - 1} once")
+    upper = float("inf") if num_actions is None else num_actions
+    actions = np.zeros(S, dtype=np.int64)
+    for x, a in pairs:
+        if not 0 <= a < upper:
+            raise ValidationError(f"policy file {path}: action {a} at state "
+                                  f"{x} is outside [0, {upper})")
+        actions[x] = a
+    return actions
+
+
+def load_policy(path, num_states=None, num_actions=None):
+    """Load a deterministic policy or a mixture, depending on the header.
+
+    Pass the map's num_states and num_actions to check the file against it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             rows = [line.strip().split(",") for line in fh if line.strip()]
     except OSError as exc:
         raise ValidationError(f"cannot read policy file: {exc}") from None
+    if header not in ("state,action", "member,weight,state,action"):
+        raise ValidationError(f"unrecognized policy file header: {header!r}")
+    width = len(header.split(","))
+    if any(len(r) != width for r in rows):
+        raise ValidationError(f"policy file {path}: every row needs {width} "
+                              f"fields")
     if header == "state,action":
-        S = max(int(r[0]) for r in rows) + 1
-        actions = np.zeros(S, dtype=np.int64)
-        for r in rows:
-            actions[int(r[0])] = int(r[1])
-        return DeterministicPolicy(actions)
-    if header == "member,weight,state,action":
-        members = {}
-        weights = {}
-        for r in rows:
-            i, w, x, a = int(r[0]), float(r[1]), int(r[2]), int(r[3])
-            members.setdefault(i, {})[x] = a
-            weights[i] = w
-        policies = []
-        counts = []
-        total = sum(weights.values())
-        scale = 10 ** 9
-        for i in sorted(members):
-            S = max(members[i]) + 1
-            actions = np.zeros(S, dtype=np.int64)
-            for x, a in members[i].items():
-                actions[x] = a
-            policies.append(DeterministicPolicy(actions))
-            counts.append(max(1, round(weights[i] / total * scale)))
-        m_placeholder = [np.zeros(0)] * len(policies)
-        return MixturePolicy(policies, counts, [0.0] * len(policies),
-                             m_placeholder)
-    raise ValidationError(f"unrecognized policy file header: {header!r}")
+        pairs = [(int(r[0]), int(r[1])) for r in rows]
+        return DeterministicPolicy(
+            _action_table(pairs, num_states, num_actions, path))
+    members = {}
+    weights = {}
+    for r in rows:
+        i, w, x, a = int(r[0]), float(r[1]), int(r[2]), int(r[3])
+        members.setdefault(i, []).append((x, a))
+        weights[i] = w
+    if not members:
+        raise ValidationError(f"policy file {path} lists no members")
+    policies = []
+    counts = []
+    total = sum(weights.values())
+    scale = 10 ** 9
+    for i in sorted(members):
+        policies.append(DeterministicPolicy(
+            _action_table(members[i], num_states, num_actions, path)))
+        counts.append(max(1, round(weights[i] / total * scale)))
+    m_placeholder = [np.zeros(0)] * len(policies)
+    return MixturePolicy(policies, counts, [0.0] * len(policies),
+                         m_placeholder)
 
 
 def _cmd_collect(args):
@@ -169,7 +197,7 @@ def _fitted_common(args, need_policy=False):
 
 def _cmd_fqe(args):
     data, mdp, gamma, template = _fitted_common(args)
-    policy = load_policy(args.policy)
+    policy = load_policy(args.policy, *template.table.shape)
     est, run_info = fqe(data, policy, _parse_cost(args.cost), args.iters,
                         template, ridge=args.ridge, gamma=gamma, mdp=mdp)
     print(f"estimate,{est:.17g}")
@@ -208,7 +236,7 @@ def _cmd_lspi(args):
 
 def _cmd_oracle(args):
     mdp = _load_map(args.map, args.gamma)
-    policy = load_policy(args.policy)
+    policy = load_policy(args.policy, mdp.num_states, mdp.num_actions)
     C, G = exact_policy_values(mdp, policy)
     header = "C" + "".join(f",G_{i + 1}" for i in range(mdp.m))
     values = f"{C:.17g}" + "".join(f",{v:.17g}" for v in G)
@@ -220,7 +248,7 @@ def _cmd_oracle(args):
 def _cmd_ope_compare(args):
     data = ds.load(args.data)
     mdp = _load_map(args.map, args.gamma)
-    policy = load_policy(args.policy)
+    policy = load_policy(args.policy, mdp.num_states, mdp.num_actions)
     fractions = [float(v) for v in args.fractions.split(",")]
     if any(not 0 < f <= 1 for f in fractions):
         raise ValidationError("fractions must lie in (0, 1]")

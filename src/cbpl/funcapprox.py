@@ -82,13 +82,15 @@ def q_value(q, x, a):
     return float(q.features.phi[x, a] @ q.weights)
 
 
-def fit_least_squares(inputs, targets, template, ridge=1e-8):
+def fit_least_squares(inputs, targets, template, ridge=1e-8, weights=None):
     """Least-squares regression of targets onto the template's function class.
 
     inputs: either a pair (x_array, a_array) or a list of (x, a) tuples.
-    Tabular: each seen (x, a) cell becomes the mean of its targets; unseen
-    cells keep the template's value. Linear: solves the ridge normal
-    equations (Phi^T Phi + ridge I) w = Phi^T y.
+    weights: optional nonnegative per-row weights W (for example the sample
+    count of each distinct row); None weighs every row 1.
+    Tabular: each seen (x, a) cell becomes the weighted mean of its targets;
+    unseen cells keep the template's value. Linear: solves the weighted ridge
+    normal equations (Phi^T W Phi + ridge I) w = Phi^T W y.
     """
     if isinstance(inputs, tuple) and len(inputs) == 2:
         xs = np.asarray(inputs[0], dtype=np.int64)
@@ -101,12 +103,17 @@ def fit_least_squares(inputs, targets, template, ridge=1e-8):
         raise ValueError("inputs and targets must be nonempty and aligned")
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != y.shape or np.any(weights < 0):
+            raise ValueError("weights must be nonnegative and aligned with targets")
 
     if template.is_tabular:
         S, A = template.table.shape
         flat = xs * A + aa
-        counts = np.bincount(flat, minlength=S * A)
-        sums = np.bincount(flat, weights=y, minlength=S * A)
+        counts = np.bincount(flat, weights=weights, minlength=S * A)
+        wy = y if weights is None else weights * y
+        sums = np.bincount(flat, weights=wy, minlength=S * A)
         table = template.table.copy().ravel()
         seen = counts > 0
         table[seen] = sums[seen] / counts[seen]
@@ -118,8 +125,9 @@ def fit_least_squares(inputs, targets, template, ridge=1e-8):
 
     feats = template.features
     phi = feats.phi[xs, aa]
-    gram = phi.T @ phi + ridge * np.eye(feats.k)
-    rhs = phi.T @ y
+    phi_w = phi if weights is None else phi * weights[:, None]
+    gram = phi_w.T @ phi + ridge * np.eye(feats.k)
+    rhs = phi_w.T @ y
     try:
         w = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:

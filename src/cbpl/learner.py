@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batchrl import CostSelector, fqe, fqi, lspi, lstdq_policy
+from .batchrl import (CostSelector, EmpiricalModel, _initial_distribution,
+                      fqe, fqi, lspi, lspi_policy, lstdq_policy)
 from .funcapprox import QFunction, one_hot_features
 from .mdp import DeterministicPolicy
 from .onlineopt import (DualVector, EG_FLAVOR, OGD_FLAVOR, augmented_loss,
@@ -167,7 +168,8 @@ class _ExactSub:
 
 class _FittedSub:
     def __init__(self, dataset, mdp, config, num_states, num_actions):
-        self.dataset = dataset
+        # FQI and FQE sweep the deduplicated rows; built once per subroutine.
+        self.model = EmpiricalModel.from_dataset(dataset)
         self.mdp = mdp
         self.config = config
         self.template = QFunction.tabular_zeros(num_states, num_actions)
@@ -177,7 +179,7 @@ class _FittedSub:
     def best_response(self, lam_m):
         cost = (CostSelector.scalarized(lam_m) if len(lam_m)
                 else CostSelector.primary())
-        policy, _ = fqi(self.dataset, cost, self.config.K_fqi, self.template,
+        policy, _ = fqi(self.model, cost, self.config.K_fqi, self.template,
                         ridge=self.config.ridge, gamma=self.gamma, mdp=self.mdp)
         return policy
 
@@ -186,14 +188,14 @@ class _FittedSub:
         cached = self._eval_cache.get(key)
         if cached is not None:
             return cached
-        c_hat, _ = fqe(self.dataset, policy, CostSelector.primary(),
+        c_hat, _ = fqe(self.model, policy, CostSelector.primary(),
                        self.config.K_fqe, self.template,
                        ridge=self.config.ridge, gamma=self.gamma, mdp=self.mdp)
         g_hat = np.array([
-            fqe(self.dataset, policy, CostSelector.constraint(i),
+            fqe(self.model, policy, CostSelector.constraint(i),
                 self.config.K_fqe, self.template, ridge=self.config.ridge,
                 gamma=self.gamma, mdp=self.mdp)[0]
-            for i in range(self.dataset.m)])
+            for i in range(self.model.m)])
         self._eval_cache[key] = (c_hat, g_hat)
         return c_hat, g_hat
 
@@ -218,8 +220,8 @@ class _LspiSub:
 
     def _initial_dist(self):
         if self._chi is None:
-            from .batchrl import _initial_distribution
-            self._chi = _initial_distribution(self.dataset, self.mdp,
+            starts = self.dataset.x[self.dataset.t == 0]
+            self._chi = _initial_distribution(starts, self.mdp,
                                               self.num_states)
         return self._chi
 
@@ -230,7 +232,6 @@ class _LspiSub:
                       eps_stop=self.config.lspi_eps,
                       max_iters=self.config.lspi_max_iters,
                       ridge=self.config.ridge)
-        from .batchrl import lspi_policy
         return lspi_policy(result.weights, self.features)
 
     def evaluate(self, policy):
@@ -254,12 +255,20 @@ class _LspiSub:
         return c_hat, g_hat
 
 
-def lagrangian_max(c_hat, g_hat, tau, B):
-    """max over the l1-budget simplex of C + lam.[(G - tau), 0]: closed form
-    C + B * max(0, max_i(G_i - tau_i))."""
+def lagrangian_max(c_hat, g_hat, tau, B, flavor=EG_FLAVOR):
+    """max of C + lam.(G - tau) over the dual player's multiplier set.
+
+    EG: the l1-budget simplex with a slack coordinate, closed form
+    C + B * max(0, max_i(G_i - tau_i)). OGD: the nonnegative part of the l2
+    ball of radius B, closed form C + B * ||(G - tau)_+||_2.
+    """
     diff = np.asarray(g_hat, dtype=float) - np.asarray(tau, dtype=float)
-    worst = float(np.max(diff, initial=0.0))
-    return float(c_hat) + float(B) * max(0.0, worst)
+    excess = np.maximum(diff, 0.0)
+    if flavor == OGD_FLAVOR:
+        worst = float(np.linalg.norm(excess))
+    else:
+        worst = float(np.max(excess, initial=0.0))
+    return float(c_hat) + float(B) * worst
 
 
 def lagrangian_min(dataset, lambda_hat, config, mdp_handle=None):
@@ -397,7 +406,7 @@ def run(dataset, config, mdp_handle=None):
         lam_hat = state.sum_lam / t
         pi_til = sub.best_response(lam_hat[:m])
         c_til, g_til = sub.evaluate(pi_til)
-        l_max = lagrangian_max(c_mix, g_mix, tau, B)
+        l_max = lagrangian_max(c_mix, g_mix, tau, B, config.dual_flavor)
         l_min = c_til + float(lam_hat[:m] @ (g_til - tau))
         l_mid = c_mix + float(lam_hat[:m] @ (g_mix - tau))
         gap = l_max - l_min

@@ -60,12 +60,11 @@ def _policy_actions(policy):
     return int(policy.actions.max()) + 1
 
 
-def _q_and_v(q_hat, probs, x, a):
-    """Q_hat(x_t, a_t) and V_hat(x_t) = E_{a~pi_e} Q_hat(x_t, a) per step."""
+def _q_and_v(q_hat, probs):
+    """Q_hat as an (S, A) table and V_hat(x) = E_{a~pi_e} Q_hat(x, a) per
+    state; estimators gather both at the sampled steps."""
     vals = q_hat.values()
-    q_xa = vals[x, a]
-    v_x = np.einsum("ta,ta->t", probs[x], vals[x])
-    return q_xa, v_x
+    return vals, np.einsum("xa,xa->x", probs, vals)
 
 
 def doubly_robust(dataset, eval_policy, q_hat, gamma):
@@ -74,11 +73,12 @@ def doubly_robust(dataset, eval_policy, q_hat, gamma):
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     probs = _eval_probs(eval_policy, q_hat.values().shape[1])
+    vals, v = _q_and_v(q_hat, probs)
     total = 0.0
     trajs = _trajectory_arrays(dataset)
     for x, a, c, bp in trajs:
         rho = probs[x, a] / bp
-        q_xa, v_x = _q_and_v(q_hat, probs, x, a)
+        q_xa, v_x = vals[x, a], v[x]
         dr = 0.0
         for t in range(len(c) - 1, -1, -1):
             dr = v_x[t] + rho[t] * (c[t] + gamma * dr - q_xa[t])
@@ -97,6 +97,7 @@ def weighted_doubly_robust(dataset, eval_policy, q_hat, gamma):
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     probs = _eval_probs(eval_policy, q_hat.values().shape[1])
+    vals, v = _q_and_v(q_hat, probs)
     trajs = _trajectory_arrays(dataset)
     n = len(trajs)
     horizon = max(len(c) for _, _, c, _ in trajs)
@@ -112,9 +113,8 @@ def weighted_doubly_robust(dataset, eval_policy, q_hat, gamma):
         cum_w[i, :L] = cw
         cum_w[i, L:] = cw[-1] if L else 1.0
         costs[i, :L] = c
-        q_xa, v_x = _q_and_v(q_hat, probs, x, a)
-        q_mat[i, :L] = q_xa
-        v_mat[i, :L] = v_x
+        q_mat[i, :L] = vals[x, a]
+        v_mat[i, :L] = v[x]
 
     sums = cum_w.sum(axis=0)
     w = np.divide(cum_w, sums[None, :], out=np.zeros_like(cum_w),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from cbpl.batchrl import (CostSelector, fqe, fqi, lspi, lspi_policy, lstdq,
-                          lstdq_policy)
+from cbpl.batchrl import (CostSelector, EmpiricalModel, fqe, fqi, lspi,
+                          lspi_policy, lstdq, lstdq_policy)
 from cbpl.dataset import Dataset, full_coverage_dataset
-from cbpl.funcapprox import QFunction, one_hot_features
-from cbpl.mdp import (DeterministicPolicy, build_combination_lock,
-                      build_frozenlake)
+from cbpl.funcapprox import (FeatureMap, QFunction, fit_least_squares,
+                             one_hot_features)
+from cbpl.mdp import (DeterministicPolicy, StochasticPolicy,
+                      build_combination_lock, build_frozenlake)
 from cbpl.oracle import ExactSolver, exact_policy_values, value_iteration
 
 from conftest import FROZENLAKE_4X4, one_state_mdp, two_state_chain
@@ -250,3 +251,162 @@ class TestLspi:
         feats = one_hot_features(fl8)
         with pytest.raises(ValueError):
             lspi(data, CostSelector.primary(), feats, fl8.gamma, eps_stop=0.0)
+
+
+def per_sample_sweeps(data, cost, K, template, gamma, bootstrap):
+    """FQE/FQI as one regression over every sample per sweep, the way they
+    ran before the deduplicated table: bootstrap(values, x_next) gathers the
+    successor values sample by sample. Returns (Q_K, residuals)."""
+    costs = cost.select(data)
+    q = template
+    residuals = []
+    for _ in range(K):
+        y = costs + gamma * np.where(data.done, 0.0,
+                                     bootstrap(q.values(), data.x_next))
+        q = fit_least_squares((data.x, data.a), y, template)
+        err = q.values()[data.x, data.a] - y
+        residuals.append(float(np.sqrt(np.mean(err ** 2))))
+    return q, residuals
+
+
+def random_chain_dataset(num_states, num_actions, m, num_traj, seed):
+    """Trajectories of random (x, a, x') chains with continuous random costs,
+    so no two rows coincide and the model does not compress them."""
+    rng = np.random.default_rng(seed)
+    cols = {k: [] for k in ("traj_id", "t", "x", "a", "x_next", "done")}
+    for tid in range(num_traj):
+        length = int(rng.integers(1, 8))
+        states = rng.integers(0, num_states, size=length + 1)
+        cols["traj_id"] += [tid] * length
+        cols["t"] += list(range(length))
+        cols["x"] += list(states[:-1])
+        cols["a"] += list(rng.integers(0, num_actions, size=length))
+        cols["x_next"] += list(states[1:])
+        cols["done"] += [False] * (length - 1) + [bool(rng.random() < 0.5)]
+    n = len(cols["x"])
+    return Dataset(cols["traj_id"], cols["t"], cols["x"], cols["a"],
+                   cols["x_next"], rng.normal(size=n),
+                   rng.uniform(size=(n, m)), cols["done"],
+                   np.full(n, 1.0 / num_actions))
+
+
+def templates(num_states, num_actions):
+    rng = np.random.default_rng(5)
+    feats = FeatureMap(rng.uniform(size=(num_states, num_actions, 6)))
+    return {"tabular": QFunction.tabular_zeros(num_states, num_actions),
+            "linear": QFunction.linear_zeros(feats)}
+
+
+def shuffled_trajectories(data, seed):
+    order = np.random.default_rng(seed).permutation(data.num_trajectories)
+    slices = data.trajectory_slices()
+    sel = np.concatenate([np.arange(slices[i][1], slices[i][2]) for i in order])
+    return Dataset(data.traj_id[sel], data.t[sel], data.x[sel], data.a[sel],
+                   data.x_next[sel], data.c[sel], data.g[sel], data.done[sel],
+                   data.behavior_prob[sel])
+
+
+class TestEmpiricalModel:
+    def test_counts_cover_every_sample_once(self, fl8_dataset):
+        model = EmpiricalModel.from_dataset(fl8_dataset)
+        assert model.count.sum() == len(fl8_dataset)
+        assert len(model) < 300 < len(fl8_dataset)
+        rows = set(zip(model.x, model.a, model.x_next, model.done, model.c,
+                       map(tuple, model.g)))
+        assert len(rows) == len(model)
+        assert np.array_equal(np.sort(model.starts),
+                              np.sort(fl8_dataset.x[fl8_dataset.t == 0]))
+
+    def test_distinct_rows_stay_distinct(self):
+        data = random_chain_dataset(6, 3, 2, 100, seed=1)
+        model = EmpiricalModel.from_dataset(data)
+        assert len(model) == len(data) and np.all(model.count == 1)
+
+    def test_invariant_under_trajectory_order(self, fl8_dataset):
+        a = EmpiricalModel.from_dataset(fl8_dataset)
+        b = EmpiricalModel.from_dataset(shuffled_trajectories(fl8_dataset, 0))
+        for col in ("x", "a", "x_next", "done", "c", "g", "count"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+
+
+class TestModelMatchesPerSampleRegression:
+    """fqe/fqi on the deduplicated table agree with one regression over every
+    sample per sweep, in Q and in the residuals."""
+
+    TOL = 1e-12
+
+    def cases(self, fl8_dataset):
+        yield fl8_dataset, 64, 4, 0.95
+        yield random_chain_dataset(6, 3, 2, 300, seed=2), 6, 3, 0.9
+
+    def assert_close(self, got, expect):
+        q_got, res_got = got
+        q_exp, res_exp = expect
+        assert np.abs(q_got.values() - q_exp.values()).max() <= self.TOL
+        assert np.abs(np.subtract(res_got, res_exp)).max() <= self.TOL
+
+    @pytest.mark.parametrize("kind", ["tabular", "linear"])
+    def test_fqi(self, fl8_dataset, kind):
+        for data, S, A, gamma in self.cases(fl8_dataset):
+            template = templates(S, A)[kind]
+            cost = CostSelector.scalarized(np.full(data.m, 2.0))
+            _, run = fqi(data, cost, 20, template, gamma=gamma)
+            expect = per_sample_sweeps(data, cost, 20, template, gamma,
+                                       lambda v, nx: v[nx].min(axis=1))
+            self.assert_close((run.q_final, run.per_iteration_bellman_residuals),
+                              expect)
+
+    @pytest.mark.parametrize("kind", ["tabular", "linear"])
+    def test_fqe(self, fl8_dataset, kind):
+        for data, S, A, gamma in self.cases(fl8_dataset):
+            template = templates(S, A)[kind]
+            rng = np.random.default_rng(4)
+            det = DeterministicPolicy(rng.integers(0, A, size=S))
+            sto = StochasticPolicy(rng.dirichlet(np.ones(A), size=S))
+            model = EmpiricalModel.from_dataset(data)
+            for policy, bootstrap in (
+                    (det, lambda v, nx: v[nx, det.actions[nx]]),
+                    (sto, lambda v, nx: np.einsum("na,na->n", sto.probs[nx],
+                                                  v[nx]))):
+                cost = CostSelector.constraint(data.m - 1)
+                _, run = fqe(model, policy, cost, 20, template, gamma=gamma)
+                expect = per_sample_sweeps(data, cost, 20, template, gamma,
+                                           bootstrap)
+                self.assert_close(
+                    (run.q_final, run.per_iteration_bellman_residuals), expect)
+
+    def test_dataset_and_model_give_identical_results(self, fl8_dataset, fl8):
+        model = EmpiricalModel.from_dataset(fl8_dataset)
+        policy = DeterministicPolicy(np.full(64, 1))
+        template = template_for(fl8)
+        assert (fqe(fl8_dataset, policy, CostSelector.primary(), 30, template,
+                    mdp=fl8)[0]
+                == fqe(model, policy, CostSelector.primary(), 30, template,
+                       mdp=fl8)[0])
+
+
+class TestFqiTieBreaking:
+    def test_policy_unchanged_by_trajectory_order(self, fl8_dataset, fl8):
+        cost = CostSelector.scalarized([15.0])
+        policy, _ = fqi(fl8_dataset, cost, 100, template_for(fl8), mdp=fl8)
+        for seed in (0, 1):
+            shuffled = shuffled_trajectories(fl8_dataset, seed)
+            again, _ = fqi(shuffled, cost, 100, template_for(fl8), mdp=fl8)
+            assert np.array_equal(again.actions, policy.actions)
+
+    def test_exact_ties_pick_lowest_action(self):
+        # One state, three actions, every sample terminal. Actions 1 and 2
+        # have the same mean cost 0.15, but 0.1 + 0.2 rounds up, so the
+        # computed mean of action 1 exceeds that of action 2 by about 3e-17;
+        # the tie still goes to the lower index.
+        a = [0, 1, 1, 2, 2]
+        c = [0.5, 0.1, 0.2, 0.15, 0.15]
+        n = len(a)
+        data = Dataset(np.arange(n), np.zeros(n), np.zeros(n), a,
+                       np.zeros(n), c, np.zeros((n, 0)), np.ones(n, dtype=bool),
+                       np.full(n, 1.0 / 3))
+        policy, run = fqi(data, CostSelector.primary(), 3,
+                          QFunction.tabular_zeros(1, 3), gamma=0.9)
+        q = run.q_final.values()[0]
+        assert q[1] != q[2] and abs(q[1] - q[2]) < 1e-15
+        assert policy.actions[0] == 1

@@ -189,6 +189,47 @@ class TestOracle:
         assert code == 1
 
 
+def _policy_rows(states, action=0):
+    return "state,action\n" + "".join(f"{x},{action}\n" for x in range(states))
+
+
+class TestPolicyFileValidation:
+    # The 4x4 map has 16 states and 4 actions.
+    BAD_FILES = {
+        "one_state": _policy_rows(1),
+        "ten_states": _policy_rows(10),
+        "action_equal_to_A": _policy_rows(16, action=4),
+        "negative_action": _policy_rows(16, action=-1),
+        "missing_state": _policy_rows(16).replace("7,0\n", ""),
+        "mixture_member_short": "member,weight,state,action\n0,1,0,0\n",
+        "short_row": "state,action\n0\n",
+    }
+
+    @pytest.mark.parametrize("command", ["oracle", "ope-compare", "fqe"])
+    @pytest.mark.parametrize("name", sorted(BAD_FILES))
+    def test_mismatched_policy_exits_1_with_one_error_line(
+            self, command, name, map_file, dataset_file, tmp_path, capsys):
+        pol = tmp_path / "bad.csv"
+        pol.write_text(self.BAD_FILES[name])
+        argv = {"oracle": ["oracle", "--map", map_file],
+                "ope-compare": ["ope-compare", "--data", dataset_file,
+                                "--map", map_file, "--fractions", "1.0",
+                                "--trials", "1", "--iters", "5",
+                                "--out", str(tmp_path / "r.csv")],
+                "fqe": ["fqe", "--data", dataset_file, "--map", map_file,
+                        "--iters", "5"]}[command]
+        assert main(argv + ["--policy", str(pol)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), captured.err
+        assert captured.out == ""
+
+    def test_matching_policy_still_loads(self, map_file, tmp_path):
+        pol = tmp_path / "ok.csv"
+        pol.write_text(_policy_rows(16, action=3))
+        assert main(["oracle", "--map", map_file, "--policy", str(pol)]) == 0
+
+
 class TestOpeCompare:
     def test_writes_report(self, dataset_file, map_file, policy_file,
                            tmp_path, capsys):

@@ -86,6 +86,37 @@ class TestFitLeastSquares:
         mse_after = np.mean((q.table[xs, aa] - y) ** 2)
         assert mse_after <= mse_before + 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_integer_weights_equal_repeated_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        S, A, n = 3, 2, 8
+        xs = rng.integers(0, S, n)
+        aa = rng.integers(0, A, n)
+        y = rng.normal(size=n)
+        w = rng.integers(1, 5, n)
+        rep = np.repeat(np.arange(n), w)
+        feats = FeatureMap(rng.normal(size=(S, A, 3)))
+        for template in (QFunction.tabular_zeros(S, A),
+                         QFunction.linear_zeros(feats)):
+            weighted = fit_least_squares((xs, aa), y, template, weights=w)
+            repeated = fit_least_squares((xs[rep], aa[rep]), y[rep], template)
+            assert np.allclose(weighted.values(), repeated.values(),
+                               rtol=1e-10, atol=1e-12)
+
+    def test_zero_weight_cell_keeps_template_value(self):
+        template = QFunction(table=np.full((1, 2), 7.0))
+        q = fit_least_squares(([0, 0], [0, 1]), [1.0, 3.0], template,
+                              weights=[2.0, 0.0])
+        assert q.table.tolist() == [[1.0, 7.0]]
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, -1.0]])
+    def test_bad_weights_raise(self, weights):
+        template = QFunction.tabular_zeros(1, 2)
+        with pytest.raises(ValueError, match="weights"):
+            fit_least_squares(([0, 0], [0, 1]), [1.0, 3.0], template,
+                              weights=weights)
+
 
 class TestQValue:
     def test_zero_tabular(self):

@@ -10,7 +10,7 @@ from cbpl.learner import (ConvergenceError, LearnerConfig, MixturePolicy,
                           regularization_grid, regularized_one_shot, run,
                           write_trace_csv)
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
-                      build_combination_lock)
+                      build_combination_lock, build_random_mdp)
 from cbpl.onlineopt import eg_init
 from cbpl.oracle import ExactSolver, exact_policy_values
 
@@ -44,6 +44,48 @@ class TestLagrangianMax:
 
     def test_zero_budget(self):
         assert lagrangian_max(1.5, [5.0], [0.1], 0.0) == 1.5
+
+    @staticmethod
+    def brute_force_ogd_max(c_hat, g_hat, tau, B):
+        """max of C + lam.(G - tau) over a grid of the nonnegative quarter
+        of the l2 ball of radius B (m = 2)."""
+        angle = np.linspace(0.0, np.pi / 2, 2001)
+        radius = np.linspace(0.0, B, 201)[:, None]
+        lam1, lam2 = radius * np.cos(angle), radius * np.sin(angle)
+        diff = np.asarray(g_hat) - np.asarray(tau)
+        return float(np.max(c_hat + lam1 * diff[0] + lam2 * diff[1]))
+
+    @pytest.mark.parametrize("case", [
+        (0.0, [0.2, 0.2], [0.1, 0.1], 30.0),
+        (1.0, [1.1, 1.1], [0.1, 0.1], 10.0),
+        (-0.5, [0.4, 0.05], [0.1, 0.1], 30.0),
+        (0.3, [0.0, 0.0], [0.1, 0.1], 30.0),
+        (0.2, [0.9, 0.3], [0.1, 0.2], 7.0),
+    ])
+    def test_ogd_flavor_matches_brute_force_over_l2_ball(self, case):
+        c_hat, g_hat, tau, B = case
+        got = lagrangian_max(c_hat, g_hat, tau, B, flavor="ogd")
+        assert got == pytest.approx(self.brute_force_ogd_max(*case), abs=1e-6)
+
+    def test_ogd_flavor_hand_example(self):
+        assert lagrangian_max(0.0, [0.2, 0.2], [0.1, 0.1], 30.0,
+                              flavor="ogd") == pytest.approx(4.2426406871)
+        assert lagrangian_max(0.0, [0.2, 0.2], [0.1, 0.1], 30.0,
+                              flavor="eg") == pytest.approx(3.0)
+
+    def test_run_certifies_ogd_gap_on_the_l2_ball(self):
+        # Both constraints violated (G near 5 against tau = 0.1), so the l2
+        # form exceeds the l1-simplex form by a factor of about sqrt(2).
+        mdp = build_random_mdp(4, 2, 2, seed=0)
+        config = exact_config(dual_flavor="ogd", tau=[0.1, 0.1], eta=1.0,
+                              max_rounds=3, omega=1e-9)
+        _, trace = run(None, config, mdp_handle=mdp)
+        for g_mix, c_mix, l_max in zip(trace.g_hat_mix, trace.c_hat_mix,
+                                       trace.l_max):
+            assert np.all(g_mix > config.tau)
+            assert l_max == lagrangian_max(c_mix, g_mix, config.tau,
+                                           config.B, flavor="ogd")
+            assert l_max > lagrangian_max(c_mix, g_mix, config.tau, config.B)
 
 
 class TestLagrangianMin:
