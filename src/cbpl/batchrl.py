@@ -54,9 +54,11 @@ FittedRun = collections.namedtuple("FittedRun",
 LspiResult = collections.namedtuple("LspiResult",
                                     ["weights", "converged", "iterations"])
 
-# Q values within this distance of a state's minimum count as tied in the
-# FQI greedy policy (lowest action index wins), so the policy does not
-# depend on the order in which the regression sums its targets.
+# In the FQI greedy policy a Q value ties with its state's minimum when it
+# exceeds it by at most FQI_TIE_TOL times the largest |Q(x, .)| of that
+# state; the lowest tied action wins. So the policy does not depend on the
+# order in which the regression sums its targets, and a small cost such as
+# lam * g under a decayed multiplier still separates the actions it ranks.
 FQI_TIE_TOL = 1e-9
 
 
@@ -184,13 +186,15 @@ def fqi(dataset, cost, K, template, ridge=1e-8, gamma=None, mdp=None):
 
     dataset: a Dataset or its EmpiricalModel. Targets
     y = c + gamma * min_a Q(x', a) (y = c on done samples); returns (greedy
-    policy of Q_K with ties within FQI_TIE_TOL, FittedRun).
+    policy of Q_K with ties within FQI_TIE_TOL of each row's scale,
+    FittedRun).
     """
     model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
     q, residuals = _fitted_sweeps(model, cost, K, template, ridge, gamma,
                                   lambda q: q.values().min(axis=1))
-    return greedy_policy(q, tol=FQI_TIE_TOL), FittedRun(q, residuals, K)
+    tol = FQI_TIE_TOL * np.abs(q.values()).max(axis=1, keepdims=True)
+    return greedy_policy(q, tol=tol), FittedRun(q, residuals, K)
 
 
 def lspi_policy(weights, features, tol=1e-6):

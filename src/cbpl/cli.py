@@ -1,6 +1,8 @@
 """Command-line entry point for reproducible experiment runs.
 
-Exit codes: 0 success, 1 validation error, 2 non-convergence.
+Exit codes: 0 success, 1 validation or I/O error, 2 non-convergence
+(including a solver that raises RuntimeError, such as ConvergenceError).
+Errors print one `error:` line to stderr, never a traceback.
 All randomness flows from a single --seed; per-component streams are derived
 with fixed labels so identical invocations produce byte-identical files.
 """
@@ -409,9 +411,12 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValidationError, ValueError, FileNotFoundError) as exc:
+    except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

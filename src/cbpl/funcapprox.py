@@ -144,11 +144,12 @@ def greedy_policy(q, tol=0.0):
     """argmin_a Q(x, a) per state, ties broken by lowest action index.
 
     A positive tol treats values within tol of the row minimum as tied, so
-    exact ties survive the small numerical noise of linear solves.
+    exact ties survive the small numerical noise of linear solves. tol is a
+    scalar or an (S, 1) column of per-state tolerances.
     """
     from .mdp import DeterministicPolicy
     vals = q.values()
-    if tol > 0.0:
+    if np.any(np.asarray(tol) > 0.0):
         near = vals <= (vals.min(axis=1, keepdims=True) + tol)
         return DeterministicPolicy(np.argmax(near, axis=1))
     return DeterministicPolicy(np.argmin(vals, axis=1))

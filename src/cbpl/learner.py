@@ -52,7 +52,6 @@ class LearnerConfig:
     subroutine_flavor: str = "fitted"
     gamma: float = 0.95
     g_bar: float = None
-    dual_sign: float = 1.0  # +1: dual ascent (mass toward violated constraints)
     lspi_eps: float = 1e-6
     lspi_max_iters: int = 50
     trace_limit: int = 200_000
@@ -63,6 +62,8 @@ class LearnerConfig:
             raise ValueError("B, eta, omega must be positive")
         if np.any(self.tau < 0):
             raise ValueError("tau entries must be nonnegative")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError("max_rounds must be at least 1")
         if self.dual_flavor not in (EG_FLAVOR, OGD_FLAVOR):
             raise ValueError(f"unknown dual flavor {self.dual_flavor!r}")
         if self.subroutine_flavor not in ("fitted", "lspi", "exact"):
@@ -112,47 +113,69 @@ class RunTrace:
     total_rounds: int
     stride: int
     bound_excess_max: float = field(default=float("nan"))
+    # Rounds advanced in closed-form blocks and one at a time; they sum to
+    # total_rounds.
+    block_rounds: int = 0
+    generic_rounds: int = 0
 
 
 class _TraceBuffer:
     """Per-round records with automatic decimation beyond a record cap.
 
     Keeps every stride-th round (stride doubles on overflow) plus the final
-    round, so small runs retain full fidelity.
+    round, so small runs retain full fidelity. Rounds arrive in order from
+    1 with none skipped, so the kept rows are exactly the multiples of the
+    stride up to the last round, and the stride an append needs follows
+    from that count before any row is built. Rounds are stored as int64 and
+    rows as one float matrix of `limit` rows, filled in place.
     """
 
     def __init__(self, limit):
         self.limit = max(int(limit), 16)
         self.stride = 1
-        self.rows = []  # (t, row-array)
-        self.final = None
+        self.count = 0
+        self.ts = np.empty(self.limit, dtype=np.int64)
+        self.mat = None  # (limit, row width), allocated by the first append
+        self.final = None  # (t, row) of the last round recorded
 
-    def _compact(self):
-        while len(self.rows) > self.limit:
-            self.stride *= 2
-            self.rows = [r for r in self.rows if r[0] % self.stride == 0]
+    def stride_for(self, t_last):
+        """The stride once every round up to t_last is recorded: the
+        smallest doubling of the current one that keeps at most `limit`
+        multiples of it in 1..t_last."""
+        stride = self.stride
+        while t_last // stride > self.limit:
+            stride *= 2
+        return stride
+
+    def extend(self, ts, rows, final):
+        """Record the rounds after the last one up to final[0]. ts (int64,
+        ascending) and rows hold at least those of them that are multiples
+        of stride_for(final[0]); final is the (t, row) of the last round
+        whether or not it is kept."""
+        if self.mat is None:
+            self.mat = np.empty((self.limit, rows.shape[1]))
+        stride = self.stride_for(final[0])
+        if stride != self.stride:
+            keep = self.ts[:self.count] % stride == 0
+            n = int(np.count_nonzero(keep))
+            self.ts[:n] = self.ts[:self.count][keep]
+            self.mat[:n] = self.mat[:self.count][keep]
+            self.count, self.stride = n, stride
+        keep = ts % stride == 0
+        n = int(np.count_nonzero(keep))
+        self.ts[self.count:self.count + n] = ts[keep]
+        self.mat[self.count:self.count + n] = rows[keep]
+        self.count += n
+        self.final = final
 
     def append(self, t, row):
-        self.final = (t, row)
-        if t % self.stride == 0:
-            self.rows.append((t, row))
-            self._compact()
-
-    def append_block(self, t_arr, rows, final):
-        """Bulk append of pre-filtered (t, row) records; final is the last
-        (t, row) of the block whether or not it passed the stride filter."""
-        self.final = final
-        keep = (t_arr % self.stride) == 0
-        self.rows.extend(zip(t_arr[keep].tolist(), rows[keep]))
-        self._compact()
+        self.extend(np.array([t], dtype=np.int64), row[None, :], (t, row))
 
     def finalize(self):
-        rows = list(self.rows)
-        if self.final is not None and (not rows or rows[-1][0] != self.final[0]):
-            rows.append(self.final)
-        ts = np.array([r[0] for r in rows], dtype=np.int64)
-        mat = np.array([r[1] for r in rows], dtype=float)
-        return ts, mat
+        ts, mat = self.ts[:self.count], self.mat[:self.count]
+        if self.count and ts[-1] == self.final[0]:
+            return ts.copy(), mat.copy()
+        return np.append(ts, self.final[0]), np.vstack([mat, self.final[1]])
 
 
 class _ExactSub:
@@ -323,6 +346,14 @@ def default_max_rounds(B, g_bar, omega, m):
                          / (omega * omega)))
 
 
+# Rounds per chunk of a block advance: large enough that the per-chunk
+# Python overhead stays small, small enough that the chunk's dozen float
+# buffers stay in the processor caches instead of streaming whole-block
+# temporaries of 2^20 rounds through memory. 2^14 to 2^16 ran alike on a
+# 2-core x86 machine; 2^12 was a third slower.
+_CHUNK = 1 << 15
+
+
 class _RunState:
     """Mutable accumulators shared by the generic loop and the block path."""
 
@@ -372,6 +403,7 @@ def run(dataset, config, mdp_handle=None):
     converged = False
     prev_sig = None
     steady_streak = 0
+    block_rounds = generic_rounds = 0
 
     def record(t, lam_coords, c_t, g_t, c_mix, g_mix, l_max, l_min, l_mid):
         row = np.concatenate([lam_coords, [c_t], g_t, [c_mix], g_mix,
@@ -385,20 +417,24 @@ def run(dataset, config, mdp_handle=None):
         # Closed-form block advance for steady exact/EG/m=1 stretches.
         if (steady_streak >= 2 and is_eg and m == 1
                 and config.subroutine_flavor == "exact"):
+            t_before = state.t
             advanced, converged = _block_advance(
                 state, sub, lam, prev_sig, config, g_bar, trace_buf,
                 max_rounds)
             if advanced is not None:
+                block_rounds += state.t - t_before
                 lam, block_excess = advanced
                 bound_excess = max(bound_excess, block_excess)
                 if converged:
                     break
-                continue  # checks failed -> fall through to a generic round
+                continue
+            # The certificates failed: play one generic round.
 
         lam_m = lam.coords[:m]
         pi_t = sub.best_response(lam_m)
         c_t, g_t = sub.evaluate(pi_t)
         state.add_member(pi_t, c_t, g_t)
+        generic_rounds += 1
         state.sum_lam += lam.coords
         t = state.t
         c_mix = state.sum_c / t
@@ -424,9 +460,9 @@ def run(dataset, config, mdp_handle=None):
 
         if is_eg:
             z = augmented_loss(g_t, tau)
-            lam = eg_update(lam, -config.dual_sign * z, eta)
+            lam = eg_update(lam, -z, eta)
         else:
-            lam = ogd_update(lam, config.dual_sign * (g_t - tau), eta)
+            lam = ogd_update(lam, g_t - tau, eta)
 
     ts, mat = trace_buf.finalize()
     lam_cols = mat[:, :dim]
@@ -442,7 +478,8 @@ def run(dataset, config, mdp_handle=None):
         converged=converged,
         termination_reason="gap <= omega" if converged else "max_rounds reached",
         total_rounds=state.t, stride=trace_buf.stride,
-        bound_excess_max=bound_excess if bound_excess > -math.inf else float("nan"))
+        bound_excess_max=bound_excess if bound_excess > -math.inf else float("nan"),
+        block_rounds=block_rounds, generic_rounds=generic_rounds)
     mixture = MixturePolicy(state.members, state.counts,
                             state.member_c, state.member_g)
     return mixture, trace
@@ -454,13 +491,22 @@ def _block_advance(state, sub, lam, prev_sig, config, g_bar, trace_buf,
 
     Returns ((next_lam, bound_excess), converged) or (None, False) when the
     endpoint stability checks fail (caller falls back to a generic round).
+
+    The block streams through fixed buffers of _CHUNK rounds. Each chunk
+    repeats the whole-block arithmetic element for element and the running
+    sum enters a chunk through its first element, so the results do not
+    depend on the chunk size. Nothing reaches state or the trace until the
+    certificates pass.
     """
     B, eta, omega, tau = config.B, config.eta, config.omega, config.tau
     pi_bytes, til_bytes = prev_sig[0], prev_sig[1]
+    # The certified pi~ has til_bytes, and exact evaluations are cached by
+    # policy, so its values are the ones the signature recorded.
+    c_til, g_til0 = prev_sig[4], prev_sig[5][0]
     pi_t = state.members[-1]
     c_t, g_t = sub.evaluate(pi_t)
     z = augmented_loss(g_t, tau)
-    exponent = config.dual_sign * eta * z  # per-round log-multiplier
+    exponent = eta * z  # per-round log-multiplier
 
     t0 = state.t
     J = min(1 << 20, max_rounds - t0)
@@ -473,62 +519,120 @@ def _block_advance(state, sub, lam, prev_sig, config, g_bar, trace_buf,
     l0, l1 = np.log(np.maximum(lam.coords, 1e-300))
     d0 = l1 - l0
     de = exponent[1] - exponent[0]
-    j = np.arange(J, dtype=float)
-    d = d0 + j * de
-    ez = np.exp(-np.abs(d))
-    lam0 = B * np.where(d >= 0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
 
-    cum0 = np.cumsum(lam0)
-    t_arr = t0 + 1 + np.arange(J)
-    lam_hat0 = (state.sum_lam[0] + cum0) / t_arr
+    size = min(_CHUNK, J)
+    base = np.arange(size, dtype=float)
+    j, t, d, ez, lam0, cum, lam_hat = (np.empty(size) for _ in range(7))
+    c_mix, g_mix, l_max, l_min, gap, work = (np.empty(size) for _ in range(6))
+    flags = np.empty(size, dtype=bool)
+
+    def rows_at(sel):
+        lam_sel, c_sel, g_sel = lam0[sel], c_mix[sel], g_mix[sel]
+        l_mid = c_sel + lam_hat[sel] * (g_sel - tau[0])
+        k = len(lam_sel)
+        return np.column_stack([
+            lam_sel, B - lam_sel, np.full(k, c_t), np.full(k, g_t[0]),
+            c_sel, g_sel, l_max[sel], l_min[sel], l_mid, gap[sel]])
+
+    lam_lo = hat_lo = math.inf
+    lam_hi = hat_hi = -math.inf
+    carry = 0.0
+    excess = -math.inf
+    stop = None  # rounds the block advances, known once the gap work ends
+    converged = False
+    pend_ts, pend_rows, pend_stride = [], [], trace_buf.stride
+    for lo in range(0, J, size):
+        n = min(size, J - lo)
+        jv, tv, dv, ezv = j[:n], t[:n], d[:n], ez[:n]
+        lv, cv, hv = lam0[:n], cum[:n], lam_hat[:n]
+        np.add(base[:n], lo, out=jv)
+        np.add(base[:n], t0 + 1 + lo, out=tv)  # exact below 2^53
+        np.multiply(jv, de, out=dv)
+        np.add(dv, d0, out=dv)
+        np.abs(dv, out=ezv)
+        np.negative(ezv, out=ezv)
+        np.exp(ezv, out=ezv)
+        # d is monotone in j, so the sign changes at most once: each sigmoid
+        # branch is computed on its own side only.
+        n_pos = int(np.count_nonzero(np.greater_equal(dv, 0.0, out=flags[:n])))
+        pos = slice(n - n_pos, n) if de >= 0 else slice(0, n_pos)
+        neg = slice(0, n - n_pos) if de >= 0 else slice(n_pos, n)
+        np.add(ezv, 1.0, out=cv)
+        np.divide(ezv[pos], cv[pos], out=lv[pos])
+        np.divide(1.0, cv[neg], out=lv[neg])
+        np.multiply(lv, B, out=lv)
+        np.copyto(cv, lv)
+        cv[0] += carry
+        np.cumsum(cv, out=cv)
+        carry = cv[-1]
+        np.add(cv, state.sum_lam[0], out=hv)
+        np.divide(hv, tv, out=hv)
+        lam_lo, lam_hi = min(lam_lo, lv.min()), max(lam_hi, lv.max())
+        hat_lo, hat_hi = min(hat_lo, hv.min()), max(hat_hi, hv.max())
+        if stop is not None:
+            continue  # past the first gap hit only the certificates need it
+
+        cm, gm, lx, ln, gp, wk = (c_mix[:n], g_mix[:n], l_max[:n],
+                                  l_min[:n], gap[:n], work[:n])
+        np.add(jv, 1.0, out=wk)
+        np.multiply(wk, c_t, out=cm)
+        np.add(cm, state.sum_c, out=cm)
+        np.divide(cm, tv, out=cm)
+        np.multiply(wk, g_t[0], out=gm)
+        np.add(gm, state.sum_g[0], out=gm)
+        np.divide(gm, tv, out=gm)
+        np.subtract(gm, tau[0], out=wk)
+        np.maximum(0.0, wk, out=wk)
+        np.multiply(wk, B, out=wk)
+        np.add(cm, wk, out=lx)
+        np.multiply(hv, g_til0 - tau[0], out=ln)
+        np.add(ln, c_til, out=ln)
+        np.subtract(lx, ln, out=gp)
+        hits = np.less_equal(gp, omega, out=flags[:n])
+        converged = bool(hits.any())
+        m = int(np.argmax(hits)) + 1 if converged else n
+        if g_bar > 0:
+            bound = wk[:m]
+            np.multiply(tv[:m], eta, out=bound)
+            np.divide(B * math.log(2.0), bound, out=bound)
+            np.add(bound, eta * B * g_bar * g_bar, out=bound)
+            np.multiply(bound, 2.0, out=bound)
+            np.subtract(gp[:m], bound, out=bound)
+            excess = max(excess, float(bound.max()))
+
+        # Trace rows of the kept rounds, at the stride the buffer will have
+        # once these rounds are in.
+        t_end = t0 + lo + m
+        stride = trace_buf.stride_for(t_end)
+        if stride != pend_stride:
+            keeps = [ts % stride == 0 for ts in pend_ts]
+            pend_ts = [ts[k] for ts, k in zip(pend_ts, keeps)]
+            pend_rows = [rows[k] for rows, k in zip(pend_rows, keeps)]
+            pend_stride = stride
+        first = -(t0 + 1 + lo) % stride
+        pend_ts.append(np.arange(t0 + 1 + lo + first, t_end + 1, stride,
+                                 dtype=np.int64))
+        pend_rows.append(rows_at(slice(first, m, stride)))
+        if converged or lo + n == J:
+            stop = lo + m
+            final = (t_end, rows_at(slice(m - 1, m))[0])
+            cum_stop, lam_stop = cv[m - 1], lv[m - 1]
 
     # Stability certificates: best responses constant over the 1-d multiplier
     # ranges covered by the block (regions are intervals, so endpoints suffice).
-    for v in (lam0.min(), lam0.max()):
+    for v in (lam_lo, lam_hi):
         if sub.best_response(np.array([v])).actions.tobytes() != pi_bytes:
             return None, False
-    pi_til = None
-    for v in (lam_hat0.min(), lam_hat0.max()):
-        cand = sub.best_response(np.array([v]))
-        if cand.actions.tobytes() != til_bytes:
+    for v in (hat_lo, hat_hi):
+        if sub.best_response(np.array([v])).actions.tobytes() != til_bytes:
             return None, False
-        pi_til = cand
-    c_til, g_til = sub.evaluate(pi_til)
 
-    c_mix = (state.sum_c + (1.0 + j) * c_t) / t_arr
-    g_mix1 = (state.sum_g[0] + (1.0 + j) * g_t[0]) / t_arr
-    l_max = c_mix + B * np.maximum(0.0, g_mix1 - tau[0])
-    l_min = c_til + lam_hat0 * (g_til[0] - tau[0])
-    gap = l_max - l_min
-
-    hit = np.flatnonzero(gap <= omega)
-    stop = int(hit[0]) + 1 if len(hit) else J
-    converged = len(hit) > 0
-
-    bound = 2.0 * (B * math.log(2.0) / (eta * t_arr[:stop])
-                   + eta * B * g_bar * g_bar)
-    excess = float(np.max(gap[:stop] - bound)) if g_bar > 0 else -math.inf
-
-    def make_rows(idx):
-        lam_hat_sel = lam_hat0[idx]
-        g_sel = g_mix1[idx]
-        c_sel = c_mix[idx]
-        l_mid = c_sel + lam_hat_sel * (g_sel - tau[0])
-        return np.column_stack([
-            lam0[idx], B - lam0[idx],
-            np.full(len(idx), c_t), np.full(len(idx), g_t[0]),
-            c_sel, g_sel, l_max[idx], l_min[idx], l_mid, gap[idx]])
-
-    keep = np.flatnonzero(t_arr[:stop] % trace_buf.stride == 0)
-    last_idx = np.array([stop - 1])
-    trace_buf.append_block(t_arr[keep], make_rows(keep),
-                           final=(int(t_arr[stop - 1]), make_rows(last_idx)[0]))
-
+    trace_buf.extend(np.concatenate(pend_ts), np.concatenate(pend_rows), final)
     state.add_member(pi_t, c_t, g_t, repeat=stop)
-    state.sum_lam[0] += cum0[stop - 1]
-    state.sum_lam[1] += stop * B - cum0[stop - 1]
+    state.sum_lam[0] += cum_stop
+    state.sum_lam[1] += stop * B - cum_stop
     if converged:
-        v0 = lam0[stop - 1]
+        v0 = lam_stop
     else:
         # Multiplier entering round t0+stop+1.
         dn = d0 + stop * de

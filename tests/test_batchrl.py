@@ -394,6 +394,16 @@ class TestFqiTieBreaking:
             again, _ = fqi(shuffled, cost, 100, template_for(fl8), mdp=fl8)
             assert np.array_equal(again.actions, policy.actions)
 
+    def test_tiny_multiplier_keeps_hole_actions_apart(self, fl8_dataset, fl8):
+        # At lam = 1e-12 the Q rows of states 60 and 62 are [lam, 0, 0, 0]:
+        # action 0 steps into a hole. A tolerance of 1e-9 not scaled to the
+        # row called that a tie and took action 0.
+        policy, run = fqi(fl8_dataset, CostSelector.scalarized([1e-12]), 100,
+                          template_for(fl8), mdp=fl8)
+        assert np.array_equal(run.q_final.values()[60], [1e-12, 0, 0, 0])
+        enters_hole = fl8.cost_g[np.arange(64), policy.actions, 0] > 0
+        assert not enters_hole.any(), np.flatnonzero(enters_hole)
+
     def test_exact_ties_pick_lowest_action(self):
         # One state, three actions, every sample terminal. Actions 1 and 2
         # have the same mean cost 0.15, but 0.1 + 0.2 rounds up, so the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cbpl.cli import load_policy, main, save_mixture, save_policy
-from cbpl.learner import MixturePolicy
+from cbpl.learner import ConvergenceError, MixturePolicy
 from cbpl.mdp import DeterministicPolicy
 
 from conftest import FROZENLAKE_4X4
@@ -228,6 +228,53 @@ class TestPolicyFileValidation:
         pol = tmp_path / "ok.csv"
         pol.write_text(_policy_rows(16, action=3))
         assert main(["oracle", "--map", map_file, "--policy", str(pol)]) == 0
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+class TestErrorExitCodes:
+    # name: (argv with {map}, {data}, {policy} and {dir} placeholders,
+    #        (attribute to replace, exception it raises) or None, exit code)
+    CASES = {
+        "trace_out_is_a_directory": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
+             "--trace-out", "{dir}"], None, 1),
+        "policy_out_is_a_directory": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
+             "--policy-out", "{dir}"], None, 1),
+        "data_is_a_directory": (
+            ["fqe", "--data", "{dir}", "--map", "{map}",
+             "--policy", "{policy}"], None, 1),
+        "zero_rounds": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "0"],
+            None, 1),
+        "policy_iteration_fails": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5"],
+            ("cbpl.oracle.ExactSolver.best_response",
+             RuntimeError("policy iteration failed to converge")), 2),
+        "learner_raises_convergence_error": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5"],
+            ("cbpl.cli.run", ConvergenceError("gap did not reach omega")), 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exits_with_one_error_line(self, name, map_file, dataset_file,
+                                       policy_file, tmp_path, monkeypatch,
+                                       capsys):
+        argv, patch, code = self.CASES[name]
+        if patch is not None:
+            monkeypatch.setattr(patch[0], _raise(patch[1]))
+        fill = dict(map=map_file, data=dataset_file, policy=policy_file,
+                    dir=str(tmp_path))
+        assert main([arg.format(**fill) for arg in argv]) == code
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), captured.err
+        assert captured.out == ""
 
 
 class TestOpeCompare:

@@ -17,6 +17,10 @@ from cbpl.oracle import ExactSolver, exact_policy_values
 from conftest import collect_fl8
 
 
+TRACE_ARRAYS = ("rounds", "lambdas", "c_hat_member", "g_hat_member",
+                "c_hat_mix", "g_hat_mix", "l_max", "l_min", "l_mid", "gap")
+
+
 def exact_config(**kw):
     base = dict(B=30.0, eta=50.0, omega=0.05, tau=[0.1],
                 subroutine_flavor="exact")
@@ -192,6 +196,10 @@ class TestRun:
         _, slow = run(None, config, mdp_handle=fl8)
         assert fast.converged and slow.converged
         assert fast.total_rounds == slow.total_rounds
+        assert fast.block_rounds > 0
+        assert fast.block_rounds + fast.generic_rounds == fast.total_rounds
+        assert slow.block_rounds == 0
+        assert slow.generic_rounds == slow.total_rounds
         # Compare per-round records on the rounds both traces retained.
         common, fi, si = np.intersect1d(fast.rounds, slow.rounds,
                                         return_indices=True)
@@ -199,6 +207,70 @@ class TestRun:
         assert np.allclose(fast.lambdas[fi], slow.lambdas[si], atol=1e-9)
         assert np.allclose(fast.gap[fi], slow.gap[si], atol=1e-9)
         assert np.allclose(fast.c_hat_mix[fi], slow.c_hat_mix[si], atol=1e-9)
+
+
+class TestBlockChunks:
+    RUNS = {
+        # One block from round 3; the gap reaches omega at round 83,193,
+        # inside the third chunk of the default size.
+        "converges_in_a_later_chunk": dict(eta=0.005, max_rounds=100_000),
+        # Never converges; the block is cut by max_rounds mid-chunk.
+        "stops_mid_block_at_max_rounds": dict(eta=0.001, omega=1e-6,
+                                              max_rounds=50_000),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_results_do_not_depend_on_chunk_size(self, name, fl8,
+                                                 monkeypatch):
+        default = learner_mod._CHUNK
+        outs = []
+        for chunk in (7, 4093, default):
+            monkeypatch.setattr(learner_mod, "_CHUNK", chunk)
+            outs.append(run(None, exact_config(**self.RUNS[name]),
+                            mdp_handle=fl8))
+        mixture, trace = outs[-1]
+        assert trace.block_rounds > default
+        if name == "converges_in_a_later_chunk":
+            assert trace.converged and trace.total_rounds == 83_193
+        else:
+            assert not trace.converged and trace.total_rounds == 50_000
+        for other_mixture, other in outs[:-1]:
+            for field in TRACE_ARRAYS:
+                assert np.array_equal(getattr(other, field),
+                                      getattr(trace, field)), field
+            for field in ("converged", "total_rounds", "stride",
+                          "bound_excess_max", "block_rounds",
+                          "generic_rounds"):
+                assert getattr(other, field) == getattr(trace, field), field
+            assert np.array_equal(other_mixture.counts, mixture.counts)
+            for a, b in zip(other_mixture.members, mixture.members):
+                assert np.array_equal(a.actions, b.actions)
+
+    @pytest.mark.parametrize("path", ["block", "generic"])
+    def test_small_trace_limit_keeps_stride_multiples_and_final_round(
+            self, path, fl8):
+        if path == "block":
+            mdp, limit, kw = fl8, 64, dict(eta=0.005, max_rounds=2_000_000)
+        else:  # two constraints: every round is a generic one
+            mdp, limit = build_random_mdp(6, 3, 2, seed=0), 16
+            kw = dict(tau=[0.1, 0.1], eta=0.1, omega=1e-9, max_rounds=300)
+        _, full = run(None, exact_config(trace_limit=100_000, **kw),
+                      mdp_handle=mdp)
+        _, small = run(None, exact_config(trace_limit=limit, **kw),
+                       mdp_handle=mdp)
+        assert (full.block_rounds > 0) == (path == "block")
+        assert full.stride == 1
+        assert np.array_equal(full.rounds,
+                              np.arange(1, full.total_rounds + 1))
+        assert small.stride > 1 and len(small.rounds) <= limit + 1
+        # The smallest doubling that keeps at most `limit` multiples.
+        total = small.total_rounds
+        assert total // small.stride <= limit < total // (small.stride // 2)
+        keep = full.rounds % small.stride == 0
+        keep[-1] = True
+        for field in TRACE_ARRAYS:
+            assert np.array_equal(getattr(small, field),
+                                  getattr(full, field)[keep]), field
 
 
 class TestRegularizedPath:
@@ -278,6 +350,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             LearnerConfig(B=1.0, eta=1.0, omega=0.1, tau=[0.1],
                           subroutine_flavor="deep")
+        with pytest.raises(ValueError):
+            LearnerConfig(B=1.0, eta=1.0, omega=0.1, tau=[0.1],
+                          max_rounds=0)
 
     def test_exact_flavor_requires_mdp(self):
         config = exact_config()
