@@ -4,7 +4,9 @@ A primal-dual game between a best-response policy player (fitted Q
 iteration, LSPI, or exact tabular planning) and a no-regret dual player
 (exponentiated gradient or projected gradient), with fitted Q evaluation
 for constraint certification, exact tabular oracles, and importance-
-sampling off-policy evaluation baselines.
+sampling off-policy evaluation baselines. The learner's LSPI flavor is
+policy iteration on the dataset's empirical MDP, which differs from
+iterative tabular LSPI only at exact value ties and at the ridge's scale.
 """
 
 from .batchrl import (CostSelector, EmpiricalModel, FittedRun, LspiResult,

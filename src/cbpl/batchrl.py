@@ -6,7 +6,7 @@ import collections
 import numpy as np
 
 from .funcapprox import QFunction, fit_least_squares, greedy_policy
-from .mdp import StochasticPolicy
+from .mdp import StochasticPolicy, TabularMdp
 
 
 class CostSelector:
@@ -107,6 +107,36 @@ class EmpiricalModel:
     @property
     def m(self):
         return self.g.shape[1]
+
+    def to_mdp(self, num_states, num_actions, gamma, initial_dist=None):
+        """The certainty-equivalence MDP of the data plus one sink state.
+
+        P(x'|x, a) comes from the counts of rows that are not done; c and g
+        are count-weighted means. State num_states is a zero-cost absorbing
+        sink that takes the done mass and every unvisited (x, a), so Q is 0
+        where tabular FQI and ridge LSTDQ leave it 0. The initial
+        distribution is initial_dist, else the data's t = 0 distribution.
+        """
+        S, A = num_states, num_actions
+        for col, upper in ((self.x, S), (self.x_next, S), (self.a, A)):
+            if np.any((col < 0) | (col >= upper)):
+                raise ValueError(f"dataset does not fit {S} states and "
+                                 f"{A} actions")
+        moves = np.zeros((S + 1, A, S + 1))
+        np.add.at(moves, (self.x, self.a, np.where(self.done, S, self.x_next)),
+                  self.count)
+        costs = np.zeros((S + 1, A, 1 + self.m))
+        np.add.at(costs, (self.x, self.a),
+                  self.count[:, None] * np.column_stack([self.c, self.g]))
+        visits = moves.sum(axis=2, keepdims=True)
+        seen = visits[:, :, 0] > 0
+        moves[seen] /= visits[seen]
+        costs[seen] /= visits[seen]
+        moves[~seen, S] = 1.0  # unvisited pairs, the sink's among them
+        chi = (_initial_distribution(self.starts, None, S)
+               if initial_dist is None else initial_dist)
+        return TabularMdp(moves, costs[:, :, 0], costs[:, :, 1:], gamma,
+                          np.append(chi, 0.0), terminal_states={S})
 
 
 def _as_model(data):

@@ -50,6 +50,23 @@ def _load_map(spec, gamma):
         raise ValidationError(f"bad map file {spec}: {exc}") from None
 
 
+def _load_data(path, mdp=None):
+    """Load a dataset; with a map, every x and x_next must be one of its
+    states and every a one of its actions."""
+    data = ds.load(path)
+    if mdp is None:
+        return data
+    for name, col, upper in (("x", data.x, mdp.num_states),
+                             ("x_next", data.x_next, mdp.num_states),
+                             ("a", data.a, mdp.num_actions)):
+        bad = np.flatnonzero((col < 0) | (col >= upper))
+        if len(bad):
+            raise ValidationError(
+                f"dataset {path}: row {bad[0] + 1} has {name} = "
+                f"{col[bad[0]]}, outside [0, {upper}) for the map")
+    return data
+
+
 def _parse_cost(text):
     if text == "c":
         return CostSelector.primary()
@@ -61,11 +78,15 @@ def _parse_cost(text):
     raise ValidationError("cost must be c, g:<i>, or scalarized:<lam csv>")
 
 
-def save_policy(policy, path):
+def save_policy(policy, path=None):
+    """Write state,action rows to path, or to stdout when path is None."""
+    text = "state,action\n" + "".join(
+        f"{x},{a}\n" for x, a in enumerate(policy.actions))
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("state,action\n")
-        for x, a in enumerate(policy.actions):
-            fh.write(f"{x},{a}\n")
+        fh.write(text)
 
 
 def save_mixture(mixture, path):
@@ -153,7 +174,7 @@ def _cmd_collect(args):
     return 0
 
 
-def _resolve_learn_config(args, m):
+def _resolve_learn_config(args):
     return LearnerConfig(
         B=args.B, eta=args.eta, omega=args.omega,
         tau=np.array([float(v) for v in args.tau.split(",")]),
@@ -164,13 +185,13 @@ def _resolve_learn_config(args, m):
 
 
 def _cmd_learn(args):
-    data = ds.load(args.data) if args.data else None
     mdp = _load_map(args.map, args.gamma) if args.map else None
+    data = _load_data(args.data, mdp) if args.data else None
     if args.flavor == "exact" and mdp is None:
         raise ValidationError("--flavor exact requires --map")
     if args.flavor != "exact" and data is None:
         raise ValidationError(f"--flavor {args.flavor} requires --data")
-    config = _resolve_learn_config(args, data.m if data is not None else None)
+    config = _resolve_learn_config(args)
     mixture, trace = run(data, config, mdp_handle=mdp)
     if args.trace_out:
         write_trace_csv(trace, args.trace_out, len(config.tau))
@@ -186,9 +207,9 @@ def _cmd_learn(args):
     return 0 if trace.converged else 2
 
 
-def _fitted_common(args, need_policy=False):
-    data = ds.load(args.data)
+def _fitted_common(args):
     mdp = _load_map(args.map, args.gamma) if args.map else None
+    data = _load_data(args.data, mdp)
     gamma = mdp.gamma if mdp else args.gamma
     S = (mdp.num_states if mdp
          else int(max(data.x.max(), data.x_next.max())) + 1)
@@ -210,12 +231,7 @@ def _cmd_fqi(args):
     data, mdp, gamma, template = _fitted_common(args)
     policy, _ = fqi(data, _parse_cost(args.cost), args.iters, template,
                     ridge=args.ridge, gamma=gamma, mdp=mdp)
-    if args.policy_out:
-        save_policy(policy, args.policy_out)
-    else:
-        sys.stdout.write("state,action\n")
-        for x, a in enumerate(policy.actions):
-            sys.stdout.write(f"{x},{a}\n")
+    save_policy(policy, args.policy_out)
     return 0
 
 
@@ -227,12 +243,7 @@ def _cmd_lspi(args):
     result = lspi(data, _parse_cost(args.cost), features, gamma,
                   eps_stop=args.eps, max_iters=args.iters, ridge=args.ridge)
     policy = lspi_policy(result.weights, features)
-    if args.policy_out:
-        save_policy(policy, args.policy_out)
-    else:
-        sys.stdout.write("state,action\n")
-        for x, a in enumerate(policy.actions):
-            sys.stdout.write(f"{x},{a}\n")
+    save_policy(policy, args.policy_out)
     return 0 if result.converged else 2
 
 
@@ -248,8 +259,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_ope_compare(args):
-    data = ds.load(args.data)
     mdp = _load_map(args.map, args.gamma)
+    data = _load_data(args.data, mdp)
     policy = load_policy(args.policy, mdp.num_states, mdp.num_actions)
     fractions = [float(v) for v in args.fractions.split(",")]
     if any(not 0 < f <= 1 for f in fractions):

@@ -38,12 +38,9 @@ def one_hot_features(mdp):
 
 
 class QFunction:
-    """Tabular table over (x, a) or linear weights on a FeatureMap.
+    """Tabular table over (x, a) or linear weights on a FeatureMap."""
 
-    value_bound, when set, clips fitted values to [-bound, bound].
-    """
-
-    def __init__(self, table=None, weights=None, features=None, value_bound=None):
+    def __init__(self, table=None, weights=None, features=None):
         if (table is None) == (weights is None):
             raise ValueError("provide exactly one of table or weights")
         if weights is not None and features is None:
@@ -51,18 +48,16 @@ class QFunction:
         self.table = None if table is None else np.asarray(table, dtype=float)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
         self.features = features
-        self.value_bound = value_bound
         if self.weights is not None and self.weights.shape != (features.k,):
             raise ValueError("weight length must equal the feature dimension")
 
     @classmethod
-    def tabular_zeros(cls, num_states, num_actions, value_bound=None):
-        return cls(table=np.zeros((num_states, num_actions)), value_bound=value_bound)
+    def tabular_zeros(cls, num_states, num_actions):
+        return cls(table=np.zeros((num_states, num_actions)))
 
     @classmethod
-    def linear_zeros(cls, features, value_bound=None):
-        return cls(weights=np.zeros(features.k), features=features,
-                   value_bound=value_bound)
+    def linear_zeros(cls, features):
+        return cls(weights=np.zeros(features.k), features=features)
 
     @property
     def is_tabular(self):
@@ -89,8 +84,9 @@ def fit_least_squares(inputs, targets, template, ridge=1e-8, weights=None):
     weights: optional nonnegative per-row weights W (for example the sample
     count of each distinct row); None weighs every row 1.
     Tabular: each seen (x, a) cell becomes the weighted mean of its targets;
-    unseen cells keep the template's value. Linear: solves the weighted ridge
-    normal equations (Phi^T W Phi + ridge I) w = Phi^T W y.
+    unseen cells keep the template's value. Linear: the w of the weighted
+    ridge normal equations (Phi^T W Phi + ridge I) w = Phi^T W y, computed
+    from the SVD of sqrt(W) Phi.
     """
     if isinstance(inputs, tuple) and len(inputs) == 2:
         xs = np.asarray(inputs[0], dtype=np.int64)
@@ -117,27 +113,21 @@ def fit_least_squares(inputs, targets, template, ridge=1e-8, weights=None):
         table = template.table.copy().ravel()
         seen = counts > 0
         table[seen] = sums[seen] / counts[seen]
-        table = table.reshape(S, A)
-        if template.value_bound is not None:
-            b = float(template.value_bound)
-            table = np.clip(table, -b, b)
-        return QFunction(table=table, value_bound=template.value_bound)
+        return QFunction(table=table.reshape(S, A))
 
+    # Directions of sqrt(W) Phi below its numerical rank add nothing in
+    # exact arithmetic; solving for them would amplify roundoff by 1/ridge.
     feats = template.features
-    phi = feats.phi[xs, aa]
-    phi_w = phi if weights is None else phi * weights[:, None]
-    gram = phi_w.T @ phi + ridge * np.eye(feats.k)
-    rhs = phi_w.T @ y
-    try:
-        w = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
+    root_w = np.ones(len(y)) if weights is None else np.sqrt(weights)
+    design = feats.phi[xs, aa] * root_w[:, None]
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sv > sv.max() * max(design.shape) * np.finfo(float).eps
+    if ridge == 0 and np.count_nonzero(keep) < feats.k:
         raise np.linalg.LinAlgError(
-            "singular normal equations; use a positive ridge") from exc
-    if template.value_bound is not None:
-        # Clipping a linear fit is applied at evaluation time via the table
-        # representation; keep weights unclipped but note the bound.
-        pass
-    return QFunction(weights=w, features=feats, value_bound=template.value_bound)
+            "singular least-squares problem; use a positive ridge")
+    gain = sv[keep] / (sv[keep] ** 2 + ridge)
+    w = vt[keep].T @ (gain * (u[:, keep].T @ (root_w * y)))
+    return QFunction(weights=w, features=feats)
 
 
 def greedy_policy(q, tol=0.0):

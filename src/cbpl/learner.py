@@ -2,10 +2,13 @@
 policy player and a no-regret dual player, with duality-gap termination.
 
 Subroutine flavors: fitted (FQI best response + FQE certification), lspi
-(LSPI best response + policy-form LSTDQ certification), and exact (tabular
-oracles). Member policies repeat across rounds extremely often, so mixtures
-store unique policies with multiplicities and every evaluation is cached by
-policy.
+and exact. The lspi flavor is policy iteration and exact policy evaluation
+on the dataset's empirical MDP (EmpiricalModel.to_mdp), which is what
+tabular LSPI and LSTDQ with one-hot features compute; it can differ from
+iterative LSPI only at exact value ties and at the scale of the ridge. The
+exact flavor runs the same tabular oracles on the true MDP. Member policies
+repeat across rounds extremely often, so mixtures store unique policies
+with multiplicities and every evaluation is cached by policy.
 
 When the exact flavor runs with a single constraint and EG duals, long
 stretches of rounds change nothing but the multiplier; those stretches are
@@ -19,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batchrl import (CostSelector, EmpiricalModel, _initial_distribution,
-                      fqe, fqi, lspi, lspi_policy, lstdq_policy)
-from .funcapprox import QFunction, one_hot_features
+from .batchrl import CostSelector, EmpiricalModel, fqe, fqi
+from .funcapprox import QFunction
 from .mdp import DeterministicPolicy
 from .onlineopt import (DualVector, EG_FLAVOR, OGD_FLAVOR, augmented_loss,
                         eg_init, eg_update, ogd_init, ogd_update)
@@ -52,8 +54,6 @@ class LearnerConfig:
     subroutine_flavor: str = "fitted"
     gamma: float = 0.95
     g_bar: float = None
-    lspi_eps: float = 1e-6
-    lspi_max_iters: int = 50
     trace_limit: int = 200_000
 
     def __post_init__(self):
@@ -179,13 +179,26 @@ class _TraceBuffer:
 
 
 class _ExactSub:
-    def __init__(self, mdp):
+    """Exact best responses and values on a tabular MDP.
+
+    On a dataset's empirical MDP (sink=True) the last state is the sink,
+    which member policies do not carry: best responses drop its action and
+    evaluation puts back action 0, the one policy iteration picks there.
+    """
+
+    def __init__(self, mdp, sink=False):
         self.solver = ExactSolver(mdp)
+        self.sink = sink
 
     def best_response(self, lam_m):
-        return self.solver.best_response(lam_m)
+        policy = self.solver.best_response(lam_m)
+        if self.sink:
+            return DeterministicPolicy(policy.actions[:-1])
+        return policy
 
     def evaluate(self, policy):
+        if self.sink:
+            policy = DeterministicPolicy(np.append(policy.actions, 0))
         return self.solver.policy_values(policy)
 
 
@@ -219,61 +232,6 @@ class _FittedSub:
                 self.config.K_fqe, self.template, ridge=self.config.ridge,
                 gamma=self.gamma, mdp=self.mdp)[0]
             for i in range(self.model.m)])
-        self._eval_cache[key] = (c_hat, g_hat)
-        return c_hat, g_hat
-
-
-class _LspiSub:
-    def __init__(self, dataset, mdp, config, num_states, num_actions):
-        self.dataset = dataset
-        self.mdp = mdp
-        self.config = config
-        self.num_states = num_states
-        self.num_actions = num_actions
-        if mdp is not None:
-            self.features = one_hot_features(mdp)
-        else:
-            phi = np.eye(num_states * num_actions).reshape(
-                num_states, num_actions, num_states * num_actions)
-            from .funcapprox import FeatureMap
-            self.features = FeatureMap(phi)
-        self.gamma = mdp.gamma if mdp is not None else config.gamma
-        self._eval_cache = {}
-        self._chi = None
-
-    def _initial_dist(self):
-        if self._chi is None:
-            starts = self.dataset.x[self.dataset.t == 0]
-            self._chi = _initial_distribution(starts, self.mdp,
-                                              self.num_states)
-        return self._chi
-
-    def best_response(self, lam_m):
-        cost = (CostSelector.scalarized(lam_m) if len(lam_m)
-                else CostSelector.primary())
-        result = lspi(self.dataset, cost, self.features, self.gamma,
-                      eps_stop=self.config.lspi_eps,
-                      max_iters=self.config.lspi_max_iters,
-                      ridge=self.config.ridge)
-        return lspi_policy(result.weights, self.features)
-
-    def evaluate(self, policy):
-        key = policy.actions.tobytes()
-        cached = self._eval_cache.get(key)
-        if cached is not None:
-            return cached
-        chi = self._initial_dist()
-        idx = np.arange(self.num_states)
-
-        def channel_value(cost):
-            w = lstdq_policy(self.dataset, policy, cost, self.features,
-                             self.gamma, ridge=self.config.ridge)
-            q_table = self.features.phi @ w
-            return float(chi @ q_table[idx, policy.actions])
-
-        c_hat = channel_value(CostSelector.primary())
-        g_hat = np.array([channel_value(CostSelector.constraint(i))
-                          for i in range(self.dataset.m)])
         self._eval_cache[key] = (c_hat, g_hat)
         return c_hat, g_hat
 
@@ -324,7 +282,12 @@ def _make_subroutine(dataset, config, mdp_handle):
         A = int(dataset.a.max()) + 1
     if config.subroutine_flavor == "fitted":
         return _FittedSub(dataset, mdp_handle, config, S, A)
-    return _LspiSub(dataset, mdp_handle, config, S, A)
+    if mdp_handle is not None:
+        gamma, chi = mdp_handle.gamma, mdp_handle.initial_dist
+    else:
+        gamma, chi = config.gamma, None
+    model = EmpiricalModel.from_dataset(dataset)
+    return _ExactSub(model.to_mdp(S, A, gamma, chi), sink=True)
 
 
 def _default_g_bar(dataset, mdp_handle, config):

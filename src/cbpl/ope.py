@@ -9,7 +9,7 @@ import numpy as np
 
 from .batchrl import CostSelector, fqe
 from .dataset import subsample
-from .funcapprox import QFunction, q_value
+from .funcapprox import QFunction
 from .mdp import StochasticPolicy, as_stochastic
 from .oracle import exact_policy_values
 

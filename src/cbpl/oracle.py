@@ -5,7 +5,7 @@ and a performance-difference identity check."""
 import numpy as np
 
 from .funcapprox import QFunction
-from .mdp import DeterministicPolicy, StochasticPolicy, as_stochastic
+from .mdp import DeterministicPolicy, as_stochastic
 
 
 def _policy_matrices(mdp, policy):
@@ -144,13 +144,11 @@ class ExactSolver:
         return float(vals[0]), vals[1:].copy()
 
 
-def exact_best_response(mdp, lam, tau=None):
+def exact_best_response(mdp, lam):
     """Optimal policy for the Lagrangian cost c + lam_{1..m}.g.
 
     lam may be a plain vector or a DualVector; only the first m coordinates
     scalarize (the augmented coordinate multiplies a constant 0 channel).
-    tau shifts the Lagrangian by a constant and never changes the argmin;
-    it is accepted for interface symmetry.
     """
     coords = np.asarray(getattr(lam, "coords", lam), dtype=float).ravel()
     lam_m = coords[:mdp.m]

@@ -329,6 +329,68 @@ class TestEmpiricalModel:
             assert np.array_equal(getattr(a, col), getattr(b, col))
 
 
+class TestEmpiricalMdp:
+    """EmpiricalModel.to_mdp: the certainty-equivalence MDP plus a sink."""
+
+    @staticmethod
+    def hand_dataset():
+        # (x, a) = (0, 0): once to state 1, twice done; (1, 1): once to 0.
+        # State 2 and the pairs (0, 1), (1, 0) are never visited.
+        rows = [(0, 0, 0, 0, 1, 1.0, 0.0, False),
+                (0, 1, 1, 1, 0, 0.5, 1.0, False),
+                (0, 2, 0, 0, 1, 3.0, 0.0, True),
+                (1, 0, 0, 0, 1, 2.0, 0.5, True)]
+        cols = list(zip(*rows))
+        return Dataset(cols[0], cols[1], cols[2], cols[3], cols[4], cols[5],
+                       np.array(cols[6])[:, None], cols[7], np.full(4, 0.5))
+
+    def test_hand_built_model(self):
+        mdp = EmpiricalModel.from_dataset(self.hand_dataset()).to_mdp(3, 2, 0.9)
+        sink = 3
+        assert mdp.num_states == 4 and mdp.gamma == 0.9
+        assert np.allclose(mdp.transition[0, 0], [0, 1 / 3, 0, 2 / 3])
+        assert np.array_equal(mdp.transition[1, 1], [1, 0, 0, 0])
+        assert mdp.cost_c[0, 0] == 2.0 and mdp.cost_g[0, 0, 0] == 0.5 / 3
+        assert mdp.cost_c[1, 1] == 0.5 and mdp.cost_g[1, 1, 0] == 1.0
+        # Unvisited pairs and every action of the sink go to the sink at no
+        # cost; the sink has no start mass.
+        for x, a in [(0, 1), (1, 0), (2, 0), (2, 1), (sink, 0), (sink, 1)]:
+            assert mdp.transition[x, a, sink] == 1.0
+            assert mdp.cost_c[x, a] == 0.0 and np.all(mdp.cost_g[x, a] == 0)
+        assert mdp.terminal_states == {sink}
+        assert np.array_equal(mdp.initial_dist, [1, 0, 0, 0])
+        given = EmpiricalModel.from_dataset(self.hand_dataset()).to_mdp(
+            3, 2, 0.9, initial_dist=[0, 0.5, 0.5])
+        assert np.array_equal(given.initial_dist, [0, 0.5, 0.5, 0])
+
+    def test_rows_stochastic_and_sink_absorbing(self, fl8_dataset, fl8):
+        model = EmpiricalModel.from_dataset(fl8_dataset)
+        mdp = model.to_mdp(64, 4, fl8.gamma, fl8.initial_dist)
+        assert np.abs(mdp.transition.sum(axis=2) - 1.0).max() <= 1e-12
+        assert np.all(mdp.transition[64, :, 64] == 1.0)
+        assert np.all(mdp.cost_c[64] == 0) and np.all(mdp.cost_g[64] == 0)
+        assert np.array_equal(mdp.initial_dist, np.append(fl8.initial_dist, 0))
+        visited = np.zeros((64, 4), dtype=bool)
+        visited[model.x, model.a] = True
+        assert np.all(mdp.transition[:64][~visited][:, 64] == 1.0)
+        # Done samples (entering a hole or the goal) move to the sink, never
+        # to the terminal state itself.
+        assert np.all(mdp.transition[:64, :, sorted(fl8.terminal_states)] == 0)
+
+    def test_invariant_under_trajectory_order(self, fl8_dataset, fl8):
+        a = EmpiricalModel.from_dataset(fl8_dataset).to_mdp(64, 4, fl8.gamma)
+        b = EmpiricalModel.from_dataset(
+            shuffled_trajectories(fl8_dataset, 0)).to_mdp(64, 4, fl8.gamma)
+        for col in ("transition", "cost_c", "cost_g", "initial_dist"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+
+    def test_rejects_data_outside_the_sizes(self):
+        model = EmpiricalModel.from_dataset(self.hand_dataset())
+        for S, A in [(1, 2), (3, 1)]:
+            with pytest.raises(ValueError, match="does not fit"):
+                model.to_mdp(S, A, 0.9)
+
+
 class TestModelMatchesPerSampleRegression:
     """fqe/fqi on the deduplicated table agree with one regression over every
     sample per sweep, in Q and in the residuals."""

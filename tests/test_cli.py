@@ -118,6 +118,21 @@ class TestLearn:
         assert code == 1
         assert "requires --data" in capsys.readouterr().err
 
+    def test_lspi_flavor_converges_and_writes_outputs(self, tmp_path, map_file,
+                                                      dataset_file, capsys):
+        trace = tmp_path / "trace.csv"
+        pol = tmp_path / "mixture.csv"
+        code = main(["learn", "--data", dataset_file, "--map", map_file,
+                     "--flavor", "lspi", "--tau", "0.1",
+                     "--trace-out", str(trace), "--policy-out", str(pol)])
+        assert code == 0
+        assert "converged=True" in capsys.readouterr().out
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "round,lambda_1,lambda_2,C_hat,G_1,L_max,L_min,gap"
+        assert len(lines) > 1
+        mixture = load_policy(str(pol), 16, 4)
+        assert isinstance(mixture, MixturePolicy)
+
     def test_exact_flavor_without_map_exits_1(self, dataset_file, capsys):
         code = main(["learn", "--data", dataset_file, "--flavor", "exact"])
         assert code == 1
@@ -236,10 +251,44 @@ def _raise(exc):
     return raiser
 
 
+def _data_rows(x=0, a=1, x_next=4):
+    """Two one-step trajectories on the 4x4 map; the first row has the given
+    x, a and x_next."""
+    return ("traj_id,t,x,a,x_next,c,g_1,done,behavior_prob\n"
+            f"0,0,{x},{a},{x_next},0,0,0,0.25\n"
+            "1,0,1,2,2,0,0,0,0.25\n")
+
+
 class TestErrorExitCodes:
-    # name: (argv with {map}, {data}, {policy} and {dir} placeholders,
-    #        (attribute to replace, exception it raises) or None, exit code)
+    # The 4x4 map has 16 states and 4 actions; each file breaks one of them.
+    DATA_FILES = {
+        "x_next_70": _data_rows(x_next=70),
+        "x_16": _data_rows(x=16),
+        "a_4": _data_rows(a=4),
+        "x_next_negative": _data_rows(x_next=-1),
+    }
+    # name: (argv with {map}, {data}, {policy}, {dir} and DATA_FILES
+    #        placeholders, (attribute to replace, exception it raises) or
+    #        None, exit code)
     CASES = {
+        "learn_fitted_data_outside_map": (
+            ["learn", "--data", "{x_next_70}", "--map", "{map}",
+             "--flavor", "fitted"], None, 1),
+        "learn_lspi_data_outside_map": (
+            ["learn", "--data", "{x_next_70}", "--map", "{map}",
+             "--flavor", "lspi"], None, 1),
+        "learn_action_outside_map": (
+            ["learn", "--data", "{a_4}", "--map", "{map}"], None, 1),
+        "fqe_data_outside_map": (
+            ["fqe", "--data", "{x_16}", "--map", "{map}",
+             "--policy", "{policy}"], None, 1),
+        "fqi_data_outside_map": (
+            ["fqi", "--data", "{x_next_70}", "--map", "{map}"], None, 1),
+        "lspi_action_outside_map": (
+            ["lspi", "--data", "{a_4}", "--map", "{map}"], None, 1),
+        "ope_compare_data_outside_map": (
+            ["ope-compare", "--data", "{x_next_negative}", "--map", "{map}",
+             "--policy", "{policy}", "--out", "{dir}/r.csv"], None, 1),
         "trace_out_is_a_directory": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
              "--trace-out", "{dir}"], None, 1),
@@ -270,6 +319,10 @@ class TestErrorExitCodes:
             monkeypatch.setattr(patch[0], _raise(patch[1]))
         fill = dict(map=map_file, data=dataset_file, policy=policy_file,
                     dir=str(tmp_path))
+        for key, text in self.DATA_FILES.items():
+            path = tmp_path / f"{key}.csv"
+            path.write_text(text)
+            fill[key] = str(path)
         assert main([arg.format(**fill) for arg in argv]) == code
         captured = capsys.readouterr()
         err = captured.err.splitlines()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbpl.funcapprox import (FeatureMap, QFunction, fit_least_squares,
@@ -88,6 +88,9 @@ class TestFitLeastSquares:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
+    # Two distinct (x, a) pairs give a rank-2 design for 3 features; solving
+    # the ridge normal equations left the two fits 6e-7 apart.
+    @example(15494856)
     def test_integer_weights_equal_repeated_rows(self, seed):
         rng = np.random.default_rng(seed)
         S, A, n = 3, 2, 8

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import cbpl.learner as learner_mod
-from cbpl.batchrl import CostSelector, fqi
+from cbpl.batchrl import CostSelector, fqi, lspi, lstdq_policy
 from cbpl.dataset import collect, full_coverage_dataset
-from cbpl.funcapprox import QFunction
+from cbpl.funcapprox import FeatureMap, QFunction
 from cbpl.learner import (ConvergenceError, LearnerConfig, MixturePolicy,
                           derandomize, lagrangian_max, lagrangian_min,
                           regularization_grid, regularized_one_shot, run,
@@ -271,6 +271,66 @@ class TestBlockChunks:
         for field in TRACE_ARRAYS:
             assert np.array_equal(getattr(small, field),
                                   getattr(full, field)[keep]), field
+
+
+@pytest.fixture(scope="module")
+def lspi_small_cases(fl8, fl8_behavior):
+    """(dataset, map or None, S, A, gamma): small FrozenLake data on the
+    map, and random-MDP data under a uniform behaviour policy without a map,
+    where the initial distribution comes from the data's t = 0 states."""
+    mdp = build_random_mdp(12, 3, 1, seed=4)
+    uniform = StochasticPolicy(np.full((12, 3), 1.0 / 3))
+    random_data = collect(mdp, uniform, 300, 20, np.random.default_rng(4))
+    return [(collect_fl8(fl8, fl8_behavior, seed=3, trajs=200), fl8, 64, 4,
+             fl8.gamma),
+            (random_data, None, 12, 3, mdp.gamma)]
+
+
+class TestLspiFlavor:
+    """The lspi flavor solves the dataset's empirical MDP exactly; iterative
+    LSPI and LSTDQ with one-hot features on the samples are the reference."""
+
+    TOL = 1e-6
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0, 30.0])
+    def test_matches_lspi_and_lstdq(self, lam, lspi_small_cases):
+        for data, mdp, S, A, gamma in lspi_small_cases:
+            config = LearnerConfig(B=30.0, eta=50.0, omega=0.05, tau=[0.1],
+                                   subroutine_flavor="lspi", gamma=gamma)
+            policy, c_hat, g_hat = regularized_one_shot(
+                data, np.array([lam]), config, mdp_handle=mdp)
+
+            features = FeatureMap(np.eye(S * A).reshape(S, A, S * A))
+            result = lspi(data, CostSelector.scalarized([lam]), features,
+                          gamma)
+            assert result.converged
+            q_ref = features.phi @ result.weights
+            # Equal wherever the reference separates the actions by > TOL.
+            near = q_ref <= q_ref.min(axis=1, keepdims=True) + self.TOL
+            chosen = near[np.arange(S), policy.actions]
+            assert chosen.all(), np.flatnonzero(~chosen)
+
+            starts = data.x[data.t == 0]
+            chi = (mdp.initial_dist if mdp is not None
+                   else np.bincount(starts, minlength=S) / len(starts))
+            for estimate, channel in ((c_hat, CostSelector.primary()),
+                                      (g_hat[0], CostSelector.constraint(0))):
+                w = lstdq_policy(data, policy, channel, features, gamma)
+                q_pi = features.phi @ w
+                expect = chi @ q_pi[np.arange(S), policy.actions]
+                assert estimate == pytest.approx(expect, abs=self.TOL)
+
+    def test_seed1_run_matches_fitted_flavor_exactly(self, fl8, fl8_dataset):
+        results = {}
+        for flavor in ("lspi", "fitted"):
+            config = LearnerConfig(B=30.0, eta=50.0, omega=0.05, tau=[0.1],
+                                   subroutine_flavor=flavor, max_rounds=100)
+            mixture, trace = run(fl8_dataset, config, mdp_handle=fl8)
+            assert trace.converged
+            assert all(len(p.actions) == 64 for p in mixture.members)
+            c, g = exact_policy_values(fl8, mixture)
+            results[flavor] = (c, g[0])
+        assert results["lspi"] == results["fitted"]
 
 
 class TestRegularizedPath:
