@@ -11,8 +11,9 @@ iterative tabular LSPI only at exact value ties and at the ridge's scale.
 
 from .batchrl import (CostSelector, EmpiricalModel, FittedRun, LspiResult,
                       fqe, fqi, lspi, lspi_policy, lstdq, lstdq_policy)
-from .dataset import (Dataset, collect, datasets_equal, full_coverage_dataset,
-                      load, make_frozenlake_behavior, save, subsample)
+from .dataset import (Dataset, check_indices, collect, datasets_equal,
+                      full_coverage_dataset, load, make_frozenlake_behavior,
+                      save, subsample)
 from .funcapprox import (FeatureMap, QFunction, fit_least_squares,
                          greedy_policy, one_hot_features, q_value)
 from .learner import (ConvergenceError, LearnerConfig, MixturePolicy,

@@ -5,6 +5,7 @@ import collections
 
 import numpy as np
 
+from .dataset import check_indices
 from .funcapprox import QFunction, fit_least_squares, greedy_policy
 from .mdp import StochasticPolicy, TabularMdp
 
@@ -118,10 +119,11 @@ class EmpiricalModel:
         distribution is initial_dist, else the data's t = 0 distribution.
         """
         S, A = num_states, num_actions
-        for col, upper in ((self.x, S), (self.x_next, S), (self.a, A)):
-            if np.any((col < 0) | (col >= upper)):
-                raise ValueError(f"dataset does not fit {S} states and "
-                                 f"{A} actions")
+        try:
+            check_indices(self, S, A)
+        except ValueError as exc:
+            raise ValueError(f"dataset does not fit {S} states and {A} "
+                             f"actions: {exc}") from None
         moves = np.zeros((S + 1, A, S + 1))
         np.add.at(moves, (self.x, self.a, np.where(self.done, S, self.x_next)),
                   self.count)
@@ -181,6 +183,7 @@ def _fitted_sweeps(model, cost, K, template, ridge, gamma, bootstrap_of):
         raise ValueError("K must be >= 1")
     if len(model) == 0:
         raise ValueError("dataset is empty")
+    check_indices(model, *template.values().shape)
     costs = cost.select(model)
     xs, aa, nx, done, w = model.x, model.a, model.x_next, model.done, model.count
     total = w.sum()

@@ -54,16 +54,11 @@ def _load_data(path, mdp=None):
     """Load a dataset; with a map, every x and x_next must be one of its
     states and every a one of its actions."""
     data = ds.load(path)
-    if mdp is None:
-        return data
-    for name, col, upper in (("x", data.x, mdp.num_states),
-                             ("x_next", data.x_next, mdp.num_states),
-                             ("a", data.a, mdp.num_actions)):
-        bad = np.flatnonzero((col < 0) | (col >= upper))
-        if len(bad):
-            raise ValidationError(
-                f"dataset {path}: row {bad[0] + 1} has {name} = "
-                f"{col[bad[0]]}, outside [0, {upper}) for the map")
+    if mdp is not None:
+        try:
+            ds.check_indices(data, mdp.num_states, mdp.num_actions)
+        except ValueError as exc:
+            raise ValidationError(f"dataset {path}: {exc} for the map") from None
     return data
 
 
@@ -175,11 +170,21 @@ def _cmd_collect(args):
 
 
 def _resolve_learn_config(args):
+    """LearnerConfig from the flags; the fitted-solver flags are rejected by
+    the flavors that solve their MDP exactly, and default to LearnerConfig's
+    values when not given."""
+    fitted = {"K_fqi": args.iters_fqi, "K_fqe": args.iters_fqe,
+              "ridge": args.ridge}
+    given = {k: v for k, v in fitted.items() if v is not None}
+    if given and args.flavor != "fitted":
+        raise ValidationError(f"--flavor {args.flavor} solves its MDP exactly "
+                              f"and takes no --iters-fqi, --iters-fqe or "
+                              f"--ridge")
     return LearnerConfig(
         B=args.B, eta=args.eta, omega=args.omega,
         tau=np.array([float(v) for v in args.tau.split(",")]),
-        K_fqi=args.iters_fqi, K_fqe=args.iters_fqe,
-        max_rounds=args.rounds, ridge=args.ridge, seed=args.seed,
+        **given,
+        max_rounds=args.rounds, seed=args.seed,
         dual_flavor={"eg": EG_FLAVOR, "ogd": OGD_FLAVOR}[args.dual],
         subroutine_flavor=args.flavor, gamma=args.gamma)
 
@@ -346,13 +351,13 @@ def build_parser():
     p.add_argument("--B", type=float, default=30.0)
     p.add_argument("--eta", type=float, default=50.0)
     p.add_argument("--omega", type=float, default=0.05)
-    p.add_argument("--iters-fqi", type=int, default=100)
-    p.add_argument("--iters-fqe", type=int, default=100)
+    p.add_argument("--iters-fqi", type=int, help="fitted flavor (default 100)")
+    p.add_argument("--iters-fqe", type=int, help="fitted flavor (default 100)")
     p.add_argument("--rounds", type=int, default=200)
     p.add_argument("--dual", choices=["eg", "ogd"], default="eg")
     p.add_argument("--flavor", choices=["fitted", "lspi", "exact"],
                    default="fitted")
-    p.add_argument("--ridge", type=float, default=1e-8)
+    p.add_argument("--ridge", type=float, help="fitted flavor (default 1e-8)")
     p.add_argument("--trace-out")
     p.add_argument("--policy-out")
     p.add_argument("--derandomize", action="store_true")

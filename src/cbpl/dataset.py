@@ -41,26 +41,35 @@ class Dataset:
             raise ValueError("behavior_prob must be positive")
         if n and self.g.min(initial=0.0) < 0:
             raise ValueError("constraint costs must be nonnegative")
-        self._index = self._build_index()
+        self._starts, self._stops = self._build_index()
 
     def _build_index(self):
-        index = collections.OrderedDict()
-        if len(self.traj_id) == 0:
-            return index
-        boundaries = np.flatnonzero(np.diff(self.traj_id) != 0) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [len(self.traj_id)]))
-        for s, e in zip(starts, stops):
-            tid = int(self.traj_id[s])
-            if tid in index:
-                raise ValueError(f"trajectory {tid} is not contiguous")
-            index[tid] = (int(s), int(e))
-            steps = self.t[s:e]
-            if np.any(np.diff(steps) != 1):
-                raise ValueError(f"trajectory {tid} has non-consecutive timesteps")
-            if np.any(self.x_next[s:e - 1] != self.x[s + 1:e]):
-                raise ValueError(f"trajectory {tid} breaks the chain x_next == next x")
-        return index
+        """Start and stop rows of each trajectory, found by adjacent
+        differences. The first trajectory in file order that repeats an
+        earlier id, skips a timestep or breaks the x_next -> x chain raises."""
+        n = len(self.traj_id)
+        new = np.ones(n, dtype=bool)
+        new[1:] = self.traj_id[1:] != self.traj_id[:-1]
+        starts = np.flatnonzero(new)
+        ids = self.traj_id[starts]
+        _, first, inverse = np.unique(ids, return_index=True,
+                                      return_inverse=True)
+        traj_of_row = np.cumsum(new) - 1
+        inner = ~new[1:]
+        failures = (
+            (np.flatnonzero(first[inverse] != np.arange(len(ids))),
+             "is not contiguous"),
+            (traj_of_row[1:][inner & (np.diff(self.t) != 1)],
+             "has non-consecutive timesteps"),
+            (traj_of_row[1:][inner & (self.x_next[:-1] != self.x[1:])],
+             "breaks the chain x_next == next x"),
+        )
+        found = [(k[0], i, what) for i, (k, what) in enumerate(failures)
+                 if len(k)]
+        if found:
+            k, _, what = min(found)
+            raise ValueError(f"trajectory {ids[k]} {what}")
+        return starts, np.append(starts[1:], n)
 
     def __len__(self):
         return len(self.traj_id)
@@ -71,11 +80,16 @@ class Dataset:
 
     @property
     def num_trajectories(self):
-        return len(self._index)
+        return len(self._starts)
+
+    def trajectory_bounds(self):
+        """Start and stop row arrays of the trajectories, in file order."""
+        return self._starts, self._stops
 
     def trajectory_slices(self):
         """(traj_id, start, stop) in file order."""
-        return [(tid, s, e) for tid, (s, e) in self._index.items()]
+        return list(zip(self.traj_id[self._starts].tolist(),
+                        self._starts.tolist(), self._stops.tolist()))
 
     @classmethod
     def empty(cls, m):
@@ -175,6 +189,18 @@ def make_frozenlake_behavior(mdp, epsilon_random):
     return StochasticPolicy(probs)
 
 
+def check_indices(data, num_states, num_actions):
+    """Raise ValueError naming the first row (1-based) whose x or x_next lies
+    outside [0, num_states) or whose a lies outside [0, num_actions)."""
+    for name, upper in (("x", num_states), ("x_next", num_states),
+                        ("a", num_actions)):
+        col = getattr(data, name)
+        bad = np.flatnonzero((col < 0) | (col >= upper))
+        if len(bad):
+            raise ValueError(f"row {bad[0] + 1} has {name} = {col[bad[0]]}, "
+                             f"outside [0, {upper})")
+
+
 def subsample(dataset, fraction, rng, unit="trajectories"):
     """Draw whole trajectories uniformly at random until the accumulated
     transition count first reaches fraction * total transitions."""
@@ -184,17 +210,14 @@ def subsample(dataset, fraction, rng, unit="trajectories"):
         raise ValueError("fraction must lie in (0, 1]")
     if len(dataset) == 0:
         raise ValueError("cannot subsample an empty dataset")
-    slices = dataset.trajectory_slices()
-    order = rng.permutation(len(slices))
-    target = fraction * len(dataset)
-    chosen = []
-    count = 0
-    for idx in order:
-        if count >= target:
-            break
-        chosen.append(slices[idx])
-        count += slices[idx][2] - slices[idx][1]
-    sel = np.concatenate([np.arange(s, e) for _, s, e in chosen])
+    starts, stops = dataset.trajectory_bounds()
+    order = rng.permutation(len(starts))
+    lengths = (stops - starts)[order]
+    counts = np.cumsum(lengths)
+    # The first k trajectories of the permutation: the k-th reaches the target.
+    k = int(np.searchsorted(counts, fraction * len(dataset))) + 1
+    chosen = starts[order[:k]] - (counts[:k] - lengths[:k])
+    sel = np.arange(counts[k - 1]) + np.repeat(chosen, lengths[:k])
     return Dataset(dataset.traj_id[sel], dataset.t[sel], dataset.x[sel],
                    dataset.a[sel], dataset.x_next[sel], dataset.c[sel],
                    dataset.g[sel], dataset.done[sel], dataset.behavior_prob[sel])

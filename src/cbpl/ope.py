@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batchrl import CostSelector, fqe
-from .dataset import subsample
+from .dataset import check_indices, subsample
 from .funcapprox import QFunction
 from .mdp import StochasticPolicy, as_stochastic
 from .oracle import exact_policy_values
@@ -22,107 +22,66 @@ class OpeConfig:
     jobs: int = 1
 
 
-def _eval_probs(eval_policy, num_actions):
-    return as_stochastic(eval_policy, num_actions)
+def _weighted_sum(dataset, eval_policy, gamma, q_hat=None, normalized=False):
+    """sum_t gamma^t [w_t (c_t - Q_t) + w_{t-1} V_t] over the padded
+    (trajectories x horizon) matrix of the dataset, with w_{-1} = 1/n.
 
+    w_t is the cumulative ratio prod_{s<=t} pi_e(a_s|x_s) / pi_D(a_s|x_s)
+    divided by n, or, normalized, by its sum over the trajectories at t
+    (0 where that sum is 0). The ratio carries past each trajectory's end,
+    where c, Q and V are 0. Q = Q_hat(x_t, a_t) and V = E_{a~pi_e}
+    Q_hat(x_t, a); without q_hat both are 0.
+    """
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty")
+    if q_hat is not None:
+        vals = q_hat.values()
+    elif isinstance(eval_policy, StochasticPolicy):
+        vals = np.zeros(eval_policy.probs.shape)
+    else:  # a deterministic policy does not say how many actions exist
+        vals = np.zeros((len(eval_policy.actions),
+                         max(dataset.a.max(), eval_policy.actions.max()) + 1))
+    check_indices(dataset, *vals.shape)
+    probs = as_stochastic(eval_policy, vals.shape[1])
+    v = np.einsum("xa,xa->x", probs, vals)
+    starts, stops = dataset.trajectory_bounds()
+    n, horizon = len(starts), int((stops - starts).max())
+    row = np.repeat(np.arange(n), stops - starts)
+    col = np.arange(len(dataset)) - starts[row]
+    x, a = dataset.x, dataset.a
 
-def _trajectory_arrays(dataset):
-    """Per-trajectory (x, a, c, behavior_prob) views."""
-    out = []
-    for _, s, e in dataset.trajectory_slices():
-        out.append((dataset.x[s:e], dataset.a[s:e], dataset.c[s:e],
-                    dataset.behavior_prob[s:e]))
-    return out
+    def padded(values, fill=0.0):
+        out = np.full((n, horizon), fill)
+        out[row, col] = values
+        return out
+
+    w = np.cumprod(padded(probs[x, a] / dataset.behavior_prob, 1.0), axis=1)
+    if normalized:
+        sums = w.sum(axis=0)
+        w = np.divide(w, sums, out=np.zeros_like(w), where=sums > 0)
+    else:
+        w /= n
+    w_prev = np.concatenate([np.full((n, 1), 1.0 / n), w[:, :-1]], axis=1)
+    terms = w * (padded(dataset.c) - padded(vals[x, a])) + w_prev * padded(v[x])
+    return float(np.sum(gamma ** np.arange(horizon) * terms))
 
 
 def pdis(dataset, eval_policy, gamma):
     """Per-decision importance sampling: mean over trajectories of
     sum_t gamma^t (prod_{s<=t} rho_s) c_t with rho = pi_e / pi_D."""
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    if dataset.behavior_prob.min() <= 0:
-        raise ValueError("behavior propensities must be positive")
-    num_actions = int(dataset.a.max()) + 1
-    probs = _eval_probs(eval_policy, max(num_actions, _policy_actions(eval_policy)))
-    total = 0.0
-    trajs = _trajectory_arrays(dataset)
-    for x, a, c, bp in trajs:
-        rho = probs[x, a] / bp
-        weights = np.cumprod(rho)
-        discounts = gamma ** np.arange(len(c))
-        total += float(np.sum(discounts * weights * c))
-    return total / len(trajs)
-
-
-def _policy_actions(policy):
-    if isinstance(policy, StochasticPolicy):
-        return policy.probs.shape[1]
-    return int(policy.actions.max()) + 1
-
-
-def _q_and_v(q_hat, probs):
-    """Q_hat as an (S, A) table and V_hat(x) = E_{a~pi_e} Q_hat(x, a) per
-    state; estimators gather both at the sampled steps."""
-    vals = q_hat.values()
-    return vals, np.einsum("xa,xa->x", probs, vals)
+    return _weighted_sum(dataset, eval_policy, gamma)
 
 
 def doubly_robust(dataset, eval_policy, q_hat, gamma):
-    """Recursive doubly robust estimator with control variates from q_hat:
-    DR_t = V(x_t) + rho_t (c_t + gamma DR_{t+1} - Q(x_t, a_t))."""
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    probs = _eval_probs(eval_policy, q_hat.values().shape[1])
-    vals, v = _q_and_v(q_hat, probs)
-    total = 0.0
-    trajs = _trajectory_arrays(dataset)
-    for x, a, c, bp in trajs:
-        rho = probs[x, a] / bp
-        q_xa, v_x = vals[x, a], v[x]
-        dr = 0.0
-        for t in range(len(c) - 1, -1, -1):
-            dr = v_x[t] + rho[t] * (c[t] + gamma * dr - q_xa[t])
-        total += float(dr)
-    return total / len(trajs)
+    """Doubly robust with control variates from q_hat, the unrolled form of
+    the recursion DR_t = V(x_t) + rho_t (c_t + gamma DR_{t+1} - Q(x_t, a_t))."""
+    return _weighted_sum(dataset, eval_policy, gamma, q_hat)
 
 
 def weighted_doubly_robust(dataset, eval_policy, q_hat, gamma):
-    """Doubly robust with per-timestep self-normalized cumulative weights.
-
-    Trajectories shorter than the horizon are padded with an absorbing step
-    (rho = 1, zero cost and control variates). If every cumulative weight at
-    some timestep is zero, that timestep contributes only its
-    control-variate term.
-    """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    probs = _eval_probs(eval_policy, q_hat.values().shape[1])
-    vals, v = _q_and_v(q_hat, probs)
-    trajs = _trajectory_arrays(dataset)
-    n = len(trajs)
-    horizon = max(len(c) for _, _, c, _ in trajs)
-
-    cum_w = np.ones((n, horizon))     # prod_{s<=t} rho_s, padded flat
-    costs = np.zeros((n, horizon))
-    q_mat = np.zeros((n, horizon))
-    v_mat = np.zeros((n, horizon))
-    for i, (x, a, c, bp) in enumerate(trajs):
-        L = len(c)
-        rho = probs[x, a] / bp
-        cw = np.cumprod(rho)
-        cum_w[i, :L] = cw
-        cum_w[i, L:] = cw[-1] if L else 1.0
-        costs[i, :L] = c
-        q_mat[i, :L] = vals[x, a]
-        v_mat[i, :L] = v[x]
-
-    sums = cum_w.sum(axis=0)
-    w = np.divide(cum_w, sums[None, :], out=np.zeros_like(cum_w),
-                  where=sums[None, :] > 0)
-    w_prev = np.concatenate([np.full((n, 1), 1.0 / n), w[:, :-1]], axis=1)
-    discounts = gamma ** np.arange(horizon)
-    correction = np.sum(discounts * (w * (costs - q_mat) + w_prev * v_mat))
-    return float(correction)
+    """Doubly robust with per-timestep self-normalized cumulative weights; a
+    timestep whose weights are all 0 contributes only its control variate."""
+    return _weighted_sum(dataset, eval_policy, gamma, q_hat, normalized=True)
 
 
 def ope_comparison(dataset, eval_policy, mdp, fractions, trials, config=None):
@@ -131,6 +90,7 @@ def ope_comparison(dataset, eval_policy, mdp, fractions, trials, config=None):
     the exact value. Returns rows of
     (method, fraction, trial, estimate, abs_error)."""
     config = config or OpeConfig()
+    check_indices(dataset, mdp.num_states, mdp.num_actions)
     exact_c, _ = exact_policy_values(mdp, eval_policy)
     template = QFunction.tabular_zeros(mdp.num_states, mdp.num_actions)
     root = np.random.SeedSequence(config.seed)

@@ -107,6 +107,17 @@ class TestLearn:
         main(argv(b))
         assert filecmp.cmp(a, b, shallow=False)
 
+    def test_fitted_defaults_equal_explicit_flags(self, tmp_path, map_file,
+                                                  dataset_file):
+        argv = lambda out, *flags: ["learn", "--data", dataset_file, "--map",
+                                    map_file, "--rounds", "30", *flags,
+                                    "--trace-out", out]
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        main(argv(a))
+        main(argv(b, "--iters-fqi", "100", "--iters-fqe", "100",
+                  "--ridge", "1e-8"))
+        assert filecmp.cmp(a, b, shallow=False)
+
     def test_round_cap_exits_2(self, map_file, capsys):
         code = main(["learn", "--map", map_file, "--flavor", "exact",
                      "--tau", "0.1", "--omega", "1e-9", "--rounds", "2"])
@@ -289,6 +300,18 @@ class TestErrorExitCodes:
         "ope_compare_data_outside_map": (
             ["ope-compare", "--data", "{x_next_negative}", "--map", "{map}",
              "--policy", "{policy}", "--out", "{dir}/r.csv"], None, 1),
+        "learn_lspi_iters_fqi": (
+            ["learn", "--data", "{data}", "--map", "{map}", "--flavor", "lspi",
+             "--iters-fqi", "20"], None, 1),
+        "learn_lspi_ridge": (
+            ["learn", "--data", "{data}", "--map", "{map}", "--flavor", "lspi",
+             "--ridge", "1e-8"], None, 1),
+        "learn_exact_iters_fqe": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
+             "--iters-fqe", "20"], None, 1),
+        "learn_exact_ridge": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
+             "--ridge", "0.1"], None, 1),
         "trace_out_is_a_directory": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
              "--trace-out", "{dir}"], None, 1),

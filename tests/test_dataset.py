@@ -3,13 +3,23 @@ import hashlib
 import numpy as np
 import pytest
 
-from cbpl.dataset import (Dataset, collect, datasets_equal,
+from cbpl.batchrl import CostSelector, fqe, fqi
+from cbpl.dataset import (Dataset, check_indices, collect, datasets_equal,
                           full_coverage_dataset, load,
                           make_frozenlake_behavior, save, subsample)
-from cbpl.mdp import (ACTION_EAST, StochasticPolicy, build_frozenlake,
-                      build_combination_lock)
+from cbpl.funcapprox import QFunction
+from cbpl.mdp import (ACTION_EAST, DeterministicPolicy, StochasticPolicy,
+                      build_frozenlake, build_combination_lock)
+from cbpl.ope import ope_comparison, pdis
 
-from conftest import one_state_mdp
+from conftest import FROZENLAKE_4X4, one_state_mdp
+
+
+def chain_dataset(traj_id, t, x, x_next):
+    """Rows with the given structure columns; a = 0, zero costs."""
+    n = len(traj_id)
+    return Dataset(traj_id, t, x, np.zeros(n), x_next, np.zeros(n),
+                   np.zeros((n, 1)), np.zeros(n, dtype=bool), np.ones(n))
 
 
 class TestCollect:
@@ -53,6 +63,40 @@ class TestCollect:
         freq = np.mean(data.a == ACTION_EAST)
         sigma = np.sqrt(0.25 * 0.75 / n)
         assert abs(freq - 0.25) <= 3 * sigma
+
+
+class TestTrajectoryIndex:
+    # name: (traj_id, t, x, x_next, message); each breaks one structural rule
+    BROKEN = {
+        "repeated_traj_id": ([0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 5, 3],
+                             [1, 2, 6, 4], "trajectory 0 is not contiguous"),
+        "t_jump": ([0, 0, 1, 1], [0, 1, 0, 2], [0, 1, 5, 6], [1, 2, 6, 7],
+                   "trajectory 1 has non-consecutive timesteps"),
+        "broken_chain": ([0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 5, 9],
+                         [1, 2, 6, 7],
+                         "trajectory 1 breaks the chain x_next == next x"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BROKEN))
+    def test_broken_structure_is_named(self, name):
+        *columns, message = self.BROKEN[name]
+        with pytest.raises(ValueError) as info:
+            chain_dataset(*columns)
+        assert str(info.value) == message
+
+    def test_first_broken_trajectory_in_file_order_is_named(self):
+        # Trajectory 3 skips a timestep before trajectory 4's id repeats 3.
+        with pytest.raises(ValueError) as info:
+            chain_dataset([3, 3, 4, 3], [0, 2, 0, 0], [0, 1, 2, 3],
+                          [1, 2, 3, 4])
+        assert str(info.value) == "trajectory 3 has non-consecutive timesteps"
+
+    def test_slices_and_count(self):
+        data = chain_dataset([7, 7, 2, 5, 5, 5], [0, 1, 4, 0, 1, 2],
+                             [0, 1, 9, 3, 4, 5], [1, 2, 9, 4, 5, 6])
+        assert data.num_trajectories == 3
+        assert data.trajectory_slices() == [(7, 0, 2), (2, 2, 3), (5, 3, 6)]
+        assert Dataset.empty(1).trajectory_slices() == []
 
 
 class TestFrozenlakeBehavior:
@@ -113,6 +157,26 @@ class TestSubsample:
         s2 = subsample(fl8_dataset, 0.2, np.random.default_rng(3))
         assert datasets_equal(s1, s2)
 
+    @pytest.mark.parametrize("fraction", [0.05, 0.3, 0.5, 0.77, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_first_trajectories_of_the_permutation(self, fl8_dataset,
+                                                           fraction, seed):
+        slices = fl8_dataset.trajectory_slices()
+        order = np.random.default_rng(seed).permutation(len(slices))
+        rows, count = [], 0
+        for idx in order:
+            if count >= fraction * len(fl8_dataset):
+                break
+            _, s, e = slices[idx]
+            rows.extend(range(s, e))
+            count += e - s
+        d = fl8_dataset
+        expected = Dataset(d.traj_id[rows], d.t[rows], d.x[rows], d.a[rows],
+                           d.x_next[rows], d.c[rows], d.g[rows], d.done[rows],
+                           d.behavior_prob[rows])
+        sub = subsample(fl8_dataset, fraction, np.random.default_rng(seed))
+        assert datasets_equal(sub, expected)
+
     def test_bad_arguments(self, fl8_dataset):
         with pytest.raises(ValueError):
             subsample(fl8_dataset, 0.0, np.random.default_rng(0))
@@ -166,3 +230,46 @@ class TestFullCoverage:
     def test_done_marks_terminal_successors(self, fl8):
         data = full_coverage_dataset(fl8)
         assert np.array_equal(data.done, fl8.terminal_mask[data.x_next])
+
+
+class TestCheckIndices:
+    """Library entry points reject states and actions outside the sizes they
+    work on (the 4x4 map: 16 states, 4 actions) instead of indexing with
+    them; numpy would wrap a negative index to the last state."""
+
+    @staticmethod
+    def two_steps(a=1, x_next=-1):
+        return Dataset([0, 0], [0, 1], [0, 4], [1, a], [4, x_next], [0.0, 0.0],
+                       [[0.0], [0.0]], [False, True], [0.25, 0.25])
+
+    def test_names_row_and_column(self):
+        for data, message in [
+                (self.two_steps(), "row 2 has x_next = -1, outside [0, 16)"),
+                (self.two_steps(a=7, x_next=5),
+                 "row 2 has a = 7, outside [0, 4)")]:
+            with pytest.raises(ValueError) as info:
+                check_indices(data, 16, 4)
+            assert str(info.value) == message
+        check_indices(self.two_steps(a=3, x_next=15), 16, 4)
+
+    def test_ope_comparison(self):
+        lake = build_frozenlake(FROZENLAKE_4X4)
+        policy = DeterministicPolicy(np.ones(16, dtype=np.int64))
+        with pytest.raises(ValueError, match="x_next = -1"):
+            ope_comparison(self.two_steps(), policy, lake, [1.0], 1)
+
+    def test_fqe(self):
+        policy = DeterministicPolicy(np.ones(16, dtype=np.int64))
+        with pytest.raises(ValueError, match="x_next = -1"):
+            fqe(self.two_steps(), policy, CostSelector.primary(), 10,
+                QFunction.tabular_zeros(16, 4), gamma=0.9)
+
+    def test_pdis(self):
+        policy = StochasticPolicy(np.full((16, 4), 0.25))
+        with pytest.raises(ValueError, match="a = 7"):
+            pdis(self.two_steps(a=7, x_next=5), policy, 0.9)
+
+    def test_fqi(self):
+        with pytest.raises(ValueError, match="a = 7"):
+            fqi(self.two_steps(a=7, x_next=5), CostSelector.primary(), 10,
+                QFunction.tabular_zeros(16, 4), gamma=0.9)

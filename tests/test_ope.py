@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cbpl.batchrl import CostSelector, fqe
-from cbpl.dataset import collect, full_coverage_dataset
+from cbpl.dataset import Dataset, collect, full_coverage_dataset
 from cbpl.funcapprox import QFunction
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock)
@@ -50,6 +50,132 @@ def two_action_chain():
     cost_c = np.array([[1.0, 0.0], [0.0, 0.0]])
     return TabularMdp(transition, cost_c, np.zeros((2, 2, 0)), 0.9,
                       np.array([1.0, 0.0]), terminal_states={1})
+
+
+def per_trajectory_pdis(data, probs, gamma):
+    """PDIS as a loop over trajectories."""
+    total = 0.0
+    for _, s, e in data.trajectory_slices():
+        rho = probs[data.x[s:e], data.a[s:e]] / data.behavior_prob[s:e]
+        total += float(np.sum(gamma ** np.arange(e - s) * np.cumprod(rho)
+                              * data.c[s:e]))
+    return total / data.num_trajectories
+
+
+def recursive_dr(data, probs, q, gamma):
+    """DR_t = V(x_t) + rho_t (c_t + gamma DR_{t+1} - Q(x_t, a_t)) from the
+    last step back, averaged over trajectories."""
+    v = (probs * q).sum(axis=1)
+    total = 0.0
+    for _, s, e in data.trajectory_slices():
+        dr = 0.0
+        for i in range(e - 1, s - 1, -1):
+            x, a = data.x[i], data.a[i]
+            rho = probs[x, a] / data.behavior_prob[i]
+            dr = v[x] + rho * (data.c[i] + gamma * dr - q[x, a])
+        total += dr
+    return total / data.num_trajectories
+
+
+def looped_wdr(data, probs, q, gamma):
+    """WDR with each trajectory's cumulative weight carried past its end and
+    self-normalized per timestep; at a timestep whose weights sum to zero
+    every weight is zero."""
+    v = (probs * q).sum(axis=1)
+    slices = data.trajectory_slices()
+    n, horizon = len(slices), max(e - s for _, s, e in slices)
+    cum = np.ones((n, horizon))
+    for i, (_, s, e) in enumerate(slices):
+        rho = probs[data.x[s:e], data.a[s:e]] / data.behavior_prob[s:e]
+        cum[i, :e - s] = np.cumprod(rho)
+        cum[i, e - s:] = cum[i, e - s - 1]
+    total = 0.0
+    prev = np.full(n, 1.0 / n)
+    for t in range(horizon):
+        col_sum = cum[:, t].sum()
+        w = cum[:, t] / col_sum if col_sum > 0 else np.zeros(n)
+        for i, (_, s, e) in enumerate(slices):
+            if t < e - s:
+                x, a = data.x[s + t], data.a[s + t]
+                total += gamma ** t * (w[i] * (data.c[s + t] - q[x, a])
+                                       + prev[i] * v[x])
+        prev = w
+    return total
+
+
+def random_dataset(rng, num_states, num_actions, num_trajs, max_len,
+                   zero_at=None):
+    """Trajectories of random lengths 1..max_len (some length 1), each ending
+    done or truncated at random, with random propensities and costs. With
+    zero_at = (actions, t), the step min(t, length - 1) of every trajectory
+    takes an action other than actions[x], so a deterministic policy with
+    those actions has every cumulative weight 0 from timestep t on."""
+    cols = {k: [] for k in ("traj_id", "t", "x", "a", "x_next", "done")}
+    lengths = rng.integers(1, max_len + 1, size=num_trajs)
+    lengths[:2] = 1
+    for tid, length in enumerate(lengths):
+        xs = rng.integers(0, num_states, size=length + 1)
+        acts = rng.integers(0, num_actions, size=length)
+        if zero_at is not None:
+            actions, t = zero_at
+            k = min(t, length - 1)
+            acts[k] = (actions[xs[k]] + 1) % num_actions
+        cols["traj_id"] += [tid] * length
+        cols["t"] += range(length)
+        cols["x"] += xs[:-1].tolist()
+        cols["a"] += acts.tolist()
+        cols["x_next"] += xs[1:].tolist()
+        cols["done"] += [False] * (length - 1) + [bool(rng.integers(2))]
+    n = len(cols["x"])
+    return Dataset(cols["traj_id"], cols["t"], cols["x"], cols["a"],
+                   cols["x_next"], rng.uniform(-1, 1, n), np.zeros((n, 0)),
+                   cols["done"], rng.uniform(0.1, 1.0, n))
+
+
+class TestWeightedSumMatchesLoops:
+    """The three estimators, one sum over the padded trajectory matrix,
+    against the per-trajectory loops they replace."""
+
+    S, A = 5, 3
+
+    def check(self, data, policy, probs, q_table, gamma):
+        q_hat = QFunction(table=q_table)
+        assert pdis(data, policy, gamma) == pytest.approx(
+            per_trajectory_pdis(data, probs, gamma), abs=1e-12)
+        assert doubly_robust(data, policy, q_hat, gamma) == pytest.approx(
+            recursive_dr(data, probs, q_table, gamma), abs=1e-12)
+        assert weighted_doubly_robust(data, policy, q_hat, gamma) == (
+            pytest.approx(looped_wdr(data, probs, q_table, gamma), abs=1e-12))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_lengths(self, seed):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, self.S, self.A, 40, 12)
+        starts, stops = data.trajectory_bounds()
+        ends_done = data.done[stops - 1]
+        assert ends_done.any() and not ends_done.all()
+        assert (stops - starts).min() == 1
+        q_table = rng.uniform(-2, 2, size=(self.S, self.A))
+        actions = rng.integers(0, self.A, size=self.S)
+        probs = rng.dirichlet(np.ones(self.A), size=self.S)
+        for policy, table in [(DeterministicPolicy(actions),
+                               np.eye(self.A)[actions]),
+                              (StochasticPolicy(probs), probs)]:
+            self.check(data, policy, table, q_table, 0.9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_timestep_with_all_weights_zero(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        actions = rng.integers(0, self.A, size=self.S)
+        data = random_dataset(rng, self.S, self.A, 25, 8,
+                              zero_at=(actions, 2))
+        policy = DeterministicPolicy(actions)
+        probs = np.eye(self.A)[actions]
+        q_table = rng.uniform(-2, 2, size=(self.S, self.A))
+        for _, s, e in data.trajectory_slices():
+            head = slice(s, min(e, s + 3))
+            assert np.any(data.a[head] != actions[data.x[head]])
+        self.check(data, policy, probs, q_table, 0.95)
 
 
 class TestPdis:
