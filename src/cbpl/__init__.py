@@ -6,7 +6,9 @@ iteration, LSPI, or exact tabular planning) and a no-regret dual player
 for constraint certification, exact tabular oracles, and importance-
 sampling off-policy evaluation baselines. The learner's LSPI flavor is
 policy iteration on the dataset's empirical MDP, which differs from
-iterative tabular LSPI only at exact value ties and at the ridge's scale.
+iterative tabular LSPI only at the ridge's scale. FQI, LSPI and the exact
+oracle share one tie rule (funcapprox.greedy_actions), so exact value ties
+go to the lowest action in every solver.
 """
 
 from .batchrl import (CostSelector, EmpiricalModel, FittedRun, LspiResult,

@@ -55,13 +55,6 @@ FittedRun = collections.namedtuple("FittedRun",
 LspiResult = collections.namedtuple("LspiResult",
                                     ["weights", "converged", "iterations"])
 
-# In the FQI greedy policy a Q value ties with its state's minimum when it
-# exceeds it by at most FQI_TIE_TOL times the largest |Q(x, .)| of that
-# state; the lowest tied action wins. So the policy does not depend on the
-# order in which the regression sums its targets, and a small cost such as
-# lam * g under a decayed multiplier still separates the actions it ranks.
-FQI_TIE_TOL = 1e-9
-
 
 class EmpiricalModel:
     """The distinct (x, a, x_next, done, c, g_1..g_m) rows of a dataset, each
@@ -219,25 +212,19 @@ def fqi(dataset, cost, K, template, ridge=1e-8, gamma=None, mdp=None):
 
     dataset: a Dataset or its EmpiricalModel. Targets
     y = c + gamma * min_a Q(x', a) (y = c on done samples); returns (greedy
-    policy of Q_K with ties within FQI_TIE_TOL of each row's scale,
-    FittedRun).
+    policy of Q_K, FittedRun).
     """
     model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
     q, residuals = _fitted_sweeps(model, cost, K, template, ridge, gamma,
                                   lambda q: q.values().min(axis=1))
-    tol = FQI_TIE_TOL * np.abs(q.values()).max(axis=1, keepdims=True)
-    return greedy_policy(q, tol=tol), FittedRun(q, residuals, K)
+    return greedy_policy(q), FittedRun(q, residuals, K)
 
 
-def lspi_policy(weights, features, tol=1e-6):
-    """Greedy policy of a linear Q given by LSTDQ/LSPI weights.
-
-    Values within tol of the row minimum count as tied (lowest action index
-    wins), so exact ties are not flipped by ridge or solver noise.
-    """
+def lspi_policy(weights, features):
+    """Greedy policy of a linear Q given by LSTDQ/LSPI weights."""
     q = QFunction(weights=np.asarray(weights, dtype=float), features=features)
-    return greedy_policy(q, tol=tol)
+    return greedy_policy(q)
 
 
 def _lstdq_accumulate(dataset, cost, features, gamma, ridge, next_actions):
@@ -256,12 +243,12 @@ def _lstdq_accumulate(dataset, cost, features, gamma, ridge, next_actions):
 
 def lstdq(dataset, w, cost, features, gamma, ridge=1e-8):
     """One LSTDQ solve with successor actions greedy under the given w:
-    a' = argmin_a w.phi(x', a). Done samples contribute no successor feature."""
+    a' = argmin_a w.phi(x', a), tied as in lspi_policy. Done samples
+    contribute no successor feature."""
     w = np.asarray(w, dtype=float)
     if w.shape != (features.k,):
         raise ValueError("weight length must equal the feature dimension")
-    q_next = features.phi[dataset.x_next] @ w
-    next_actions = np.argmin(q_next, axis=1)
+    next_actions = lspi_policy(w, features).actions[dataset.x_next]
     return _lstdq_accumulate(dataset, cost, features, gamma, ridge, next_actions)
 
 

@@ -24,7 +24,6 @@ from .oracle import exact_constrained_optimum, exact_policy_values
 
 # Fixed labels for deriving independent seed streams from the single --seed.
 _STREAM_COLLECT = 1
-_STREAM_LEARN = 2
 _STREAM_OPE = 3
 
 

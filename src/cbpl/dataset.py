@@ -201,11 +201,9 @@ def check_indices(data, num_states, num_actions):
                              f"outside [0, {upper})")
 
 
-def subsample(dataset, fraction, rng, unit="trajectories"):
+def subsample(dataset, fraction, rng):
     """Draw whole trajectories uniformly at random until the accumulated
     transition count first reaches fraction * total transitions."""
-    if unit != "trajectories":
-        raise ValueError("only trajectory-level subsampling is supported")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
     if len(dataset) == 0:

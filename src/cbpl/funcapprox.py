@@ -130,19 +130,26 @@ def fit_least_squares(inputs, targets, template, ridge=1e-8, weights=None):
     return QFunction(weights=w, features=feats)
 
 
-def greedy_policy(q, tol=0.0):
-    """argmin_a Q(x, a) per state, ties broken by lowest action index.
+# Two Q values of a state tie when they differ by at most TIE_TOL times the
+# largest |Q(x, .)| of that state. Every tabular solver (FQI, LSPI, exact
+# policy iteration) picks its greedy action by this one rule, so an exact tie
+# goes to the lowest action whatever roundoff the solver added, while a small
+# cost such as lam * g under a decayed multiplier still separates actions.
+TIE_TOL = 1e-9
 
-    A positive tol treats values within tol of the row minimum as tied, so
-    exact ties survive the small numerical noise of linear solves. tol is a
-    scalar or an (S, 1) column of per-state tolerances.
-    """
+
+def greedy_actions(vals):
+    """The lowest action of each row of vals (S, A) within its tie
+    tolerance of the row minimum, and that (S, 1) tolerance."""
+    tol = TIE_TOL * np.abs(vals).max(axis=1, keepdims=True)
+    near = vals <= vals.min(axis=1, keepdims=True) + tol
+    return np.argmax(near, axis=1), tol
+
+
+def greedy_policy(q):
+    """argmin_a Q(x, a) per state under the tie rule of greedy_actions."""
     from .mdp import DeterministicPolicy
-    vals = q.values()
-    if np.any(np.asarray(tol) > 0.0):
-        near = vals <= (vals.min(axis=1, keepdims=True) + tol)
-        return DeterministicPolicy(np.argmax(near, axis=1))
-    return DeterministicPolicy(np.argmin(vals, axis=1))
+    return DeterministicPolicy(greedy_actions(q.values())[0])
 
 
 def save_qfunction(q, path):

@@ -5,10 +5,12 @@ Subroutine flavors: fitted (FQI best response + FQE certification), lspi
 and exact. The lspi flavor is policy iteration and exact policy evaluation
 on the dataset's empirical MDP (EmpiricalModel.to_mdp), which is what
 tabular LSPI and LSTDQ with one-hot features compute; it can differ from
-iterative LSPI only at exact value ties and at the scale of the ridge. The
-exact flavor runs the same tabular oracles on the true MDP. Member policies
-repeat across rounds extremely often, so mixtures store unique policies
-with multiplicities and every evaluation is cached by policy.
+iterative LSPI only at the scale of the ridge. Every tabular solver breaks
+value ties by the one rule of funcapprox.greedy_actions, so exact ties go
+to the same action in all flavors. The exact flavor runs the same tabular
+oracles on the true MDP. Member policies repeat across rounds extremely
+often, so mixtures store unique policies with multiplicities and every
+evaluation is cached by policy.
 
 When the exact flavor runs with a single constraint and EG duals, long
 stretches of rounds change nothing but the multiplier; those stretches are
@@ -53,7 +55,6 @@ class LearnerConfig:
     dual_flavor: str = EG_FLAVOR
     subroutine_flavor: str = "fitted"
     gamma: float = 0.95
-    g_bar: float = None
     trace_limit: int = 200_000
 
     def __post_init__(self):
@@ -259,13 +260,9 @@ def lagrangian_min(dataset, lambda_hat, config, mdp_handle=None):
     L_min = C(pi~) + lam_hat.[(G(pi~) - tau), 0].
     """
     coords = np.asarray(getattr(lambda_hat, "coords", lambda_hat), dtype=float)
-    m = len(config.tau)
-    lam_m = coords[:m]
-    sub = _make_subroutine(dataset, config, mdp_handle)
-    pi_tilde = sub.best_response(lam_m)
-    c_til, g_til = sub.evaluate(pi_tilde)
-    l_min = c_til + float(lam_m @ (g_til - config.tau))
-    return l_min, pi_tilde
+    [(lam_m, pi_tilde, c_til, g_til)] = regularization_grid(
+        dataset, [coords[:len(config.tau)]], config, mdp_handle)
+    return c_til + float(lam_m @ (g_til - config.tau)), pi_tilde
 
 
 def _make_subroutine(dataset, config, mdp_handle):
@@ -350,8 +347,7 @@ def run(dataset, config, mdp_handle=None):
     if dataset is not None and len(dataset) and dataset.m != m:
         raise ValueError("dataset constraint count does not match tau")
     sub = _make_subroutine(dataset, config, mdp_handle)
-    g_bar = (config.g_bar if config.g_bar is not None
-             else _default_g_bar(dataset, mdp_handle, config))
+    g_bar = _default_g_bar(dataset, mdp_handle, config)
     max_rounds = (config.max_rounds if config.max_rounds is not None
                   else default_max_rounds(config.B, g_bar, config.omega, m))
     B, eta, omega, tau = config.B, config.eta, config.omega, config.tau
@@ -366,6 +362,10 @@ def run(dataset, config, mdp_handle=None):
     converged = False
     prev_sig = None
     steady_streak = 0
+    # A failed block advance costs up to a block of rounds before its
+    # certificates reject it, so each failure doubles the streak of repeated
+    # signatures the next attempt waits for.
+    min_streak = 2
     block_rounds = generic_rounds = 0
 
     def record(t, lam_coords, c_t, g_t, c_mix, g_mix, l_max, l_min, l_mid):
@@ -378,7 +378,7 @@ def run(dataset, config, mdp_handle=None):
 
     while state.t < max_rounds:
         # Closed-form block advance for steady exact/EG/m=1 stretches.
-        if (steady_streak >= 2 and is_eg and m == 1
+        if (steady_streak >= min_streak and is_eg and m == 1
                 and config.subroutine_flavor == "exact"):
             t_before = state.t
             advanced, converged = _block_advance(
@@ -392,6 +392,7 @@ def run(dataset, config, mdp_handle=None):
                     break
                 continue
             # The certificates failed: play one generic round.
+            min_streak *= 2
 
         lam_m = lam.coords[:m]
         pi_t = sub.best_response(lam_m)
@@ -611,10 +612,8 @@ def regularized_one_shot(dataset, lam, config, mdp_handle=None):
 
     Returns (policy, C_hat, G_hat).
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    sub = _make_subroutine(dataset, config, mdp_handle)
-    policy = sub.best_response(lam)
-    c_hat, g_hat = sub.evaluate(policy)
+    [(_, policy, c_hat, g_hat)] = regularization_grid(dataset, [lam], config,
+                                                      mdp_handle)
     return policy, c_hat, g_hat
 
 

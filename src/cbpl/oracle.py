@@ -4,7 +4,7 @@ and a performance-difference identity check."""
 
 import numpy as np
 
-from .funcapprox import QFunction
+from .funcapprox import QFunction, greedy_actions
 from .mdp import DeterministicPolicy, as_stochastic
 
 
@@ -102,10 +102,7 @@ class ExactSolver:
             return cached
         mdp = self.mdp
         S, A = mdp.num_states, mdp.num_actions
-        idx = np.arange(S)
-        p_pi = mdp.transition[idx, actions]
-        cost_pi = self._channels[idx, actions]
-        v = np.linalg.solve(np.eye(S) - mdp.gamma * p_pi, cost_pi)
+        v = exact_state_values(mdp, DeterministicPolicy(actions))
         q = self._channels + mdp.gamma * (self._p_flat @ v).reshape(S, A, -1)
         self._q_cache[key] = q
         return q
@@ -114,25 +111,26 @@ class ExactSolver:
         q = self.policy_channel_q(actions)
         return q[:, :, 0] + q[:, :, 1:] @ np.asarray(lam, dtype=float)
 
-    def best_response(self, lam, warm=None):
+    def best_response(self, lam):
         """Optimal deterministic policy for cost c + lam.g (lam length m).
 
-        Howard policy iteration; returns the canonical greedy policy
-        (argmin with lowest-index ties) of the exact optimal Q.
+        Howard policy iteration, warm-started from the previous answer. A
+        state switches only to an action better by more than the tie
+        tolerance of greedy_actions, and the result is the greedy policy of
+        the exact optimal Q under that rule.
         """
         mdp = self.mdp
         S = mdp.num_states
-        pi = self._last_pi if warm is None else np.asarray(warm, dtype=np.int64)
+        pi = self._last_pi
         idx = np.arange(S)
         for _ in range(S * mdp.num_actions + 10):
             q = self.scalarized_q(pi, lam)
-            best = q.min(axis=1)
-            improve = q[idx, pi] - best
-            if improve.max() <= 1e-11:
-                final = np.argmin(q, axis=1)
-                self._last_pi = final
-                return DeterministicPolicy(final)
-            pi = np.where(improve > 1e-11, np.argmin(q, axis=1), pi)
+            greedy, tol = greedy_actions(q)
+            improve = q[idx, pi] > q[idx, greedy] + tol[:, 0]
+            if not improve.any():
+                self._last_pi = greedy
+                return DeterministicPolicy(greedy)
+            pi = np.where(improve, greedy, pi)
         raise RuntimeError("policy iteration failed to converge")
 
     def policy_values(self, policy):

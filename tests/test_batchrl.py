@@ -184,7 +184,7 @@ class TestLstdq:
         feats = one_hot_features(mdp)
         rng = np.random.default_rng(3)
         w_in = rng.normal(size=feats.k)
-        pi_in = lspi_policy(w_in, feats, tol=0.0)
+        pi_in = lspi_policy(w_in, feats)
         w_out = lstdq(data, w_in, CostSelector.primary(), feats, mdp.gamma,
                       ridge=1e-10)
         q_exact = exact_policy_q(mdp, pi_in)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbpl.funcapprox import (FeatureMap, QFunction, fit_least_squares,
-                             greedy_policy, load_qfunction, one_hot_features,
-                             q_value, save_qfunction)
+from cbpl.funcapprox import (TIE_TOL, FeatureMap, QFunction,
+                             fit_least_squares, greedy_actions, greedy_policy,
+                             load_qfunction, one_hot_features, q_value,
+                             save_qfunction)
 from cbpl.mdp import ACTION_EAST, build_frozenlake
 from cbpl.oracle import value_iteration
 
@@ -141,6 +142,14 @@ class TestGreedyPolicy:
     def test_argmin(self):
         q = QFunction(table=np.array([[2.0, 1.0, 5.0]]))
         assert greedy_policy(q).actions[0] == 1
+
+    def test_tie_tolerance_is_relative_to_each_row(self):
+        vals = np.array([[1.0 + 1e-12, 1.0, 2.0],
+                         [1e-3 + 1e-11, 1e-3, 2e-3],
+                         [0.0, 0.0, 0.0]])
+        actions, tol = greedy_actions(vals)
+        assert actions.tolist() == [0, 1, 0]
+        assert np.array_equal(tol[:, 0], TIE_TOL * np.array([2.0, 2e-3, 0.0]))
 
     def test_optimal_q_on_corridor_grid(self):
         mdp = build_frozenlake(("SFG",))

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import cbpl.learner as learner_mod
-from cbpl.batchrl import CostSelector, fqi, lspi, lstdq_policy
+from cbpl.batchrl import (CostSelector, EmpiricalModel, fqi, lspi,
+                          lstdq_policy)
 from cbpl.dataset import collect, full_coverage_dataset
 from cbpl.funcapprox import FeatureMap, QFunction
 from cbpl.learner import (ConvergenceError, LearnerConfig, MixturePolicy,
@@ -12,7 +15,8 @@ from cbpl.learner import (ConvergenceError, LearnerConfig, MixturePolicy,
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock, build_random_mdp)
 from cbpl.onlineopt import eg_init
-from cbpl.oracle import ExactSolver, exact_policy_values
+from cbpl.oracle import (ExactSolver, exact_constrained_optimum,
+                         exact_policy_values)
 
 from conftest import collect_fl8
 
@@ -208,6 +212,33 @@ class TestRun:
         assert np.allclose(fast.gap[fi], slow.gap[si], atol=1e-9)
         assert np.allclose(fast.c_hat_mix[fi], slow.c_hat_mix[si], atol=1e-9)
 
+    def test_failed_block_advances_back_off(self, monkeypatch):
+        # Here no steady stretch survives its certificates; without a
+        # backoff every repeated signature retried the block, about 500
+        # failed attempts of up to 2^20 rounds each.
+        mdp = build_random_mdp(8, 3, 1, seed=2)
+        tau = [0.5 * mdp.cost_g.mean() / (1.0 - mdp.gamma)]
+        config = exact_config(B=10.0, eta=0.05, omega=0.01, tau=tau)
+        block = learner_mod._block_advance
+        failures = []
+
+        def counted(*args, **kwargs):
+            out = block(*args, **kwargs)
+            failures.append(out[0] is None)
+            return out
+
+        monkeypatch.setattr(learner_mod, "_block_advance", counted)
+        mixture, trace = run(None, config, mdp_handle=mdp)
+        monkeypatch.setattr(learner_mod, "_block_advance",
+                            lambda *a, **k: (None, False))
+        generic, generic_trace = run(None, config, mdp_handle=mdp)
+        assert trace.converged and sum(failures) > 0
+        assert sum(failures) <= math.ceil(math.log2(trace.total_rounds))
+        assert trace.total_rounds == generic_trace.total_rounds
+        assert np.array_equal(mixture.counts, generic.counts)
+        for a, b in zip(mixture.members, generic.members):
+            assert np.array_equal(a.actions, b.actions)
+
 
 class TestBlockChunks:
     RUNS = {
@@ -331,6 +362,23 @@ class TestLspiFlavor:
             c, g = exact_policy_values(fl8, mixture)
             results[flavor] = (c, g[0])
         assert results["lspi"] == results["fitted"]
+
+    def test_flavors_and_exact_optimum_agree_on_empirical_mdp(
+            self, fl8, fitted_runs):
+        # One tie rule: FQI, policy iteration on the empirical MDP and the
+        # exact constrained optimum on it pick the same action at exact ties.
+        for seed, (data, fitted, _, _) in fitted_runs.items():
+            config = LearnerConfig(B=30.0, eta=50.0, omega=0.05, tau=[0.1],
+                                   subroutine_flavor="lspi", max_rounds=100)
+            lspi_mix, _ = run(data, config, mdp_handle=fl8)
+            empirical = EmpiricalModel.from_dataset(data).to_mdp(
+                64, 4, fl8.gamma, fl8.initial_dist)
+            _, exact_mix = exact_constrained_optimum(empirical, [0.1], 30.0,
+                                                     50.0, 0.05)
+            for mixture in (lspi_mix, exact_mix):
+                assert mixture.counts.tolist() == fitted.counts.tolist(), seed
+                for a, b in zip(mixture.members, fitted.members):
+                    assert np.array_equal(a.actions[:64], b.actions), seed
 
 
 class TestRegularizedPath:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cbpl.batchrl import EmpiricalModel
 from cbpl.learner import ConvergenceError
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock, build_frozenlake,
@@ -176,6 +177,14 @@ class TestExactBestResponse:
         assert c_pol == pytest.approx(c_vi, abs=1e-8)
 
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 30.0])
+    def test_roundoff_tie_goes_to_lowest_action(self, fl8, lam):
+        # At states 32 and 33 actions 0 and 2 tie; summation roundoff makes
+        # Q(x, 0) exceed Q(x, 2) by about 1e-16.
+        policy = ExactSolver(fl8).best_response(np.array([lam]))
+        assert policy.actions[32] == 0 and policy.actions[33] == 0
+
+
 class TestExactConstrainedOptimum:
     def test_slack_constraint_returns_unconstrained_optimum(self, fl8):
         c_star, mixture = exact_constrained_optimum(fl8, [10.0], B=5.0,
@@ -203,6 +212,13 @@ class TestExactConstrainedOptimum:
         assert c_star == pytest.approx(-0.5, abs=0.05)
         _, g = exact_policy_values(mdp, mixture)
         assert g[0] <= 0.5 + 2 * (1.0 / (1 - mdp.gamma) + 0.01) / 10.0
+
+    def test_seed1_empirical_mdp_returns_one_member(self, fl8, fl8_dataset):
+        empirical = EmpiricalModel.from_dataset(fl8_dataset).to_mdp(
+            64, 4, fl8.gamma, fl8.initial_dist)
+        _, mixture = exact_constrained_optimum(empirical, [0.1], B=30.0,
+                                               eta=50.0, omega=0.05)
+        assert len(mixture.members) == 1
 
     def test_round_cap_raises_convergence_error(self, fl8):
         with pytest.raises(ConvergenceError) as excinfo:
