@@ -6,11 +6,19 @@ The on-disk format is CSV with header
 with 17 significant digits so round-trips are exact.
 """
 
+import bisect
 import collections
+import itertools
 
 import numpy as np
 
 from .mdp import StochasticPolicy, as_stochastic
+
+_DRAW_CHUNK = 2**16  # uniforms per bulk draw in collect
+_SAVE_ROWS = 2**15  # rows per write in save
+_SCAN_CHARS = 2**20  # characters per read when load checks a body
+# The ASCII line breaks of str.splitlines other than \n and \r.
+_EXTRA_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
 
 class Dataset:
@@ -103,41 +111,54 @@ def collect(mdp, behavior, num_trajectories, max_horizon, rng):
     Each trajectory runs until a terminal state or max_horizon steps; the
     done flag marks whether x_next is terminal, so horizon truncation is
     distinguishable from termination.
+
+    Uniforms are drawn in bulk, since ``rng.random(n)`` yields the same
+    numbers as n calls to ``rng.random()``. The generator is then rewound
+    and redrawn by exactly the count used, so it ends where one draw per
+    sampling step would leave it.
     """
     if num_trajectories < 0 or max_horizon < 1:
         raise ValueError("need num_trajectories >= 0 and max_horizon >= 1")
     probs = as_stochastic(behavior, mdp.num_actions)
-    cum_behavior = np.cumsum(probs, axis=1)
-    cum_transition = mdp.cumulative_transition()
-    cum_initial = np.cumsum(mdp.initial_dist)
-    terminal = mdp.terminal_mask
-    S = mdp.num_states
+    cum_behavior = np.cumsum(probs, axis=1).tolist()
+    cum_transition = mdp.cumulative_transition().tolist()
+    cum_initial = np.cumsum(mdp.initial_dist).tolist()
+    terminal = mdp.terminal_mask.tolist()
+    S, A = mdp.num_states, mdp.num_actions
 
-    traj_id, ts, xs, aa, xn, cs, gs, dn, bp = [], [], [], [], [], [], [], [], []
-    for tid in range(num_trajectories):
-        x = int(np.searchsorted(cum_initial, rng.random(), side="right"))
-        x = min(x, S - 1)
-        for t in range(max_horizon):
+    state = rng.bit_generator.state
+    uniforms = itertools.chain.from_iterable(
+        iter(lambda: rng.random(_DRAW_CHUNK).tolist(), None))
+    draw = uniforms.__next__
+    xs, aa, xn, lengths = [], [], [], []
+    for _ in range(num_trajectories):
+        x = min(bisect.bisect_right(cum_initial, draw()), S - 1)
+        before = len(xs)
+        for _ in range(max_horizon):
             if terminal[x]:
                 break
-            a = int(np.searchsorted(cum_behavior[x], rng.random(), side="right"))
-            a = min(a, mdp.num_actions - 1)
-            nx = int(np.searchsorted(cum_transition[x, a], rng.random(), side="right"))
-            nx = min(nx, S - 1)
-            traj_id.append(tid)
-            ts.append(t)
+            a = min(bisect.bisect_right(cum_behavior[x], draw()), A - 1)
+            nx = min(bisect.bisect_right(cum_transition[x][a], draw()), S - 1)
             xs.append(x)
             aa.append(a)
             xn.append(nx)
-            cs.append(mdp.cost_c[x, a])
-            gs.append(mdp.cost_g[x, a])
-            dn.append(bool(terminal[nx]))
-            bp.append(probs[x, a])
             if terminal[nx]:
                 break
             x = nx
-    g = np.asarray(gs, dtype=float).reshape(len(cs), mdp.m)
-    return Dataset(traj_id, ts, xs, aa, xn, cs, g, dn, bp)
+        lengths.append(len(xs) - before)
+    # One draw per start state and two per step.
+    used = num_trajectories + 2 * len(xs)
+    rng.bit_generator.state = state
+    for drawn in range(0, used, _DRAW_CHUNK):
+        rng.random(min(_DRAW_CHUNK, used - drawn))
+
+    xs, aa, xn = (np.array(v, dtype=np.int64) for v in (xs, aa, xn))
+    lengths = np.array(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    t = np.arange(len(xs)) - np.repeat(starts, lengths)
+    return Dataset(np.repeat(np.arange(num_trajectories), lengths), t, xs, aa,
+                   xn, mdp.cost_c[xs, aa], mdp.cost_g[xs, aa],
+                   mdp.terminal_mask[xn], probs[xs, aa])
 
 
 def make_frozenlake_behavior(mdp, epsilon_random):
@@ -240,30 +261,37 @@ def full_coverage_dataset(mdp):
                    mdp.terminal_mask[nx], np.full(n, 1.0 / A))
 
 
+def _format_reals(values):
+    """'.17g' strings of a float column, one format call per distinct bit
+    pattern (so -0.0 and 0.0 stay apart)."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
 def save(dataset, path):
-    """Write the CSV representation (17 significant digits for reals)."""
-    m = dataset.m
+    """Write the CSV representation (17 significant digits for reals), one
+    write per chunk of rows."""
+    d = dataset
     header = "traj_id,t,x,a,x_next,c"
-    if m:
-        header += "," + ",".join(f"g_{i + 1}" for i in range(m))
+    if d.m:
+        header += "," + ",".join(f"g_{i + 1}" for i in range(d.m))
     header += ",done,behavior_prob"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(len(dataset)):
-            gpart = "".join(f"{dataset.g[i, j]:.17g}," for j in range(m))
-            fh.write(f"{dataset.traj_id[i]},{dataset.t[i]},{dataset.x[i]},"
-                     f"{dataset.a[i]},{dataset.x_next[i]},{dataset.c[i]:.17g},"
-                     f"{gpart}{int(dataset.done[i])},"
-                     f"{dataset.behavior_prob[i]:.17g}\n")
+        for lo in range(0, len(d), _SAVE_ROWS):
+            rows = slice(lo, lo + _SAVE_ROWS)
+            ints = [map(str, col[rows].tolist())
+                    for col in (d.traj_id, d.t, d.x, d.a, d.x_next)]
+            c, *g, bp = [_format_reals(col[rows])
+                         for col in (d.c, *d.g.T, d.behavior_prob)]
+            done = map(str, d.done[rows].astype(np.int64).tolist())
+            fields = ints + [c, *g, done, bp]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
-def load(path):
-    """Inverse of save; malformed rows raise with the 1-based line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: line 1: missing header")
-    header = lines[0].split(",")
+def _constraint_count(header, path):
+    """m for a header line split at commas; ValueError names line 1."""
     fixed_head = ["traj_id", "t", "x", "a", "x_next", "c"]
     fixed_tail = ["done", "behavior_prob"]
     if header[:6] != fixed_head or header[-2:] != fixed_tail:
@@ -271,7 +299,53 @@ def load(path):
     gcols = header[6:-2]
     if gcols != [f"g_{i + 1}" for i in range(len(gcols))]:
         raise ValueError(f"{path}: line 1: malformed constraint columns")
-    m = len(gcols)
+    return len(gcols)
+
+
+def load(path):
+    """Inverse of save; malformed rows raise with the 1-based line number."""
+    try:
+        columns = _load_columns(path)
+    except ValueError:
+        # Only the per-line parser names the line at fault.
+        columns = _parse_lines(path)
+    return Dataset(*columns)
+
+
+def _load_columns(path):
+    """The columns parsed by one np.loadtxt. Raises ValueError for a body that
+    loadtxt rejects or might read differently from _parse_lines: one that is
+    not ASCII, holds a line break only str.splitlines knows, or has no rows
+    (loadtxt warns on those)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        m = _constraint_count(fh.readline().rstrip("\n").split(","), path)
+        blank = True
+        for chunk in iter(lambda: fh.read(_SCAN_CHARS), ""):
+            if not chunk.isascii() or any(b in chunk for b in _EXTRA_BREAKS):
+                raise ValueError("body needs the per-line parser")
+            blank = blank and chunk.isspace()
+    if blank:
+        raise ValueError("body has no rows")
+    dtype = np.dtype([("traj_id", np.int64), ("t", np.int64), ("x", np.int64),
+                      ("a", np.int64), ("x_next", np.int64),
+                      ("c", np.float64), ("g", np.float64, (m,)),
+                      ("done", np.int64), ("behavior_prob", np.float64)])
+    body = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                      skiprows=1, ndmin=1, encoding="utf-8")
+    if not np.isin(body["done"], (0, 1)).all():
+        raise ValueError("done must be 0 or 1")
+    return [np.ascontiguousarray(body[name]) for name in dtype.names]
+
+
+def _parse_lines(path):
+    """The columns parsed line by line; the first malformed row raises a
+    ValueError naming its 1-based line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: line 1: missing header")
+    header = lines[0].split(",")
+    m = _constraint_count(header, path)
     width = len(header)
     traj_id, ts, xs, aa, xn, cs, dn, bp = [], [], [], [], [], [], [], []
     g = []
@@ -298,7 +372,7 @@ def load(path):
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     garr = np.asarray(g, dtype=float).reshape(len(cs), m)
-    return Dataset(traj_id, ts, xs, aa, xn, cs, garr, dn, bp)
+    return traj_id, ts, xs, aa, xn, cs, garr, dn, bp
 
 
 def datasets_equal(d1, d2):

@@ -9,7 +9,8 @@ from cbpl.dataset import (Dataset, check_indices, collect, datasets_equal,
                           make_frozenlake_behavior, save, subsample)
 from cbpl.funcapprox import QFunction
 from cbpl.mdp import (ACTION_EAST, DeterministicPolicy, StochasticPolicy,
-                      build_frozenlake, build_combination_lock)
+                      as_stochastic, build_combination_lock, build_frozenlake,
+                      build_random_mdp)
 from cbpl.ope import ope_comparison, pdis
 
 from conftest import FROZENLAKE_4X4, one_state_mdp
@@ -20,6 +21,94 @@ def chain_dataset(traj_id, t, x, x_next):
     n = len(traj_id)
     return Dataset(traj_id, t, x, np.zeros(n), x_next, np.zeros(n),
                    np.zeros((n, 1)), np.zeros(n, dtype=bool), np.ones(n))
+
+
+def reference_collect(mdp, behavior, num_trajectories, max_horizon, rng):
+    """The per-step rollout collect replaced: three scalar draws per step."""
+    probs = as_stochastic(behavior, mdp.num_actions)
+    cum_behavior = np.cumsum(probs, axis=1)
+    cum_transition = mdp.cumulative_transition()
+    cum_initial = np.cumsum(mdp.initial_dist)
+    terminal = mdp.terminal_mask
+    S = mdp.num_states
+
+    traj_id, ts, xs, aa, xn, cs, gs, dn, bp = [], [], [], [], [], [], [], [], []
+    for tid in range(num_trajectories):
+        x = int(np.searchsorted(cum_initial, rng.random(), side="right"))
+        x = min(x, S - 1)
+        for t in range(max_horizon):
+            if terminal[x]:
+                break
+            a = int(np.searchsorted(cum_behavior[x], rng.random(), side="right"))
+            a = min(a, mdp.num_actions - 1)
+            nx = int(np.searchsorted(cum_transition[x, a], rng.random(), side="right"))
+            nx = min(nx, S - 1)
+            traj_id.append(tid)
+            ts.append(t)
+            xs.append(x)
+            aa.append(a)
+            xn.append(nx)
+            cs.append(mdp.cost_c[x, a])
+            gs.append(mdp.cost_g[x, a])
+            dn.append(bool(terminal[nx]))
+            bp.append(probs[x, a])
+            if terminal[nx]:
+                break
+            x = nx
+    g = np.asarray(gs, dtype=float).reshape(len(cs), mdp.m)
+    return Dataset(traj_id, ts, xs, aa, xn, cs, g, dn, bp)
+
+
+def reference_load(path):
+    """The line-by-line load that load falls back to for error reports."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: line 1: missing header")
+    header = lines[0].split(",")
+    fixed_head = ["traj_id", "t", "x", "a", "x_next", "c"]
+    fixed_tail = ["done", "behavior_prob"]
+    if header[:6] != fixed_head or header[-2:] != fixed_tail:
+        raise ValueError(f"{path}: line 1: unrecognized header")
+    gcols = header[6:-2]
+    if gcols != [f"g_{i + 1}" for i in range(len(gcols))]:
+        raise ValueError(f"{path}: line 1: malformed constraint columns")
+    m = len(gcols)
+    width = len(header)
+    traj_id, ts, xs, aa, xn, cs, dn, bp = [], [], [], [], [], [], [], []
+    g = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValueError(f"{path}: line {lineno}: expected {width} fields, "
+                             f"got {len(parts)}")
+        try:
+            traj_id.append(int(parts[0]))
+            ts.append(int(parts[1]))
+            xs.append(int(parts[2]))
+            aa.append(int(parts[3]))
+            xn.append(int(parts[4]))
+            cs.append(float(parts[5]))
+            g.append([float(v) for v in parts[6:6 + m]])
+            done_field = int(parts[6 + m])
+            if done_field not in (0, 1):
+                raise ValueError("done must be 0 or 1")
+            dn.append(bool(done_field))
+            bp.append(float(parts[7 + m]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    garr = np.asarray(g, dtype=float).reshape(len(cs), m)
+    return Dataset(traj_id, ts, xs, aa, xn, cs, garr, dn, bp)
+
+
+def outcome(load_fn, path):
+    """("ok", dataset) or ("raises", exception type, message)."""
+    try:
+        return ("ok", load_fn(path))
+    except Exception as exc:  # any exception is part of the outcome
+        return ("raises", type(exc), str(exc))
 
 
 class TestCollect:
@@ -50,6 +139,59 @@ class TestCollect:
             assert np.array_equal(fl8_dataset.t[s:e], np.arange(e - s))
             assert np.array_equal(fl8_dataset.x_next[s:e - 1],
                                   fl8_dataset.x[s + 1:e])
+
+    # seed: (SHA-256 of the saved CSV, rows, the generator's next draw), as
+    # written by the per-step rollout.
+    PINNED = {
+        1: ("93bb3dd9da84180610aee234f99e202ff27f687f006f6c4a301887bfa618e9c2",
+            144_281, 0.5258873310068153),
+        2: ("8b905352df6cca81b01c91d500070bf1049f482988513dbcc00f8bb568032c28",
+            144_284, 0.4374608941414755),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_paper_scale_bytes_and_next_draw_are_pinned(self, fl8, seed,
+                                                        tmp_path):
+        digest, rows, next_draw = self.PINNED[seed]
+        rng = np.random.default_rng(seed)
+        data = collect(fl8, make_frozenlake_behavior(fl8, 0.95), 5000, 200,
+                       rng)
+        path = tmp_path / "d.csv"
+        save(data, path)
+        assert len(data) == rows
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert rng.random() == next_draw
+
+    # name: (on the random MDP, num_trajectories, max_horizon)
+    CASES = {
+        "fl8": (False, 200, 200),
+        # Stochastic transitions, m = 2, no terminal state.
+        "random_mdp": (True, 200, 20),
+        "horizon_3": (False, 200, 3),
+        "no_trajectories": (False, 0, 200),
+        # About 70,000 uniforms: more than one bulk draw.
+        "over_one_chunk": (False, 1200, 200),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+        np.random.MT19937, np.random.SFC64])
+    def test_equals_per_step_rollout(self, fl8, fl8_behavior, case,
+                                     bit_generator):
+        random_mdp, trajectories, horizon = self.CASES[case]
+        if random_mdp:
+            mdp = build_random_mdp(6, 3, 2, seed=4)
+            behavior = StochasticPolicy(np.full((6, 3), 1.0 / 3))
+        else:
+            mdp, behavior = fl8, fl8_behavior
+        rng = np.random.Generator(bit_generator(7))
+        ref_rng = np.random.Generator(bit_generator(7))
+        data = collect(mdp, behavior, trajectories, horizon, rng)
+        expected = reference_collect(mdp, behavior, trajectories, horizon,
+                                     ref_rng)
+        assert datasets_equal(data, expected)
+        assert rng.random() == ref_rng.random()
 
     def test_empirical_action_frequency_on_minimal_grid(self):
         # On the 1x2 grid with a uniform behavior, every recorded action is an
@@ -211,6 +353,36 @@ class TestPersistence:
                         "0,1,2,zero,3,0.5,0.0,1,0.25\n")
         with pytest.raises(ValueError, match="line 3"):
             load(path)
+
+    GOOD = "0,0,1,0,2,0.5,0.0,0,0.25\n0,1,2,3,3,-0.0,1e-300,1,0.25\n"
+    # name: body after the header; each must load as the per-line parser does
+    BODIES = {
+        "valid": GOOD,
+        "float_in_traj_id": "1.0,0,1,0,2,0.5,0.0,1,0.25\n",
+        "done_2": "0,0,1,0,2,0.5,0.0,2,0.25\n",
+        "trailing_comma": "0,0,1,0,2,0.5,0.0,1,0.25,\n",
+        "whitespace_line": GOOD.replace("\n", "\n   \n", 1),
+        "underscore_in_int": "1_0,0,1,0,2,0.5,0.0,1,0.25\n",
+        "crlf": GOOD.replace("\n", "\r\n"),
+        "int_above_2_63": "9223372036854775808,0,1,0,2,0.5,0.0,1,0.25\n",
+        "header_only": "",
+        # loadtxt strips these as whitespace; str.splitlines breaks lines.
+        "form_feed_in_line": "0,0,1,0,2,0.5,0.0,1,\f0.25\n",
+        "line_separator_in_line": "0,0,1,0,2,0.5,0.0,1,\u20280.25\n",
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    def test_accepts_what_the_per_line_parser_accepts(self, name, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(("traj_id,t,x,a,x_next,c,g_1,done,behavior_prob\n"
+                          + self.BODIES[name]).encode("utf-8"))
+        got, expected = outcome(load, path), outcome(reference_load, path)
+        assert got[0] == expected[0], (got, expected)
+        if got[0] == "ok":
+            assert datasets_equal(got[1], expected[1])
+        else:
+            assert got[1:] == expected[1:]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
