@@ -61,10 +61,10 @@ class EmpiricalModel:
     with the number of samples it stands for, plus the t = 0 start states.
 
     A tabular or linear regression weighted by these counts equals the
-    regression over the original samples, so FQE and FQI sweep a table of a
-    few hundred rows instead of every transition. Rows come out sorted, so
-    the model (and every result computed on it) does not depend on the
-    order of the samples.
+    regression over the original samples, so FQE, FQI and LSTDQ work on a
+    table of a few hundred rows instead of every transition. Rows come out
+    sorted, so the model (and every result computed on it) does not depend
+    on the order of the samples.
     """
 
     def __init__(self, x, a, x_next, done, c, g, count, starts):
@@ -227,13 +227,17 @@ def lspi_policy(weights, features):
     return greedy_policy(q)
 
 
-def _lstdq_accumulate(dataset, cost, features, gamma, ridge, next_actions):
+def _lstdq_solve(dataset, cost, features, gamma, ridge, successor):
+    """The LSTDQ weights with successor action successor[x'] at each x', on
+    the distinct rows of the data weighted by their counts."""
+    model = _as_model(dataset)
     phi_all = features.phi
-    phi = phi_all[dataset.x, dataset.a]
-    phi_next = phi_all[dataset.x_next, next_actions]
-    phi_next = np.where(dataset.done[:, None], 0.0, phi_next)
-    a_tilde = phi.T @ (phi - gamma * phi_next) + ridge * np.eye(features.k)
-    b_tilde = phi.T @ cost.select(dataset)
+    phi = phi_all[model.x, model.a]
+    phi_next = np.where(model.done[:, None], 0.0,
+                        phi_all[model.x_next, successor[model.x_next]])
+    weighted = phi.T * model.count
+    a_tilde = weighted @ (phi - gamma * phi_next) + ridge * np.eye(features.k)
+    b_tilde = weighted @ cost.select(model)
     try:
         return np.linalg.solve(a_tilde, b_tilde)
     except np.linalg.LinAlgError as exc:
@@ -243,19 +247,18 @@ def _lstdq_accumulate(dataset, cost, features, gamma, ridge, next_actions):
 
 def lstdq(dataset, w, cost, features, gamma, ridge=1e-8):
     """One LSTDQ solve with successor actions greedy under the given w:
-    a' = argmin_a w.phi(x', a), tied as in lspi_policy. Done samples
-    contribute no successor feature."""
+    a' = argmin_a w.phi(x', a), tied as in lspi_policy. dataset: a Dataset
+    or its EmpiricalModel. Done samples contribute no successor feature."""
     w = np.asarray(w, dtype=float)
     if w.shape != (features.k,):
         raise ValueError("weight length must equal the feature dimension")
-    next_actions = lspi_policy(w, features).actions[dataset.x_next]
-    return _lstdq_accumulate(dataset, cost, features, gamma, ridge, next_actions)
+    return _lstdq_solve(dataset, cost, features, gamma, ridge,
+                        lspi_policy(w, features).actions)
 
 
 def lstdq_policy(dataset, policy, cost, features, gamma, ridge=1e-8):
     """LSTDQ in policy-evaluation form: successor actions a' = pi(x')."""
-    next_actions = policy.actions[dataset.x_next]
-    return _lstdq_accumulate(dataset, cost, features, gamma, ridge, next_actions)
+    return _lstdq_solve(dataset, cost, features, gamma, ridge, policy.actions)
 
 
 def lspi(dataset, cost, features, gamma, eps_stop=1e-6, max_iters=50, ridge=1e-8):
@@ -263,9 +266,10 @@ def lspi(dataset, cost, features, gamma, eps_stop=1e-6, max_iters=50, ridge=1e-8
     until the l2 change drops to eps_stop; returns an LspiResult."""
     if eps_stop <= 0:
         raise ValueError("eps_stop must be positive")
+    model = _as_model(dataset)
     w = np.zeros(features.k)
     for it in range(1, max_iters + 1):
-        w_new = lstdq(dataset, w, cost, features, gamma, ridge=ridge)
+        w_new = lstdq(model, w, cost, features, gamma, ridge=ridge)
         change = float(np.linalg.norm(w_new - w))
         w = w_new
         if change <= eps_stop:

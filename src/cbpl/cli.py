@@ -1,10 +1,11 @@
 """Command-line entry point for reproducible experiment runs.
 
-Exit codes: 0 success, 1 validation or I/O error, 2 non-convergence
-(including a solver that raises RuntimeError, such as ConvergenceError).
-Errors print one `error:` line to stderr, never a traceback.
-All randomness flows from a single --seed; per-component streams are derived
-with fixed labels so identical invocations produce byte-identical files.
+Exit codes: 0 success, 1 validation or I/O error (a bad command line too),
+2 non-convergence (including a solver that raises RuntimeError, such as
+ConvergenceError). Errors print one `error:` line to stderr, never a
+traceback. Only collect, ope-compare and frozenlake-experiment draw random
+numbers, from a single --seed; per-component streams are derived with fixed
+labels so identical invocations produce byte-identical files.
 """
 
 import argparse
@@ -31,11 +32,19 @@ class ValidationError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Subcommand parsers share the class, so every command line error
+    reaches main as one ValidationError instead of a usage block."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _stream(seed, label):
     return np.random.default_rng(np.random.SeedSequence([int(seed), label]))
 
 
-def _load_map(spec, gamma):
+def _load_map(spec, gamma=0.95):
     if spec == "8x8":
         return build_frozenlake(FROZENLAKE_8X8, gamma=gamma)
     try:
@@ -115,11 +124,11 @@ def _action_table(pairs, num_states, num_actions, path):
     return actions
 
 
-def load_policy(path, num_states=None, num_actions=None):
-    """Load a deterministic policy or a mixture, depending on the header.
-
-    Pass the map's num_states and num_actions to check the file against it.
-    """
+def load_policy(path, num_states=None, num_actions=None,
+                allow_mixture=True):
+    """Load a deterministic policy or, if allow_mixture, a mixture, as the
+    header says. Pass the map's num_states and num_actions to check the file
+    against it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -128,6 +137,9 @@ def load_policy(path, num_states=None, num_actions=None):
         raise ValidationError(f"cannot read policy file: {exc}") from None
     if header not in ("state,action", "member,weight,state,action"):
         raise ValidationError(f"unrecognized policy file header: {header!r}")
+    if header != "state,action" and not allow_mixture:
+        raise ValidationError(f"policy file {path} holds a mixture; this "
+                              f"command takes a state,action policy")
     width = len(header.split(","))
     if any(len(r) != width for r in rows):
         raise ValidationError(f"policy file {path}: every row needs {width} "
@@ -158,7 +170,7 @@ def load_policy(path, num_states=None, num_actions=None):
 
 
 def _cmd_collect(args):
-    mdp = _load_map(args.map, args.gamma)
+    mdp = _load_map(args.map)
     behavior = ds.make_frozenlake_behavior(mdp, args.epsilon)
     rng = _stream(args.seed, _STREAM_COLLECT)
     data = ds.collect(mdp, behavior, args.trajs, args.horizon, rng)
@@ -172,18 +184,16 @@ def _resolve_learn_config(args):
     """LearnerConfig from the flags; the fitted-solver flags are rejected by
     the flavors that solve their MDP exactly, and default to LearnerConfig's
     values when not given."""
-    fitted = {"K_fqi": args.iters_fqi, "K_fqe": args.iters_fqe,
-              "ridge": args.ridge}
+    fitted = {"K_fqi": args.iters_fqi, "K_fqe": args.iters_fqe}
     given = {k: v for k, v in fitted.items() if v is not None}
     if given and args.flavor != "fitted":
         raise ValidationError(f"--flavor {args.flavor} solves its MDP exactly "
-                              f"and takes no --iters-fqi, --iters-fqe or "
-                              f"--ridge")
+                              f"and takes no --iters-fqi or --iters-fqe")
     return LearnerConfig(
         B=args.B, eta=args.eta, omega=args.omega,
         tau=np.array([float(v) for v in args.tau.split(",")]),
         **given,
-        max_rounds=args.rounds, seed=args.seed,
+        max_rounds=args.rounds,
         dual_flavor={"eg": EG_FLAVOR, "ogd": OGD_FLAVOR}[args.dual],
         subroutine_flavor=args.flavor, gamma=args.gamma)
 
@@ -198,7 +208,7 @@ def _cmd_learn(args):
     config = _resolve_learn_config(args)
     mixture, trace = run(data, config, mdp_handle=mdp)
     if args.trace_out:
-        write_trace_csv(trace, args.trace_out, len(config.tau))
+        write_trace_csv(trace, args.trace_out)
     if args.policy_out:
         if args.derandomize:
             policy, idx = derandomize(mixture, config.tau)
@@ -224,9 +234,10 @@ def _fitted_common(args):
 
 def _cmd_fqe(args):
     data, mdp, gamma, template = _fitted_common(args)
-    policy = load_policy(args.policy, *template.table.shape)
+    policy = load_policy(args.policy, *template.table.shape,
+                         allow_mixture=False)
     est, run_info = fqe(data, policy, _parse_cost(args.cost), args.iters,
-                        template, ridge=args.ridge, gamma=gamma, mdp=mdp)
+                        template, gamma=gamma, mdp=mdp)
     print(f"estimate,{est:.17g}")
     return 0
 
@@ -234,7 +245,7 @@ def _cmd_fqe(args):
 def _cmd_fqi(args):
     data, mdp, gamma, template = _fitted_common(args)
     policy, _ = fqi(data, _parse_cost(args.cost), args.iters, template,
-                    ridge=args.ridge, gamma=gamma, mdp=mdp)
+                    gamma=gamma, mdp=mdp)
     save_policy(policy, args.policy_out)
     return 0
 
@@ -265,12 +276,13 @@ def _cmd_oracle(args):
 def _cmd_ope_compare(args):
     mdp = _load_map(args.map, args.gamma)
     data = _load_data(args.data, mdp)
-    policy = load_policy(args.policy, mdp.num_states, mdp.num_actions)
+    policy = load_policy(args.policy, mdp.num_states, mdp.num_actions,
+                         allow_mixture=False)
     fractions = [float(v) for v in args.fractions.split(",")]
     if any(not 0 < f <= 1 for f in fractions):
         raise ValidationError("fractions must lie in (0, 1]")
     derived = np.random.SeedSequence([args.seed, _STREAM_OPE])
-    config = OpeConfig(fqe_iters=args.iters, ridge=args.ridge,
+    config = OpeConfig(fqe_iters=args.iters,
                        seed=int(derived.generate_state(1)[0]),
                        jobs=args.jobs)
     rows = ope_comparison(data, policy, mdp, fractions, args.trials, config)
@@ -290,10 +302,10 @@ def _cmd_frozenlake_experiment(args):
 
     tau = np.array([args.tau])
     config = LearnerConfig(B=args.B, eta=args.eta, omega=args.omega, tau=tau,
-                           max_rounds=args.rounds, seed=args.seed,
-                           subroutine_flavor="fitted", gamma=args.gamma)
+                           max_rounds=args.rounds, subroutine_flavor="fitted",
+                           gamma=args.gamma)
     mixture, trace = run(data, config, mdp_handle=mdp)
-    write_trace_csv(trace, os.path.join(args.outdir, "trace.csv"), 1)
+    write_trace_csv(trace, os.path.join(args.outdir, "trace.csv"))
     save_mixture(mixture, os.path.join(args.outdir, "mixture.csv"))
     with open(os.path.join(args.outdir, "values.csv"), "w",
               encoding="utf-8") as fh:
@@ -325,14 +337,10 @@ def _cmd_frozenlake_experiment(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cbpl",
         description="Constrained batch policy learning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--gamma", type=float, default=0.95)
 
     p = sub.add_parser("collect", help="roll out the behavior policy")
     p.add_argument("--map", default="8x8")
@@ -340,7 +348,7 @@ def build_parser():
     p.add_argument("--horizon", type=int, default=200)
     p.add_argument("--epsilon", type=float, default=0.95)
     p.add_argument("--out", required=True)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_collect)
 
     p = sub.add_parser("learn", help="run the constrained learner")
@@ -356,11 +364,10 @@ def build_parser():
     p.add_argument("--dual", choices=["eg", "ogd"], default="eg")
     p.add_argument("--flavor", choices=["fitted", "lspi", "exact"],
                    default="fitted")
-    p.add_argument("--ridge", type=float, help="fitted flavor (default 1e-8)")
     p.add_argument("--trace-out")
     p.add_argument("--policy-out")
     p.add_argument("--derandomize", action="store_true")
-    add_common(p)
+    p.add_argument("--gamma", type=float, default=0.95)
     p.set_defaults(func=_cmd_learn)
 
     for name, func, needs_policy in (("fqe", _cmd_fqe, True),
@@ -371,20 +378,20 @@ def build_parser():
         p.add_argument("--map")
         p.add_argument("--cost", default="c")
         p.add_argument("--iters", type=int, default=100 if name != "lspi" else 50)
-        p.add_argument("--ridge", type=float, default=1e-8)
         if needs_policy:
             p.add_argument("--policy", required=True)
         else:
             p.add_argument("--policy-out")
         if name == "lspi":
             p.add_argument("--eps", type=float, default=1e-6)
-        add_common(p)
+            p.add_argument("--ridge", type=float, default=1e-8)
+        p.add_argument("--gamma", type=float, default=0.95)
         p.set_defaults(func=func)
 
     p = sub.add_parser("oracle", help="exact policy values on a map")
     p.add_argument("--map", required=True)
     p.add_argument("--policy", required=True)
-    add_common(p)
+    p.add_argument("--gamma", type=float, default=0.95)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("ope-compare", help="subsampling estimator comparison")
@@ -395,10 +402,10 @@ def build_parser():
                    default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--ridge", type=float, default=1e-8)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--gamma", type=float, default=0.95)
     p.set_defaults(func=_cmd_ope_compare)
 
     p = sub.add_parser("frozenlake-experiment",
@@ -412,20 +419,19 @@ def build_parser():
     p.add_argument("--eta", type=float, default=50.0)
     p.add_argument("--omega", type=float, default=0.05)
     p.add_argument("--rounds", type=int, default=200)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--gamma", type=float, default=0.95)
     p.set_defaults(func=_cmd_frozenlake_experiment)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help exits inside parse_args
+        return 1 if exc.code not in (0, None) else 0
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

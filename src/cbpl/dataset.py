@@ -339,7 +339,7 @@ def _load_columns(path):
 
 def _parse_lines(path):
     """The columns parsed line by line; the first malformed row raises a
-    ValueError naming its 1-based line."""
+    ValueError naming its 1-based line. The integer fields must fit int64."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -347,8 +347,7 @@ def _parse_lines(path):
     header = lines[0].split(",")
     m = _constraint_count(header, path)
     width = len(header)
-    traj_id, ts, xs, aa, xn, cs, dn, bp = [], [], [], [], [], [], [], []
-    g = []
+    ints, cs, g, dn, bp = [], [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -357,11 +356,10 @@ def _parse_lines(path):
             raise ValueError(f"{path}: line {lineno}: expected {width} fields, "
                              f"got {len(parts)}")
         try:
-            traj_id.append(int(parts[0]))
-            ts.append(int(parts[1]))
-            xs.append(int(parts[2]))
-            aa.append(int(parts[3]))
-            xn.append(int(parts[4]))
+            row = [int(v) for v in parts[:5]]
+            if not all(-2 ** 63 <= v < 2 ** 63 for v in row):
+                raise ValueError("integer field outside the int64 range")
+            ints.append(row)
             cs.append(float(parts[5]))
             g.append([float(v) for v in parts[6:6 + m]])
             done_field = int(parts[6 + m])
@@ -372,7 +370,7 @@ def _parse_lines(path):
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     garr = np.asarray(g, dtype=float).reshape(len(cs), m)
-    return traj_id, ts, xs, aa, xn, cs, garr, dn, bp
+    return (*np.array(ints, dtype=np.int64).reshape(-1, 5).T, cs, garr, dn, bp)
 
 
 def datasets_equal(d1, d2):

@@ -80,7 +80,7 @@ def q_value(q, x, a):
 def fit_least_squares(inputs, targets, template, ridge=1e-8, weights=None):
     """Least-squares regression of targets onto the template's function class.
 
-    inputs: either a pair (x_array, a_array) or a list of (x, a) tuples.
+    inputs: the pair (x_array, a_array).
     weights: optional nonnegative per-row weights W (for example the sample
     count of each distinct row); None weighs every row 1.
     Tabular: each seen (x, a) cell becomes the weighted mean of its targets;
@@ -88,12 +88,7 @@ def fit_least_squares(inputs, targets, template, ridge=1e-8, weights=None):
     ridge normal equations (Phi^T W Phi + ridge I) w = Phi^T W y, computed
     from the SVD of sqrt(W) Phi.
     """
-    if isinstance(inputs, tuple) and len(inputs) == 2:
-        xs = np.asarray(inputs[0], dtype=np.int64)
-        aa = np.asarray(inputs[1], dtype=np.int64)
-    else:
-        pairs = np.asarray(list(inputs), dtype=np.int64).reshape(-1, 2)
-        xs, aa = pairs[:, 0], pairs[:, 1]
+    xs, aa = (np.asarray(v, dtype=np.int64) for v in inputs)
     y = np.asarray(targets, dtype=float)
     if len(xs) != len(y) or len(y) == 0:
         raise ValueError("inputs and targets must be nonempty and aligned")

@@ -50,12 +50,10 @@ class LearnerConfig:
     K_fqi: int = 100
     K_fqe: int = 100
     max_rounds: int = None
-    ridge: float = 1e-8
     seed: int = 0
     dual_flavor: str = EG_FLAVOR
     subroutine_flavor: str = "fitted"
     gamma: float = 0.95
-    trace_limit: int = 200_000
 
     def __post_init__(self):
         self.tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
@@ -132,7 +130,7 @@ class _TraceBuffer:
     """
 
     def __init__(self, limit):
-        self.limit = max(int(limit), 16)
+        self.limit = limit
         self.stride = 1
         self.count = 0
         self.ts = np.empty(self.limit, dtype=np.int64)
@@ -216,25 +214,21 @@ class _FittedSub:
     def best_response(self, lam_m):
         cost = (CostSelector.scalarized(lam_m) if len(lam_m)
                 else CostSelector.primary())
-        policy, _ = fqi(self.model, cost, self.config.K_fqi, self.template,
-                        ridge=self.config.ridge, gamma=self.gamma, mdp=self.mdp)
-        return policy
+        return fqi(self.model, cost, self.config.K_fqi, self.template,
+                   gamma=self.gamma, mdp=self.mdp)[0]
 
     def evaluate(self, policy):
         key = policy.actions.tobytes()
         cached = self._eval_cache.get(key)
         if cached is not None:
             return cached
-        c_hat, _ = fqe(self.model, policy, CostSelector.primary(),
-                       self.config.K_fqe, self.template,
-                       ridge=self.config.ridge, gamma=self.gamma, mdp=self.mdp)
-        g_hat = np.array([
-            fqe(self.model, policy, CostSelector.constraint(i),
-                self.config.K_fqe, self.template, ridge=self.config.ridge,
-                gamma=self.gamma, mdp=self.mdp)[0]
-            for i in range(self.model.m)])
-        self._eval_cache[key] = (c_hat, g_hat)
-        return c_hat, g_hat
+        costs = [CostSelector.primary()] + [
+            CostSelector.constraint(i) for i in range(self.model.m)]
+        c_hat, *g_hat = [fqe(self.model, policy, cost, self.config.K_fqe,
+                             self.template, gamma=self.gamma, mdp=self.mdp)[0]
+                         for cost in costs]
+        self._eval_cache[key] = c_hat, np.array(g_hat)
+        return self._eval_cache[key]
 
 
 def lagrangian_max(c_hat, g_hat, tau, B, flavor=EG_FLAVOR):
@@ -312,6 +306,7 @@ def default_max_rounds(B, g_bar, omega, m):
 # temporaries of 2^20 rounds through memory. 2^14 to 2^16 ran alike on a
 # 2-core x86 machine; 2^12 was a third slower.
 _CHUNK = 1 << 15
+_TRACE_LIMIT = 200_000  # trace rows kept before _TraceBuffer thins them
 
 
 class _RunState:
@@ -357,7 +352,7 @@ def run(dataset, config, mdp_handle=None):
     log_mp1 = math.log(m + 1)
 
     state = _RunState(m, dim)
-    trace_buf = _TraceBuffer(config.trace_limit)
+    trace_buf = _TraceBuffer(_TRACE_LIMIT)
     bound_excess = -math.inf
     converged = False
     prev_sig = None
@@ -645,9 +640,9 @@ def derandomize(mixture, tau):
     return mixture.members[best], best
 
 
-def write_trace_csv(trace, path, m):
+def write_trace_csv(trace, path):
     """Trace CSV: round,lambda_1..lambda_dim,C_hat,G_1..G_m,L_max,L_min,gap."""
-    dim = trace.lambdas.shape[1]
+    dim, m = trace.lambdas.shape[1], trace.g_hat_member.shape[1]
     header = ("round," + ",".join(f"lambda_{i + 1}" for i in range(dim))
               + ",C_hat" + "".join(f",G_{i + 1}" for i in range(m))
               + ",L_max,L_min,gap")

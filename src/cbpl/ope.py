@@ -17,7 +17,6 @@ from .oracle import exact_policy_values
 @dataclass
 class OpeConfig:
     fqe_iters: int = 100
-    ridge: float = 1e-8
     seed: int = 0
     jobs: int = 1
 
@@ -103,8 +102,8 @@ def ope_comparison(dataset, eval_policy, mdp, fractions, trials, config=None):
         rng = np.random.default_rng(seed)
         sub = subsample(dataset, frac, rng)
         fqe_est, fqe_run = fqe(sub, eval_policy, CostSelector.primary(),
-                               config.fqe_iters, template, ridge=config.ridge,
-                               gamma=mdp.gamma, mdp=mdp)
+                               config.fqe_iters, template, gamma=mdp.gamma,
+                               mdp=mdp)
         q_hat = fqe_run.q_final
         pdis_est = pdis(sub, eval_policy, mdp.gamma)
         dr_est = doubly_robust(sub, eval_policy, q_hat, mdp.gamma)

@@ -3,7 +3,8 @@ import pytest
 
 from cbpl.batchrl import (CostSelector, EmpiricalModel, fqe, fqi, lspi,
                           lspi_policy, lstdq, lstdq_policy)
-from cbpl.dataset import Dataset, full_coverage_dataset
+from cbpl.dataset import (Dataset, collect, full_coverage_dataset,
+                          make_frozenlake_behavior)
 from cbpl.funcapprox import (FeatureMap, QFunction, fit_least_squares,
                              one_hot_features)
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy,
@@ -202,6 +203,30 @@ class TestLstdq:
         q_exact = exact_policy_q(mdp, policy)
         assert np.abs(w.reshape(mdp.num_states, mdp.num_actions)
                       - q_exact).max() <= 1e-8
+
+    def test_count_weighted_rows_equal_the_per_sample_system(self):
+        # Sampled data repeats rows and ends trajectories in holes; random
+        # features make the template linear but not tabular.
+        mdp = build_frozenlake(FROZENLAKE_4X4)
+        data = collect(mdp, make_frozenlake_behavior(mdp, 0.5), 200, 30,
+                       np.random.default_rng(5))
+        assert len(EmpiricalModel.from_dataset(data)) < len(data)
+        assert data.done.any()
+        feats = FeatureMap(np.random.default_rng(6).normal(size=(16, 4, 5)))
+        w_in = np.random.default_rng(7).normal(size=feats.k)
+        cost, gamma, ridge = CostSelector.constraint(0), 0.9, 1e-3
+        nxt = lspi_policy(w_in, feats).actions[data.x_next]
+        phi = feats.phi[data.x, data.a]
+        phi_next = np.where(data.done[:, None], 0.0,
+                            feats.phi[data.x_next, nxt])
+        expect = np.linalg.solve(
+            phi.T @ (phi - gamma * phi_next) + ridge * np.eye(feats.k),
+            phi.T @ cost.select(data))
+        w = lstdq(data, w_in, cost, feats, gamma, ridge=ridge)
+        assert np.allclose(w, expect, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(
+            w, lstdq(EmpiricalModel.from_dataset(data), w_in, cost, feats,
+                     gamma, ridge=ridge))
 
     def test_weight_length_mismatch_raises(self, fl8):
         data = full_coverage_dataset(fl8)

@@ -100,8 +100,7 @@ class TestLearn:
         argv = lambda out: ["learn", "--data", dataset_file, "--map", map_file,
                             "--flavor", "fitted", "--tau", "0.1",
                             "--iters-fqi", "20", "--iters-fqe", "20",
-                            "--rounds", "30", "--seed", "5",
-                            "--trace-out", out]
+                            "--rounds", "30", "--trace-out", out]
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(argv(a))
         main(argv(b))
@@ -114,8 +113,7 @@ class TestLearn:
                                     "--trace-out", out]
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(argv(a))
-        main(argv(b, "--iters-fqi", "100", "--iters-fqe", "100",
-                  "--ridge", "1e-8"))
+        main(argv(b, "--iters-fqi", "100", "--iters-fqe", "100"))
         assert filecmp.cmp(a, b, shallow=False)
 
     def test_round_cap_exits_2(self, map_file, capsys):
@@ -277,6 +275,10 @@ class TestErrorExitCodes:
         "x_16": _data_rows(x=16),
         "a_4": _data_rows(a=4),
         "x_next_negative": _data_rows(x_next=-1),
+        "traj_id_2_63": _data_rows().replace("\n0,0,", f"\n{2 ** 63},0,"),
+        # Not a dataset: a two-member mixture over the 16 states.
+        "mixture": "member,weight,state,action\n" + "".join(
+            f"{i},0.5,{x},{i}\n" for i in (0, 1) for x in range(16)),
     }
     # name: (argv with {map}, {data}, {policy}, {dir} and DATA_FILES
     #        placeholders, (attribute to replace, exception it raises) or
@@ -312,6 +314,31 @@ class TestErrorExitCodes:
         "learn_exact_ridge": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
              "--ridge", "0.1"], None, 1),
+        "learn_traj_id_above_int64": (
+            ["learn", "--data", "{traj_id_2_63}", "--map", "{map}"], None, 1),
+        "fqe_mixture_policy": (
+            ["fqe", "--data", "{data}", "--map", "{map}",
+             "--policy", "{mixture}"], None, 1),
+        "ope_compare_mixture_policy": (
+            ["ope-compare", "--data", "{data}", "--map", "{map}",
+             "--policy", "{mixture}", "--out", "{dir}/r.csv"], None, 1),
+        "no_command": ([], None, 1),
+        "unknown_flag": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--bogus"],
+            None, 1),
+        "bad_int": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--rounds",
+             "abc"], None, 1),
+        # Flags that changed nothing and are gone.
+        "fqe_ridge": (
+            ["fqe", "--data", "{data}", "--map", "{map}",
+             "--policy", "{policy}", "--ridge", "1e-8"], None, 1),
+        "oracle_seed": (
+            ["oracle", "--map", "{map}", "--policy", "{policy}",
+             "--seed", "1"], None, 1),
+        "collect_gamma": (
+            ["collect", "--map", "{map}", "--gamma", "0.9",
+             "--out", "{dir}/d.csv"], None, 1),
         "trace_out_is_a_directory": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
              "--trace-out", "{dir}"], None, 1),

@@ -90,6 +90,8 @@ def reference_load(path):
             xs.append(int(parts[2]))
             aa.append(int(parts[3]))
             xn.append(int(parts[4]))
+            if not all(-2 ** 63 <= int(v) < 2 ** 63 for v in parts[:5]):
+                raise ValueError("integer field outside the int64 range")
             cs.append(float(parts[5]))
             g.append([float(v) for v in parts[6:6 + m]])
             done_field = int(parts[6 + m])
@@ -365,6 +367,8 @@ class TestPersistence:
         "underscore_in_int": "1_0,0,1,0,2,0.5,0.0,1,0.25\n",
         "crlf": GOOD.replace("\n", "\r\n"),
         "int_above_2_63": "9223372036854775808,0,1,0,2,0.5,0.0,1,0.25\n",
+        "int_below_minus_2_63": "0,0,1,0,-9223372036854775809,0.5,0.0,1,0.25\n",
+        "int64_max": "9223372036854775807,0,1,0,2,0.5,0.0,1,0.25\n",
         "header_only": "",
         # loadtxt strips these as whitespace; str.splitlines breaks lines.
         "form_feed_in_line": "0,0,1,0,2,0.5,0.0,1,\f0.25\n",
@@ -383,6 +387,15 @@ class TestPersistence:
             assert datasets_equal(got[1], expected[1])
         else:
             assert got[1:] == expected[1:]
+
+    @pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1])
+    def test_integer_outside_int64_names_line(self, value, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("traj_id,t,x,a,x_next,c,g_1,done,behavior_prob\n"
+                        "0,0,1,0,2,0.5,0.0,0,0.25\n"
+                        f"0,1,{value},0,3,0.5,0.0,1,0.25\n")
+        with pytest.raises(ValueError, match="line 3: integer field outside"):
+            load(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -45,11 +45,6 @@ class TestFitLeastSquares:
         with pytest.raises(np.linalg.LinAlgError, match="ridge"):
             fit_least_squares(([0], [0]), [1.0], template, ridge=0.0)
 
-    def test_pair_list_input_form(self):
-        template = QFunction.tabular_zeros(2, 2)
-        q = fit_least_squares([(1, 0)], [5.0], template)
-        assert q.table[1, 0] == 5.0
-
     def test_empty_inputs_raise(self):
         template = QFunction.tabular_zeros(1, 1)
         with pytest.raises(ValueError):

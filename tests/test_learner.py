@@ -279,16 +279,16 @@ class TestBlockChunks:
 
     @pytest.mark.parametrize("path", ["block", "generic"])
     def test_small_trace_limit_keeps_stride_multiples_and_final_round(
-            self, path, fl8):
+            self, path, fl8, monkeypatch):
         if path == "block":
             mdp, limit, kw = fl8, 64, dict(eta=0.005, max_rounds=2_000_000)
         else:  # two constraints: every round is a generic one
             mdp, limit = build_random_mdp(6, 3, 2, seed=0), 16
             kw = dict(tau=[0.1, 0.1], eta=0.1, omega=1e-9, max_rounds=300)
-        _, full = run(None, exact_config(trace_limit=100_000, **kw),
-                      mdp_handle=mdp)
-        _, small = run(None, exact_config(trace_limit=limit, **kw),
-                       mdp_handle=mdp)
+        monkeypatch.setattr(learner_mod, "_TRACE_LIMIT", 100_000)
+        _, full = run(None, exact_config(**kw), mdp_handle=mdp)
+        monkeypatch.setattr(learner_mod, "_TRACE_LIMIT", limit)
+        _, small = run(None, exact_config(**kw), mdp_handle=mdp)
         assert (full.block_rounds > 0) == (path == "block")
         assert full.stride == 1
         assert np.array_equal(full.rounds,
@@ -388,7 +388,7 @@ class TestRegularizedPath:
                                                     mdp_handle=fl8)
         template = QFunction.tabular_zeros(64, 4)
         direct, _ = fqi(data, CostSelector.primary(), config.K_fqi, template,
-                        ridge=config.ridge, mdp=fl8)
+                        mdp=fl8)
         assert np.array_equal(policy.actions, direct.actions)
 
     def test_grid_contains_a_feasible_point(self, fl8):
@@ -437,7 +437,7 @@ class TestTraceCsv:
     def test_header_and_row_count(self, small_fitted, tmp_path):
         _, _, _, trace = small_fitted
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path, 1)
+        write_trace_csv(trace, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ("round,lambda_1,lambda_2,C_hat,G_1,"
                             "L_max,L_min,gap")
