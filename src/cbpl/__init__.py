@@ -13,15 +13,13 @@ go to the lowest action in every solver.
 
 from .batchrl import (CostSelector, EmpiricalModel, FittedRun, LspiResult,
                       fqe, fqi, lspi, lspi_policy, lstdq, lstdq_policy)
-from .dataset import (Dataset, check_indices, collect, datasets_equal,
-                      full_coverage_dataset, load, make_frozenlake_behavior,
-                      save, subsample)
+from .dataset import (Dataset, check_indices, collect, full_coverage_dataset,
+                      load, make_frozenlake_behavior, save, subsample)
 from .funcapprox import (FeatureMap, QFunction, fit_least_squares,
-                         greedy_policy, one_hot_features, q_value)
+                         greedy_policy, one_hot_features)
 from .learner import (ConvergenceError, LearnerConfig, MixturePolicy,
-                      RunTrace, derandomize, lagrangian_max, lagrangian_min,
-                      regularization_grid, regularized_one_shot, run,
-                      write_trace_csv)
+                      RunTrace, derandomize, lagrangian_max,
+                      regularization_grid, run, write_trace_csv)
 from .mdp import (DeterministicPolicy, FROZENLAKE_8X8, StochasticPolicy,
                   TabularMdp, build_combination_lock, build_frozenlake,
                   build_random_mdp, step)
@@ -29,8 +27,8 @@ from .onlineopt import (DualVector, augmented_loss, eg_init, eg_regret_bound,
                         eg_update, ogd_init, ogd_update)
 from .ope import (OpeConfig, doubly_robust, ope_comparison, pdis,
                   weighted_doubly_robust, write_ope_report)
-from .oracle import (ExactSolver, exact_best_response,
-                     exact_constrained_optimum, exact_policy_values,
-                     occupancy, performance_difference_check, value_iteration)
+from .oracle import (ExactSolver, exact_constrained_optimum,
+                     exact_policy_values, occupancy,
+                     performance_difference_check, value_iteration)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -168,7 +168,7 @@ def _state_values(q, policy):
     return vals[np.arange(vals.shape[0]), policy.actions]
 
 
-def _fitted_sweeps(model, cost, K, template, ridge, gamma, bootstrap_of):
+def _fitted_sweeps(model, cost, K, template, gamma, bootstrap_of):
     """K regressions of y = c + gamma * bootstrap_of(Q)[x'] (y = c on done
     rows), each weighted by the row counts. Returns (Q_K, residuals), the
     residual being the RMS Bellman error over the original samples."""
@@ -184,13 +184,13 @@ def _fitted_sweeps(model, cost, K, template, ridge, gamma, bootstrap_of):
     residuals = []
     for _ in range(K):
         y = costs + gamma * np.where(done, 0.0, bootstrap_of(q)[nx])
-        q = fit_least_squares((xs, aa), y, template, ridge=ridge, weights=w)
+        q = fit_least_squares((xs, aa), y, template, weights=w)
         err = q.values()[xs, aa] - y
         residuals.append(float(np.sqrt(np.dot(w, err * err) / total)))
     return q, residuals
 
 
-def fqe(dataset, policy, cost, K, template, ridge=1e-8, gamma=None, mdp=None):
+def fqe(dataset, policy, cost, K, template, gamma=None, mdp=None):
     """Fitted Q evaluation of a fixed policy.
 
     dataset: a Dataset or its EmpiricalModel. K rounds of regression on
@@ -200,14 +200,14 @@ def fqe(dataset, policy, cost, K, template, ridge=1e-8, gamma=None, mdp=None):
     """
     model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
-    q, residuals = _fitted_sweeps(model, cost, K, template, ridge, gamma,
+    q, residuals = _fitted_sweeps(model, cost, K, template, gamma,
                                   lambda q: _state_values(q, policy))
     v_pi = _state_values(q, policy)
     chi = _initial_distribution(model.starts, mdp, len(v_pi))
     return float(chi @ v_pi), FittedRun(q, residuals, K)
 
 
-def fqi(dataset, cost, K, template, ridge=1e-8, gamma=None, mdp=None):
+def fqi(dataset, cost, K, template, gamma=None, mdp=None):
     """Fitted Q iteration toward the optimal scalarized cost-to-go.
 
     dataset: a Dataset or its EmpiricalModel. Targets
@@ -216,7 +216,7 @@ def fqi(dataset, cost, K, template, ridge=1e-8, gamma=None, mdp=None):
     """
     model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
-    q, residuals = _fitted_sweeps(model, cost, K, template, ridge, gamma,
+    q, residuals = _fitted_sweeps(model, cost, K, template, gamma,
                                   lambda q: q.values().min(axis=1))
     return greedy_policy(q), FittedRun(q, residuals, K)
 
@@ -249,9 +249,6 @@ def lstdq(dataset, w, cost, features, gamma, ridge=1e-8):
     """One LSTDQ solve with successor actions greedy under the given w:
     a' = argmin_a w.phi(x', a), tied as in lspi_policy. dataset: a Dataset
     or its EmpiricalModel. Done samples contribute no successor feature."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (features.k,):
-        raise ValueError("weight length must equal the feature dimension")
     return _lstdq_solve(dataset, cost, features, gamma, ridge,
                         lspi_policy(w, features).actions)
 

@@ -16,8 +16,8 @@ import numpy as np
 from . import dataset as ds
 from .batchrl import CostSelector, fqe, fqi, lspi, lspi_policy
 from .funcapprox import QFunction, one_hot_features
-from .learner import (LearnerConfig, MixturePolicy, derandomize, run,
-                      write_trace_csv)
+from .learner import (ConvergenceError, LearnerConfig, MixturePolicy,
+                      derandomize, run, write_trace_csv)
 from .mdp import DeterministicPolicy, build_frozenlake, FROZENLAKE_8X8
 from .onlineopt import EG_FLAVOR, OGD_FLAVOR
 from .ope import OpeConfig, ope_comparison, write_ope_report
@@ -321,7 +321,7 @@ def _cmd_frozenlake_experiment(args):
             mdp, tau, args.B, args.eta, args.omega)
         _, g_star = exact_policy_values(mdp, opt_mixture)
         opt_line = f"exact_constrained_optimum,{c_star:.6g},{g_star[0]:.6g}\n"
-    except Exception as exc:  # non-convergence of the oracle run
+    except ConvergenceError as exc:
         opt_line = f"exact_constrained_optimum,failed ({exc}),\n"
     with open(os.path.join(args.outdir, "report.csv"), "w",
               encoding="utf-8") as fh:

@@ -77,7 +77,7 @@ class Dataset:
         if found:
             k, _, what = min(found)
             raise ValueError(f"trajectory {ids[k]} {what}")
-        return starts, np.append(starts[1:], n)
+        return starts, (np.append(starts[1:], n) if n else starts)
 
     def __len__(self):
         return len(self.traj_id)
@@ -93,11 +93,6 @@ class Dataset:
     def trajectory_bounds(self):
         """Start and stop row arrays of the trajectories, in file order."""
         return self._starts, self._stops
-
-    def trajectory_slices(self):
-        """(traj_id, start, stop) in file order."""
-        return list(zip(self.traj_id[self._starts].tolist(),
-                        self._starts.tolist(), self._stops.tolist()))
 
     @classmethod
     def empty(cls, m):
@@ -372,16 +367,3 @@ def _parse_lines(path):
     garr = np.asarray(g, dtype=float).reshape(len(cs), m)
     return (*np.array(ints, dtype=np.int64).reshape(-1, 5).T, cs, garr, dn, bp)
 
-
-def datasets_equal(d1, d2):
-    """Field-for-field equality (used by round-trip tests)."""
-    return (len(d1) == len(d2) and d1.m == d2.m
-            and np.array_equal(d1.traj_id, d2.traj_id)
-            and np.array_equal(d1.t, d2.t)
-            and np.array_equal(d1.x, d2.x)
-            and np.array_equal(d1.a, d2.a)
-            and np.array_equal(d1.x_next, d2.x_next)
-            and np.array_equal(d1.c, d2.c)
-            and np.array_equal(d1.g, d2.g)
-            and np.array_equal(d1.done, d2.done)
-            and np.array_equal(d1.behavior_prob, d2.behavior_prob))

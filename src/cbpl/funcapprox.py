@@ -3,6 +3,8 @@ least-squares regression step used by the fitted solvers."""
 
 import numpy as np
 
+from .mdp import DeterministicPolicy
+
 
 class FeatureMap:
     """Fixed-dimension feature vectors for every (state, action) pair.
@@ -68,13 +70,6 @@ class QFunction:
         if self.is_tabular:
             return self.table
         return self.features.phi @ self.weights
-
-
-def q_value(q, x, a):
-    """Evaluate Q(x, a)."""
-    if q.is_tabular:
-        return float(q.table[x, a])
-    return float(q.features.phi[x, a] @ q.weights)
 
 
 def fit_least_squares(inputs, targets, template, ridge=1e-8, weights=None):
@@ -143,43 +138,5 @@ def greedy_actions(vals):
 
 def greedy_policy(q):
     """argmin_a Q(x, a) per state under the tie rule of greedy_actions."""
-    from .mdp import DeterministicPolicy
     return DeterministicPolicy(greedy_actions(q.values())[0])
 
-
-def save_qfunction(q, path):
-    """CSV serialization: (x, a, value) for tabular, (index, weight) for linear."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if q.is_tabular:
-            fh.write("x,a,value\n")
-            S, A = q.table.shape
-            for x in range(S):
-                for a in range(A):
-                    fh.write(f"{x},{a},{q.table[x, a]:.17g}\n")
-        else:
-            fh.write("index,weight\n")
-            for i, w in enumerate(q.weights):
-                fh.write(f"{i},{w:.17g}\n")
-
-
-def load_qfunction(path, features=None):
-    """Inverse of save_qfunction; linear files need the matching FeatureMap."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if header == "x,a,value":
-        xs = [int(r[0]) for r in rows]
-        aa = [int(r[1]) for r in rows]
-        S, A = max(xs) + 1, max(aa) + 1
-        table = np.zeros((S, A))
-        for r in rows:
-            table[int(r[0]), int(r[1])] = float(r[2])
-        return QFunction(table=table)
-    if header == "index,weight":
-        if features is None:
-            raise ValueError("loading a linear QFunction requires features")
-        w = np.zeros(features.k)
-        for r in rows:
-            w[int(r[0])] = float(r[1])
-        return QFunction(weights=w, features=features)
-    raise ValueError(f"unrecognized QFunction file header: {header!r}")

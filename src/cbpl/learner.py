@@ -90,10 +90,6 @@ class MixturePolicy:
     def weights(self):
         return self.counts / self.counts.sum()
 
-    @property
-    def num_rounds(self):
-        return int(self.counts.sum())
-
 
 @dataclass
 class RunTrace:
@@ -245,18 +241,6 @@ def lagrangian_max(c_hat, g_hat, tau, B, flavor=EG_FLAVOR):
     else:
         worst = float(np.max(excess, initial=0.0))
     return float(c_hat) + float(B) * worst
-
-
-def lagrangian_min(dataset, lambda_hat, config, mdp_handle=None):
-    """Best response to a fixed multiplier and its Lagrangian value.
-
-    Returns (L_min, pi_tilde) with
-    L_min = C(pi~) + lam_hat.[(G(pi~) - tau), 0].
-    """
-    coords = np.asarray(getattr(lambda_hat, "coords", lambda_hat), dtype=float)
-    [(lam_m, pi_tilde, c_til, g_til)] = regularization_grid(
-        dataset, [coords[:len(config.tau)]], config, mdp_handle)
-    return c_til + float(lam_m @ (g_til - config.tau)), pi_tilde
 
 
 def _make_subroutine(dataset, config, mdp_handle):
@@ -602,19 +586,10 @@ def _block_advance(state, sub, lam, prev_sig, config, g_bar, trace_buf,
     return (next_lam, excess), converged
 
 
-def regularized_one_shot(dataset, lam, config, mdp_handle=None):
-    """One best-response solve on cost c + lam.g plus value certification.
-
-    Returns (policy, C_hat, G_hat).
-    """
-    [(_, policy, c_hat, g_hat)] = regularization_grid(dataset, [lam], config,
-                                                      mdp_handle)
-    return policy, c_hat, g_hat
-
-
 def regularization_grid(dataset, lams, config, mdp_handle=None):
-    """regularized_one_shot over a grid of multipliers; returns a list of
-    (lam, policy, C_hat, G_hat) in grid order."""
+    """For each multiplier lam of the grid, the best response to cost
+    c + lam.g and its value estimates; returns a list of (lam, policy,
+    C_hat, G_hat) in grid order."""
     sub = _make_subroutine(dataset, config, mdp_handle)
     out = []
     for lam in lams:

@@ -33,10 +33,6 @@ class DualVector:
     def m(self):
         return len(self.coords) - 1 if self.flavor == EG_FLAVOR else len(self.coords)
 
-    def scalarization(self):
-        """The first m coordinates — the part that weights the g channels."""
-        return self.coords[:self.m]
-
 
 def eg_init(m, B):
     """Uniform augmented vector (B/(m+1), ..., B/(m+1)) of length m+1."""

@@ -142,17 +142,6 @@ class ExactSolver:
         return float(vals[0]), vals[1:].copy()
 
 
-def exact_best_response(mdp, lam):
-    """Optimal policy for the Lagrangian cost c + lam_{1..m}.g.
-
-    lam may be a plain vector or a DualVector; only the first m coordinates
-    scalarize (the augmented coordinate multiplies a constant 0 channel).
-    """
-    coords = np.asarray(getattr(lam, "coords", lam), dtype=float).ravel()
-    lam_m = coords[:mdp.m]
-    return ExactSolver(mdp).best_response(lam_m)
-
-
 def performance_difference_check(mdp, policy):
     """Residual of the performance-difference identity
     (C^pi - C*) = 1/(1-gamma) * E_{x~d_pi}[Q*(x, pi(x)) - V*(x)]."""

@@ -34,6 +34,14 @@ def two_state_chain(gamma=0.5):
                       terminal_states={1})
 
 
+def assert_same_dataset(d1, d2):
+    """Every column of the two datasets has the same shape and values."""
+    for name in ("traj_id", "t", "x", "a", "x_next", "c", "g", "done",
+                 "behavior_prob"):
+        np.testing.assert_array_equal(getattr(d1, name), getattr(d2, name),
+                                      err_msg=name)
+
+
 def mc_policy_values(mdp, policy_probs, num_traj, horizon, rng):
     """Vectorized Monte Carlo rollouts; returns per-trajectory (C, G) sums."""
     states = np.searchsorted(np.cumsum(mdp.initial_dist),

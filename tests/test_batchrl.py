@@ -231,7 +231,7 @@ class TestLstdq:
     def test_weight_length_mismatch_raises(self, fl8):
         data = full_coverage_dataset(fl8)
         feats = one_hot_features(fl8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weight length"):
             lstdq(data, np.zeros(3), CostSelector.primary(), feats, fl8.gamma)
 
 
@@ -324,8 +324,8 @@ def templates(num_states, num_actions):
 
 def shuffled_trajectories(data, seed):
     order = np.random.default_rng(seed).permutation(data.num_trajectories)
-    slices = data.trajectory_slices()
-    sel = np.concatenate([np.arange(slices[i][1], slices[i][2]) for i in order])
+    starts, stops = data.trajectory_bounds()
+    sel = np.concatenate([np.arange(starts[i], stops[i]) for i in order])
     return Dataset(data.traj_id[sel], data.t[sel], data.x[sel], data.a[sel],
                    data.x_next[sel], data.c[sel], data.g[sel], data.done[sel],
                    data.behavior_prob[sel])

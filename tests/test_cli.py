@@ -425,12 +425,45 @@ class TestFrozenlakeExperiment:
         assert report[0] == "policy,exact_C,exact_G_1"
         assert report[1].startswith("learned_mixture,")
 
+    EXPERIMENT = ["frozenlake-experiment", "--trajs", "200", "--horizon",
+                  "100", "--rounds", "20", "--seed", "2", "--outdir"]
+
+    def test_oracle_non_convergence_is_reported(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.setattr("cbpl.cli.exact_constrained_optimum",
+                            _raise(ConvergenceError("gap above omega")))
+        assert main(self.EXPERIMENT + [str(tmp_path)]) in (0, 2)
+        report = (tmp_path / "report.csv").read_text().splitlines()
+        assert report[-1] == ("exact_constrained_optimum,"
+                              "failed (gap above omega),")
+        assert capsys.readouterr().err == ""
+
+    def test_oracle_runtime_error_exits_2_with_one_error_line(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "cbpl.cli.exact_constrained_optimum",
+            _raise(RuntimeError("policy iteration failed to converge")))
+        assert main(self.EXPERIMENT + [str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: policy iteration failed to converge"]
+        assert not (tmp_path / "report.csv").exists()
+
 
 class TestPolicyFileRoundTrips:
     def test_deterministic_policy(self, tmp_path):
         policy = DeterministicPolicy([1, 3, 0, 2])
         path = tmp_path / "p.csv"
         save_policy(policy, path)
+        assert np.array_equal(load_policy(str(path)).actions, policy.actions)
+
+    def test_deterministic_policy_without_path_goes_to_stdout(
+            self, tmp_path, capsys):
+        policy = DeterministicPolicy([1, 3, 0, 2])
+        save_policy(policy)
+        text = capsys.readouterr().out
+        assert text == "state,action\n0,1\n1,3\n2,0\n3,2\n"
+        path = tmp_path / "p.csv"
+        path.write_text(text)
         assert np.array_equal(load_policy(str(path)).actions, policy.actions)
 
     def test_mixture(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cbpl.batchrl import CostSelector, fqe, fqi
-from cbpl.dataset import (Dataset, check_indices, collect, datasets_equal,
+from cbpl.dataset import (Dataset, check_indices, collect,
                           full_coverage_dataset, load,
                           make_frozenlake_behavior, save, subsample)
 from cbpl.funcapprox import QFunction
@@ -13,7 +13,7 @@ from cbpl.mdp import (ACTION_EAST, DeterministicPolicy, StochasticPolicy,
                       build_random_mdp)
 from cbpl.ope import ope_comparison, pdis
 
-from conftest import FROZENLAKE_4X4, one_state_mdp
+from conftest import FROZENLAKE_4X4, assert_same_dataset, one_state_mdp
 
 
 def chain_dataset(traj_id, t, x, x_next):
@@ -130,14 +130,14 @@ class TestCollect:
     def test_determinism_under_fixed_seed(self, fl8, fl8_behavior, tmp_path):
         d1 = collect(fl8, fl8_behavior, 100, 200, np.random.default_rng(42))
         d2 = collect(fl8, fl8_behavior, 100, 200, np.random.default_rng(42))
-        assert datasets_equal(d1, d2)
+        assert_same_dataset(d1, d2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         save(d1, p1)
         save(d2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_trajectory_chains_are_consistent(self, fl8_dataset):
-        for _, s, e in fl8_dataset.trajectory_slices():
+        for s, e in zip(*fl8_dataset.trajectory_bounds()):
             assert np.array_equal(fl8_dataset.t[s:e], np.arange(e - s))
             assert np.array_equal(fl8_dataset.x_next[s:e - 1],
                                   fl8_dataset.x[s + 1:e])
@@ -192,7 +192,7 @@ class TestCollect:
         data = collect(mdp, behavior, trajectories, horizon, rng)
         expected = reference_collect(mdp, behavior, trajectories, horizon,
                                      ref_rng)
-        assert datasets_equal(data, expected)
+        assert_same_dataset(data, expected)
         assert rng.random() == ref_rng.random()
 
     def test_empirical_action_frequency_on_minimal_grid(self):
@@ -235,12 +235,15 @@ class TestTrajectoryIndex:
                           [1, 2, 3, 4])
         assert str(info.value) == "trajectory 3 has non-consecutive timesteps"
 
-    def test_slices_and_count(self):
+    def test_bounds_and_count(self):
         data = chain_dataset([7, 7, 2, 5, 5, 5], [0, 1, 4, 0, 1, 2],
                              [0, 1, 9, 3, 4, 5], [1, 2, 9, 4, 5, 6])
         assert data.num_trajectories == 3
-        assert data.trajectory_slices() == [(7, 0, 2), (2, 2, 3), (5, 3, 6)]
-        assert Dataset.empty(1).trajectory_slices() == []
+        starts, stops = data.trajectory_bounds()
+        assert starts.tolist() == [0, 2, 3]
+        assert stops.tolist() == [2, 3, 6]
+        assert data.traj_id[starts].tolist() == [7, 2, 5]
+        assert [len(v) for v in Dataset.empty(1).trajectory_bounds()] == [0, 0]
 
 
 class TestFrozenlakeBehavior:
@@ -277,8 +280,8 @@ class TestSubsample:
     def test_full_fraction_is_permutation_equivalent(self, fl8_dataset):
         sub = subsample(fl8_dataset, 1.0, np.random.default_rng(0))
         assert len(sub) == len(fl8_dataset)
-        assert sorted(tid for tid, _, _ in sub.trajectory_slices()) == sorted(
-            tid for tid, _, _ in fl8_dataset.trajectory_slices())
+        assert sorted(sub.traj_id[sub.trajectory_bounds()[0]]) == sorted(
+            fl8_dataset.traj_id[fl8_dataset.trajectory_bounds()[0]])
 
     def test_fraction_count_window(self):
         mdp = one_state_mdp(terminal=False)
@@ -287,7 +290,8 @@ class TestSubsample:
         assert len(data) == 1000
         sub = subsample(data, 0.1, np.random.default_rng(1))
         assert 100 <= len(sub) < 110
-        assert all((e - s) == 10 for _, s, e in sub.trajectory_slices())
+        starts, stops = sub.trajectory_bounds()
+        assert np.all(stops - starts == 10)
 
     def test_count_window_property(self, fl8_dataset):
         rng = np.random.default_rng(2)
@@ -299,19 +303,19 @@ class TestSubsample:
     def test_determinism(self, fl8_dataset):
         s1 = subsample(fl8_dataset, 0.2, np.random.default_rng(3))
         s2 = subsample(fl8_dataset, 0.2, np.random.default_rng(3))
-        assert datasets_equal(s1, s2)
+        assert_same_dataset(s1, s2)
 
     @pytest.mark.parametrize("fraction", [0.05, 0.3, 0.5, 0.77, 1.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_first_trajectories_of_the_permutation(self, fl8_dataset,
                                                            fraction, seed):
-        slices = fl8_dataset.trajectory_slices()
+        slices = list(zip(*fl8_dataset.trajectory_bounds()))
         order = np.random.default_rng(seed).permutation(len(slices))
         rows, count = [], 0
         for idx in order:
             if count >= fraction * len(fl8_dataset):
                 break
-            _, s, e = slices[idx]
+            s, e = slices[idx]
             rows.extend(range(s, e))
             count += e - s
         d = fl8_dataset
@@ -319,7 +323,7 @@ class TestSubsample:
                            d.x_next[rows], d.c[rows], d.g[rows], d.done[rows],
                            d.behavior_prob[rows])
         sub = subsample(fl8_dataset, fraction, np.random.default_rng(seed))
-        assert datasets_equal(sub, expected)
+        assert_same_dataset(sub, expected)
 
     def test_bad_arguments(self, fl8_dataset):
         with pytest.raises(ValueError):
@@ -332,13 +336,13 @@ class TestPersistence:
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.csv"
         save(Dataset.empty(2), path)
-        assert datasets_equal(load(path), Dataset.empty(2))
+        assert_same_dataset(load(path), Dataset.empty(2))
 
     def test_single_sample_round_trip(self, tmp_path):
         data = Dataset([0], [0], [3], [1], [4], [-1.25], [[0.5]], [True], [0.3])
         path = tmp_path / "one.csv"
         save(data, path)
-        assert datasets_equal(load(path), data)
+        assert_same_dataset(load(path), data)
 
     def test_frozenlake_dataset_round_trip_checksum(self, fl8_dataset, tmp_path):
         p1 = tmp_path / "d.csv"
@@ -384,7 +388,7 @@ class TestPersistence:
         got, expected = outcome(load, path), outcome(reference_load, path)
         assert got[0] == expected[0], (got, expected)
         if got[0] == "ok":
-            assert datasets_equal(got[1], expected[1])
+            assert_same_dataset(got[1], expected[1])
         else:
             assert got[1:] == expected[1:]
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from cbpl.funcapprox import (TIE_TOL, FeatureMap, QFunction,
                              fit_least_squares, greedy_actions, greedy_policy,
-                             load_qfunction, one_hot_features, q_value,
-                             save_qfunction)
+                             one_hot_features)
 from cbpl.mdp import ACTION_EAST, build_frozenlake
 from cbpl.oracle import value_iteration
 
@@ -119,14 +118,14 @@ class TestFitLeastSquares:
 
 class TestQValue:
     def test_zero_tabular(self):
-        assert q_value(QFunction.tabular_zeros(2, 2), 1, 1) == 0.0
+        assert QFunction.tabular_zeros(2, 2).values()[1, 1] == 0.0
 
     def test_zero_linear(self):
-        assert q_value(QFunction.linear_zeros(two_cell_features()), 0, 1) == 0.0
+        assert QFunction.linear_zeros(two_cell_features()).values()[0, 1] == 0.0
 
     def test_one_hot_dot_product(self):
         q = QFunction(weights=np.array([1.0, 3.0]), features=two_cell_features())
-        assert q_value(q, 0, 1) == 3.0
+        assert q.values()[0, 1] == 3.0
 
 
 class TestGreedyPolicy:
@@ -177,26 +176,3 @@ class TestOneHotFeatures:
         phi = feats.phi.reshape(-1, feats.k)
         assert np.allclose(phi.T @ phi, np.eye(feats.k))
 
-
-class TestSerialization:
-    def test_tabular_round_trip(self, tmp_path):
-        q = QFunction(table=np.array([[1.5, -2.0], [0.0, 3.25]]))
-        path = tmp_path / "q.csv"
-        save_qfunction(q, path)
-        loaded = load_qfunction(path)
-        assert np.array_equal(loaded.table, q.table)
-
-    def test_linear_round_trip(self, tmp_path):
-        feats = two_cell_features()
-        q = QFunction(weights=np.array([0.5, -1.5]), features=feats)
-        path = tmp_path / "w.csv"
-        save_qfunction(q, path)
-        loaded = load_qfunction(path, features=feats)
-        assert np.array_equal(loaded.weights, q.weights)
-
-    def test_linear_load_requires_features(self, tmp_path):
-        q = QFunction(weights=np.zeros(2), features=two_cell_features())
-        path = tmp_path / "w.csv"
-        save_qfunction(q, path)
-        with pytest.raises(ValueError):
-            load_qfunction(path)

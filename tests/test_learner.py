@@ -9,9 +9,8 @@ from cbpl.batchrl import (CostSelector, EmpiricalModel, fqi, lspi,
 from cbpl.dataset import collect, full_coverage_dataset
 from cbpl.funcapprox import FeatureMap, QFunction
 from cbpl.learner import (ConvergenceError, LearnerConfig, MixturePolicy,
-                          derandomize, lagrangian_max, lagrangian_min,
-                          regularization_grid, regularized_one_shot, run,
-                          write_trace_csv)
+                          derandomize, lagrangian_max, regularization_grid,
+                          run, write_trace_csv)
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock, build_random_mdp)
 from cbpl.onlineopt import eg_init
@@ -97,19 +96,24 @@ class TestLagrangianMax:
 
 
 class TestLagrangianMin:
+    """L_min = C(pi~) + lam.(G(pi~) - tau), pi~ the best response to lam."""
+
     def test_zero_multiplier_gives_unconstrained_value(self, fl8):
         config = exact_config()
-        l_min, pi_tilde = lagrangian_min(None, np.zeros(2), config,
-                                         mdp_handle=fl8)
+        [(lam, _, c_til, g_til)] = regularization_grid(
+            None, [np.zeros(1)], config, mdp_handle=fl8)
+        l_min = c_til + float(lam @ (g_til - config.tau))
         solver = ExactSolver(fl8)
         pi_star = solver.best_response(np.zeros(1))
         c_star, _ = solver.policy_values(pi_star)
         assert l_min == pytest.approx(c_star, abs=1e-12)
 
-    def test_matches_exact_best_response_value(self, fl8):
+    def test_matches_exact_solver_value(self, fl8):
         config = exact_config()
-        lam = eg_init(1, 30.0)
-        l_min, pi_tilde = lagrangian_min(None, lam, config, mdp_handle=fl8)
+        dual = eg_init(1, 30.0)
+        [(lam, _, c_til, g_til)] = regularization_grid(
+            None, [dual.coords[:dual.m]], config, mdp_handle=fl8)
+        l_min = c_til + float(lam @ (g_til - config.tau))
         solver = ExactSolver(fl8)
         expect_pi = solver.best_response(np.array([15.0]))
         c, g = solver.policy_values(expect_pi)
@@ -328,8 +332,8 @@ class TestLspiFlavor:
         for data, mdp, S, A, gamma in lspi_small_cases:
             config = LearnerConfig(B=30.0, eta=50.0, omega=0.05, tau=[0.1],
                                    subroutine_flavor="lspi", gamma=gamma)
-            policy, c_hat, g_hat = regularized_one_shot(
-                data, np.array([lam]), config, mdp_handle=mdp)
+            [(_, policy, c_hat, g_hat)] = regularization_grid(
+                data, [np.array([lam])], config, mdp_handle=mdp)
 
             features = FeatureMap(np.eye(S * A).reshape(S, A, S * A))
             result = lspi(data, CostSelector.scalarized([lam]), features,
@@ -384,8 +388,8 @@ class TestLspiFlavor:
 class TestRegularizedPath:
     def test_zero_multiplier_matches_unconstrained_fqi(self, small_fitted, fl8):
         data, config, _, _ = small_fitted
-        policy, c_hat, g_hat = regularized_one_shot(data, np.zeros(1), config,
-                                                    mdp_handle=fl8)
+        [(_, policy, c_hat, g_hat)] = regularization_grid(
+            data, [np.zeros(1)], config, mdp_handle=fl8)
         template = QFunction.tabular_zeros(64, 4)
         direct, _ = fqi(data, CostSelector.primary(), config.K_fqi, template,
                         mdp=fl8)
@@ -406,10 +410,8 @@ class TestRegularizedPath:
         config = exact_config()
         _, trace = run(None, config, mdp_handle=fl8)
         lam_hat = float(trace.lambdas[:, 0].mean())
-        _, c_hat, g_hat = regularized_one_shot(None, np.array([lam_hat]),
-                                               config, mdp_handle=fl8)
-        l_min, pi_tilde = lagrangian_min(None, np.array([lam_hat, 0.0]),
-                                         config, mdp_handle=fl8)
+        [(_, pi_tilde, c_hat, g_hat)] = regularization_grid(
+            None, [np.array([lam_hat])], config, mdp_handle=fl8)
         solver = ExactSolver(fl8)
         c_til, g_til = solver.policy_values(pi_tilde)
         assert c_hat == pytest.approx(c_til, abs=1e-12)

@@ -25,10 +25,11 @@ class TestDualVector:
         with pytest.raises(ValueError):
             DualVector([-1.0, 0.0], 5.0, OGD_FLAVOR)
 
-    def test_scalarization_drops_augmented_coordinate(self):
+    def test_m_excludes_augmented_coordinate(self):
         lam = eg_init(2, 3.0)
         assert lam.m == 2
-        assert np.array_equal(lam.scalarization(), [1.0, 1.0])
+        assert np.array_equal(lam.coords[:lam.m], [1.0, 1.0])
+        assert ogd_init(2, 3.0).m == 2
 
 
 class TestEgInit:

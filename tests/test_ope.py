@@ -31,7 +31,7 @@ def random_terminating_mdp(seed, num_states=4, num_actions=2, gamma=0.9):
 
 def monte_carlo_mean(dataset, gamma):
     total = 0.0
-    for _, s, e in dataset.trajectory_slices():
+    for s, e in zip(*dataset.trajectory_bounds()):
         total += float(np.sum(gamma ** np.arange(e - s) * dataset.c[s:e]))
     return total / dataset.num_trajectories
 
@@ -55,7 +55,7 @@ def two_action_chain():
 def per_trajectory_pdis(data, probs, gamma):
     """PDIS as a loop over trajectories."""
     total = 0.0
-    for _, s, e in data.trajectory_slices():
+    for s, e in zip(*data.trajectory_bounds()):
         rho = probs[data.x[s:e], data.a[s:e]] / data.behavior_prob[s:e]
         total += float(np.sum(gamma ** np.arange(e - s) * np.cumprod(rho)
                               * data.c[s:e]))
@@ -67,7 +67,7 @@ def recursive_dr(data, probs, q, gamma):
     last step back, averaged over trajectories."""
     v = (probs * q).sum(axis=1)
     total = 0.0
-    for _, s, e in data.trajectory_slices():
+    for s, e in zip(*data.trajectory_bounds()):
         dr = 0.0
         for i in range(e - 1, s - 1, -1):
             x, a = data.x[i], data.a[i]
@@ -82,10 +82,10 @@ def looped_wdr(data, probs, q, gamma):
     self-normalized per timestep; at a timestep whose weights sum to zero
     every weight is zero."""
     v = (probs * q).sum(axis=1)
-    slices = data.trajectory_slices()
-    n, horizon = len(slices), max(e - s for _, s, e in slices)
+    slices = list(zip(*data.trajectory_bounds()))
+    n, horizon = len(slices), max(e - s for s, e in slices)
     cum = np.ones((n, horizon))
-    for i, (_, s, e) in enumerate(slices):
+    for i, (s, e) in enumerate(slices):
         rho = probs[data.x[s:e], data.a[s:e]] / data.behavior_prob[s:e]
         cum[i, :e - s] = np.cumprod(rho)
         cum[i, e - s:] = cum[i, e - s - 1]
@@ -94,7 +94,7 @@ def looped_wdr(data, probs, q, gamma):
     for t in range(horizon):
         col_sum = cum[:, t].sum()
         w = cum[:, t] / col_sum if col_sum > 0 else np.zeros(n)
-        for i, (_, s, e) in enumerate(slices):
+        for i, (s, e) in enumerate(slices):
             if t < e - s:
                 x, a = data.x[s + t], data.a[s + t]
                 total += gamma ** t * (w[i] * (data.c[s + t] - q[x, a])
@@ -172,7 +172,7 @@ class TestWeightedSumMatchesLoops:
         policy = DeterministicPolicy(actions)
         probs = np.eye(self.A)[actions]
         q_table = rng.uniform(-2, 2, size=(self.S, self.A))
-        for _, s, e in data.trajectory_slices():
+        for s, e in zip(*data.trajectory_bounds()):
             head = slice(s, min(e, s + 3))
             assert np.any(data.a[head] != actions[data.x[head]])
         self.check(data, policy, probs, q_table, 0.95)

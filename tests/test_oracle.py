@@ -6,11 +6,9 @@ from cbpl.learner import ConvergenceError
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock, build_frozenlake,
                       build_random_mdp)
-from cbpl.onlineopt import DualVector, EG_FLAVOR, eg_init
-from cbpl.oracle import (ExactSolver, exact_best_response,
-                         exact_constrained_optimum, exact_policy_values,
-                         occupancy, performance_difference_check,
-                         value_iteration)
+from cbpl.oracle import (ExactSolver, exact_constrained_optimum,
+                         exact_policy_values, occupancy,
+                         performance_difference_check, value_iteration)
 
 from conftest import mc_policy_values, one_state_mdp, two_state_chain
 
@@ -139,14 +137,14 @@ class TestValueIteration:
 
 class TestExactBestResponse:
     def test_zero_multiplier_is_unconstrained_optimum(self, fl8):
-        policy = exact_best_response(fl8, np.zeros(1))
+        policy = ExactSolver(fl8).best_response(np.zeros(1))
         q = value_iteration(fl8, fl8.cost_c)
         c, _ = exact_policy_values(fl8, policy)
         assert c == pytest.approx(float(fl8.initial_dist @ q.table.min(axis=1)),
                                   abs=1e-9)
 
     def test_huge_multiplier_never_enters_a_hole(self, fl8):
-        policy = exact_best_response(fl8, np.array([1e6]))
+        policy = ExactSolver(fl8).best_response(np.array([1e6]))
         _, g = exact_policy_values(fl8, policy)
         assert g[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -154,19 +152,13 @@ class TestExactBestResponse:
         mdp = build_random_mdp(5, 3, 0, seed=4)
         zero_g = TabularMdp(mdp.transition, mdp.cost_c,
                             np.zeros((5, 3, 1)), mdp.gamma, mdp.initial_dist)
-        p0 = exact_best_response(zero_g, np.zeros(1))
-        p1 = exact_best_response(zero_g, np.array([123.0]))
+        p0 = ExactSolver(zero_g).best_response(np.zeros(1))
+        p1 = ExactSolver(zero_g).best_response(np.array([123.0]))
         assert np.array_equal(p0.actions, p1.actions)
-
-    def test_accepts_dual_vector(self, fl8):
-        lam = eg_init(1, 30.0)
-        p_vec = exact_best_response(fl8, np.array([15.0]))
-        p_dual = exact_best_response(fl8, lam)
-        assert np.array_equal(p_vec.actions, p_dual.actions)
 
     def test_solver_matches_value_iteration_scalarization(self, fl8):
         lam = np.array([2.5])
-        policy = exact_best_response(fl8, lam)
+        policy = ExactSolver(fl8).best_response(lam)
         scalarized = fl8.cost_c + fl8.cost_g[:, :, 0] * lam[0]
         q = value_iteration(fl8, scalarized)
         c_vi = float(fl8.initial_dist @ q.table.min(axis=1))
@@ -176,6 +168,14 @@ class TestExactBestResponse:
         c_pol = float(fl8.initial_dist @ q_pol[idx, policy.actions])
         assert c_pol == pytest.approx(c_vi, abs=1e-8)
 
+    def test_warm_start_does_not_change_answer(self, fl8):
+        # The learner reuses one solver across rounds; each answer must be
+        # the one a fresh solver gives for that multiplier.
+        solver = ExactSolver(fl8)
+        for lam in [0.0, 2.5, 1e6, 0.3, 30.0, 0.0]:
+            warm = solver.best_response(np.array([lam]))
+            cold = ExactSolver(fl8).best_response(np.array([lam]))
+            assert np.array_equal(warm.actions, cold.actions)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 30.0])
     def test_roundoff_tie_goes_to_lowest_action(self, fl8, lam):
