@@ -16,11 +16,12 @@ When the exact flavor runs with a single constraint and EG duals, long
 stretches of rounds change nothing but the multiplier; those stretches are
 advanced in closed-form blocks (valid because best-response regions are
 intervals on the 1-d multiplier line, so endpoint checks certify the whole
-block) while still recording the per-round trace quantities.
+block), evaluated only at the rounds the trace keeps and wherever the first
+round with gap <= omega may lie.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +108,6 @@ class RunTrace:
     termination_reason: str
     total_rounds: int
     stride: int
-    bound_excess_max: float = field(default=float("nan"))
     # Rounds advanced in closed-form blocks and one at a time; they sum to
     # total_rounds.
     block_rounds: int = 0
@@ -151,10 +151,10 @@ class _TraceBuffer:
             self.mat = np.empty((self.limit, rows.shape[1]))
         stride = self.stride_for(final[0])
         if stride != self.stride:
-            keep = self.ts[:self.count] % stride == 0
-            n = int(np.count_nonzero(keep))
-            self.ts[:n] = self.ts[:self.count][keep]
-            self.mat[:n] = self.mat[:self.count][keep]
+            r = stride // self.stride  # the rows are multiples of self.stride
+            n = self.count // r
+            self.ts[:n] = self.ts[r - 1:self.count:r]
+            self.mat[:n] = self.mat[r - 1:self.count:r]
             self.count, self.stride = n, stride
         keep = ts % stride == 0
         n = int(np.count_nonzero(keep))
@@ -284,13 +284,63 @@ def default_max_rounds(B, g_bar, omega, m):
                          / (omega * omega)))
 
 
-# Rounds per chunk of a block advance: large enough that the per-chunk
-# Python overhead stays small, small enough that the chunk's dozen float
-# buffers stay in the processor caches instead of streaming whole-block
-# temporaries of 2^20 rounds through memory. 2^14 to 2^16 ran alike on a
-# 2-core x86 machine; 2^12 was a third slower.
-_CHUNK = 1 << 15
+# Up to this |logit step| multiplier sums come from Euler-Maclaurin (within
+# 3e-14 of math.fsum); beyond it they are summed until the multiplier is 0 or B.
+_EM_MAX_STEP = 1e-2
 _TRACE_LIMIT = 200_000  # trace rows kept before _TraceBuffer thins them
+_TRACE_WRITE_ROWS = 2**15  # rows per write in write_trace_csv
+
+
+def _lambda_at(B, d0, de, j):
+    """The multiplier B sigmoid(-(d0 + j de)) of round j of a steady EG
+    stretch, elementwise over the array j."""
+    d = j * de + d0
+    ez = np.exp(-np.abs(d))
+    return np.where(d >= 0, ez, 1.0) / (ez + 1.0) * B
+
+
+def _softplus_drop(a, b, k):
+    """softplus(-a) - softplus(-b) for b = a + k of a's sign, as log1p of
+    (e^-a - e^-b) / (1 + e^-b) mirrored to a, b >= 0: no cancellation."""
+    s = np.where((a > 0) | (b > 0), 1.0, -1.0)
+    u, v, kk = s * a, s * b, s * k
+    x = (np.sign(kk) * np.exp(-np.minimum(u, v)) * -np.expm1(-np.abs(kk))
+         / (1.0 + np.exp(-v)))
+    return np.log1p(x) + np.where(s < 0, k, 0.0)
+
+
+def _lambda_sums(B, d0, de, J):
+    """S(n) = sum of _lambda_at(j) over j < n, for arrays n in 0..J."""
+    f0 = float(_lambda_at(B, d0, de, 0.0))
+    if de == 0:
+        return lambda n: n * f0
+    if abs(de) > _EM_MAX_STEP:
+        # From round p on the multiplier is exactly 0 (d > 750) or B (d < -40).
+        edge, sat = (750.0, 0.0) if de > 0 else (-40.0, B)
+        p = int(min(J, max(0, math.ceil((edge - d0) / de))))
+        prefix = np.zeros(p + 1)
+        np.cumsum(_lambda_at(B, d0, de, np.arange(p, dtype=float)),
+                  out=prefix[1:])
+        return lambda n: np.where(n <= p, prefix[np.minimum(n, p).astype(int)],
+                                  prefix[p] + (n - p) * sat)
+
+    def em(n):
+        # Euler-Maclaurin over j in [0, n - 1] with f' = -de B h and
+        # f''' = -de^3 B h (1 - 6h), where h = q (1 - q) and q = lambda / B.
+        jn = np.maximum(n - 1.0, 0.0)
+        k = jn * de
+        dn = k + d0
+        cross = (d0 < 0) != (dn < 0)  # split the integral at d = 0
+        drop = _softplus_drop(d0, np.where(cross, 0.0, dn),
+                              np.where(cross, -d0, k))
+        if cross.any():
+            drop += np.where(cross, _softplus_drop(0.0, dn, dn), 0.0)
+        fn = _lambda_at(B, d0, de, jn)
+        h0, hn = (q * (1 - q) for q in (f0 / B, fn / B))
+        total = (B / de * drop + (f0 + fn) / 2 + B * de / 12 * (h0 - hn)
+                 + B * de ** 3 / 720 * (hn * (1 - 6 * hn) - h0 * (1 - 6 * h0)))
+        return np.where(n > 0, total, 0.0)
+    return em
 
 
 class _RunState:
@@ -333,15 +383,13 @@ def run(dataset, config, mdp_handle=None):
     is_eg = config.dual_flavor == EG_FLAVOR
     lam = eg_init(m, B) if is_eg else ogd_init(m, B)
     dim = len(lam.coords)
-    log_mp1 = math.log(m + 1)
 
     state = _RunState(m, dim)
     trace_buf = _TraceBuffer(_TRACE_LIMIT)
-    bound_excess = -math.inf
     converged = False
     prev_sig = None
     steady_streak = 0
-    # A failed block advance costs up to a block of rounds before its
+    # A failed block advance evaluates a block's kept rounds before its
     # certificates reject it, so each failure doubles the streak of repeated
     # signatures the next attempt waits for.
     min_streak = 2
@@ -352,21 +400,16 @@ def run(dataset, config, mdp_handle=None):
                               [l_max, l_min, l_mid, l_max - l_min]])
         trace_buf.append(t, row)
 
-    def regret_gap_bound(t):
-        return 2.0 * (B * log_mp1 / (eta * t) + eta * B * g_bar * g_bar)
-
     while state.t < max_rounds:
         # Closed-form block advance for steady exact/EG/m=1 stretches.
         if (steady_streak >= min_streak and is_eg and m == 1
                 and config.subroutine_flavor == "exact"):
             t_before = state.t
             advanced, converged = _block_advance(
-                state, sub, lam, prev_sig, config, g_bar, trace_buf,
-                max_rounds)
+                state, sub, lam, prev_sig, config, trace_buf, max_rounds)
             if advanced is not None:
                 block_rounds += state.t - t_before
-                lam, block_excess = advanced
-                bound_excess = max(bound_excess, block_excess)
+                lam = advanced
                 if converged:
                     break
                 continue
@@ -390,8 +433,6 @@ def run(dataset, config, mdp_handle=None):
         l_mid = c_mix + float(lam_hat[:m] @ (g_mix - tau))
         gap = l_max - l_min
         record(t, lam.coords, c_t, g_t, c_mix, g_mix, l_max, l_min, l_mid)
-        if m >= 1 and g_bar > 0:
-            bound_excess = max(bound_excess, gap - regret_gap_bound(t))
         if gap <= omega:
             converged = True
             break
@@ -421,35 +462,32 @@ def run(dataset, config, mdp_handle=None):
         converged=converged,
         termination_reason="gap <= omega" if converged else "max_rounds reached",
         total_rounds=state.t, stride=trace_buf.stride,
-        bound_excess_max=bound_excess if bound_excess > -math.inf else float("nan"),
         block_rounds=block_rounds, generic_rounds=generic_rounds)
     mixture = MixturePolicy(state.members, state.counts,
                             state.member_c, state.member_g)
     return mixture, trace
 
 
-def _block_advance(state, sub, lam, prev_sig, config, g_bar, trace_buf,
-                   max_rounds):
-    """Advance a steady stretch of EG rounds in closed form.
+def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
+    """Advance a steady stretch of up to 2^20 EG rounds in closed form.
 
-    Returns ((next_lam, bound_excess), converged) or (None, False) when the
-    endpoint stability checks fail (caller falls back to a generic round).
+    Returns (next_lam, converged), or (None, False) when the endpoint
+    stability checks fail (caller falls back to a generic round).
 
-    The block streams through fixed buffers of _CHUNK rounds. Each chunk
-    repeats the whole-block arithmetic element for element and the running
-    sum enters a chunk through its first element, so the results do not
-    depend on the chunk size. Nothing reaches state or the trace until the
+    Per-round values are closed forms in the block index j, evaluated at
+    the rounds the trace keeps and the block's ends. Between those the gap
+    is bounded below, and only where the bound reaches omega is it evaluated
+    round by round. Nothing reaches state or the trace until the
     certificates pass.
     """
-    B, eta, omega, tau = config.B, config.eta, config.omega, config.tau
+    B, eta, omega, tau = config.B, config.eta, config.omega, config.tau[0]
     pi_bytes, til_bytes = prev_sig[0], prev_sig[1]
     # The certified pi~ has til_bytes, and exact evaluations are cached by
     # policy, so its values are the ones the signature recorded.
-    c_til, g_til0 = prev_sig[4], prev_sig[5][0]
+    c_til, w_til = prev_sig[4], prev_sig[5][0] - tau
     pi_t = state.members[-1]
     c_t, g_t = sub.evaluate(pi_t)
-    z = augmented_loss(g_t, tau)
-    exponent = eta * z  # per-round log-multiplier
+    exponent = eta * augmented_loss(g_t, config.tau)  # per-round log-multiplier
 
     t0 = state.t
     J = min(1 << 20, max_rounds - t0)
@@ -460,130 +498,86 @@ def _block_advance(state, sub, lam, prev_sig, config, g_bar, trace_buf,
     # coordinate after j updates is B * sigmoid(-(d0 + j*de)) with logit gap
     # d = log(lam1/lam0) growing linearly.
     l0, l1 = np.log(np.maximum(lam.coords, 1e-300))
-    d0 = l1 - l0
-    de = exponent[1] - exponent[0]
+    d0, de = l1 - l0, exponent[1] - exponent[0]
+    lam_sum = _lambda_sums(B, d0, de, J)
+    sum_c, sum_g, sum_lam = state.sum_c, state.sum_g[0], state.sum_lam[0]
 
-    size = min(_CHUNK, J)
-    base = np.arange(size, dtype=float)
-    j, t, d, ez, lam0, cum, lam_hat = (np.empty(size) for _ in range(7))
-    c_mix, g_mix, l_max, l_min, gap, work = (np.empty(size) for _ in range(6))
-    flags = np.empty(size, dtype=bool)
+    def at(j):
+        """lam, lam-hat, C_mix, G_mix, L_max, L_min, gap at rounds t0+1+j."""
+        t = j + (t0 + 1)  # exact below 2^53
+        lam_j = _lambda_at(B, d0, de, j)
+        lam_hat = (lam_sum(j + 1) + sum_lam) / t
+        c_mix = ((j + 1) * c_t + sum_c) / t
+        g_mix = ((j + 1) * g_t[0] + sum_g) / t
+        l_max = c_mix + np.maximum(0.0, g_mix - tau) * B
+        l_min = lam_hat * w_til + c_til
+        return lam_j, lam_hat, c_mix, g_mix, l_max, l_min, l_max - l_min
 
-    def rows_at(sel):
-        lam_sel, c_sel, g_sel = lam0[sel], c_mix[sel], g_mix[sel]
-        l_mid = c_sel + lam_hat[sel] * (g_sel - tau[0])
-        k = len(lam_sel)
-        return np.column_stack([
-            lam_sel, B - lam_sel, np.full(k, c_t), np.full(k, g_t[0]),
-            c_sel, g_sel, l_max[sel], l_min[sel], l_mid, gap[sel]])
+    def kept(t_last):
+        """Block indices of the rounds the trace keeps up to t_last."""
+        stride = trace_buf.stride_for(t_last)
+        first = (t0 // stride + 1) * stride
+        return np.arange(first - t0 - 1, t_last - t0, stride, dtype=float)
 
-    lam_lo = hat_lo = math.inf
-    lam_hi = hat_hi = -math.inf
-    carry = 0.0
-    excess = -math.inf
-    stop = None  # rounds the block advances, known once the gap work ends
-    converged = False
-    pend_ts, pend_rows, pend_stride = [], [], trace_buf.stride
-    for lo in range(0, J, size):
-        n = min(size, J - lo)
-        jv, tv, dv, ezv = j[:n], t[:n], d[:n], ez[:n]
-        lv, cv, hv = lam0[:n], cum[:n], lam_hat[:n]
-        np.add(base[:n], lo, out=jv)
-        np.add(base[:n], t0 + 1 + lo, out=tv)  # exact below 2^53
-        np.multiply(jv, de, out=dv)
-        np.add(dv, d0, out=dv)
-        np.abs(dv, out=ezv)
-        np.negative(ezv, out=ezv)
-        np.exp(ezv, out=ezv)
-        # d is monotone in j, so the sign changes at most once: each sigmoid
-        # branch is computed on its own side only.
-        n_pos = int(np.count_nonzero(np.greater_equal(dv, 0.0, out=flags[:n])))
-        pos = slice(n - n_pos, n) if de >= 0 else slice(0, n_pos)
-        neg = slice(0, n - n_pos) if de >= 0 else slice(n_pos, n)
-        np.add(ezv, 1.0, out=cv)
-        np.divide(ezv[pos], cv[pos], out=lv[pos])
-        np.divide(1.0, cv[neg], out=lv[neg])
-        np.multiply(lv, B, out=lv)
-        np.copyto(cv, lv)
-        cv[0] += carry
-        np.cumsum(cv, out=cv)
-        carry = cv[-1]
-        np.add(cv, state.sum_lam[0], out=hv)
-        np.divide(hv, tv, out=hv)
-        lam_lo, lam_hi = min(lam_lo, lv.min()), max(lam_hi, lv.max())
-        hat_lo, hat_hi = min(hat_lo, hv.min()), max(hat_hi, hv.max())
-        if stop is not None:
-            continue  # past the first gap hit only the certificates need it
+    js = np.unique(np.concatenate([[-1.0, 0.0], kept(t0 + J), [J - 1.0]]))
+    grid = at(js)
+    lam_g, hat_g, c_g, g_g, lx_g, ln_g, _ = grid
 
-        cm, gm, lx, ln, gp, wk = (c_mix[:n], g_mix[:n], l_max[:n],
-                                  l_min[:n], gap[:n], work[:n])
-        np.add(jv, 1.0, out=wk)
-        np.multiply(wk, c_t, out=cm)
-        np.add(cm, state.sum_c, out=cm)
-        np.divide(cm, tv, out=cm)
-        np.multiply(wk, g_t[0], out=gm)
-        np.add(gm, state.sum_g[0], out=gm)
-        np.divide(gm, tv, out=gm)
-        np.subtract(gm, tau[0], out=wk)
-        np.maximum(0.0, wk, out=wk)
-        np.multiply(wk, B, out=wk)
-        np.add(cm, wk, out=lx)
-        np.multiply(hv, g_til0 - tau[0], out=ln)
-        np.add(ln, c_til, out=ln)
-        np.subtract(lx, ln, out=gp)
-        hits = np.less_equal(gp, omega, out=flags[:n])
-        converged = bool(hits.any())
-        m = int(np.argmax(hits)) + 1 if converged else n
-        if g_bar > 0:
-            bound = wk[:m]
-            np.multiply(tv[:m], eta, out=bound)
-            np.divide(B * math.log(2.0), bound, out=bound)
-            np.add(bound, eta * B * g_bar * g_bar, out=bound)
-            np.multiply(bound, 2.0, out=bound)
-            np.subtract(gp[:m], bound, out=bound)
-            excess = max(excess, float(bound.max()))
+    # Gap bound over the rounds (js[k], js[k + 1]]: C_mix, G_mix and lam are
+    # monotone; lam-hat moves from its value at js[k] toward those lams.
+    K, t_a = np.diff(js), js[:-1] + (t0 + 1)
+    mass = hat_g[:-1] * t_a
+    hat_ends = [(mass + K * v) / (t_a + K)
+                for v in (np.minimum(lam_g[:-1], lam_g[1:]),
+                          np.maximum(lam_g[:-1], lam_g[1:]))]
+    l_min_hi = c_til + np.max([h * w_til for h in (hat_g[:-1], *hat_ends)],
+                              axis=0)
+    l_max_lo = (np.minimum(c_g[:-1], c_g[1:])
+                + np.maximum(0.0, np.minimum(g_g[:-1], g_g[1:]) - tau) * B)
+    margin = 1e-9 * (1.0 + np.abs(lx_g[1:]) + np.abs(ln_g[1:]))
+    stop, converged = J, False
+    for k in np.flatnonzero(l_max_lo - l_min_hi - margin <= omega):
+        j = np.arange(js[k] + 1, js[k + 1] + 1)
+        hits = np.flatnonzero(at(j)[6] <= omega)
+        if len(hits):
+            stop, converged = int(j[hits[0]]) + 1, True
+            break
 
-        # Trace rows of the kept rounds, at the stride the buffer will have
-        # once these rounds are in.
-        t_end = t0 + lo + m
-        stride = trace_buf.stride_for(t_end)
-        if stride != pend_stride:
-            keeps = [ts % stride == 0 for ts in pend_ts]
-            pend_ts = [ts[k] for ts, k in zip(pend_ts, keeps)]
-            pend_rows = [rows[k] for rows, k in zip(pend_rows, keeps)]
-            pend_stride = stride
-        first = -(t0 + 1 + lo) % stride
-        pend_ts.append(np.arange(t0 + 1 + lo + first, t_end + 1, stride,
-                                 dtype=np.int64))
-        pend_rows.append(rows_at(slice(first, m, stride)))
-        if converged or lo + n == J:
-            stop = lo + m
-            final = (t_end, rows_at(slice(m - 1, m))[0])
-            cum_stop, lam_stop = cv[m - 1], lv[m - 1]
-
-    # Stability certificates: best responses constant over the 1-d multiplier
-    # ranges covered by the block (regions are intervals, so endpoints suffice).
-    for v in (lam_lo, lam_hi):
-        if sub.best_response(np.array([v])).actions.tobytes() != pi_bytes:
-            return None, False
-    for v in (hat_lo, hat_hi):
-        if sub.best_response(np.array([v])).actions.tobytes() != til_bytes:
+    # Stability certificates: best responses constant over the multiplier
+    # ranges of the whole block (regions are intervals, so endpoints
+    # suffice). lam is monotone; lam-hat turns at most once, where lam
+    # crosses it, so the rounds around that crossing join its range.
+    hats = hat_g[1:]
+    above = lam_g[1:] >= hats
+    for k in np.flatnonzero(above[1:] != above[:-1])[:1] + 1:
+        hats = np.append(hats, at(np.arange(js[k] + 1, js[k + 1]))[1])
+    for v, want in ((lam_g[1], pi_bytes), (lam_g[-1], pi_bytes),
+                    (hats.min(), til_bytes), (hats.max(), til_bytes)):
+        if sub.best_response(np.array([v])).actions.tobytes() != want:
             return None, False
 
-    trace_buf.extend(np.concatenate(pend_ts), np.concatenate(pend_rows), final)
-    state.add_member(pi_t, c_t, g_t, repeat=stop)
-    state.sum_lam[0] += cum_stop
-    state.sum_lam[1] += stop * B - cum_stop
+    # Trace rows: those the buffer keeps, and the last round. A block that
+    # runs to its end keeps the stride its grid was built with.
+    t_end = t0 + stop
     if converged:
-        v0 = lam_stop
+        j = np.unique(np.append(kept(t_end), stop - 1.0))
+        lam_r, hat_r, c_r, g_r, lx_r, ln_r, gap_r = at(j)
     else:
-        # Multiplier entering round t0+stop+1.
-        dn = d0 + stop * de
-        ezn = math.exp(-abs(dn))
-        v0 = B * (ezn / (1.0 + ezn) if dn >= 0 else 1.0 / (1.0 + ezn))
-    coords = np.maximum([v0, B - v0], 1e-300)
-    next_lam = DualVector(coords, B, EG_FLAVOR)
-    return (next_lam, excess), converged
+        j = js[1:]
+        lam_r, hat_r, c_r, g_r, lx_r, ln_r, gap_r = (v[1:] for v in grid)
+    rows = np.column_stack([
+        lam_r, B - lam_r, np.full(len(j), c_t), np.full(len(j), g_t[0]),
+        c_r, g_r, lx_r, ln_r, c_r + hat_r * (g_r - tau), gap_r])
+    trace_buf.extend((j + (t0 + 1)).astype(np.int64), rows, (t_end, rows[-1]))
+    cum = float(lam_sum(np.array([float(stop)]))[0])
+    state.add_member(pi_t, c_t, g_t, repeat=stop)
+    state.sum_lam[0] += cum
+    state.sum_lam[1] += stop * B - cum
+    dn = d0 + stop * de  # the logit entering round t_end + 1
+    ezn = math.exp(-abs(dn))
+    v0 = lam_r[-1] if converged else B * (ezn / (1.0 + ezn) if dn >= 0
+                                          else 1.0 / (1.0 + ezn))
+    return DualVector(np.maximum([v0, B - v0], 1e-300), B, EG_FLAVOR), converged
 
 
 def regularization_grid(dataset, lams, config, mdp_handle=None):
@@ -616,18 +610,19 @@ def derandomize(mixture, tau):
 
 
 def write_trace_csv(trace, path):
-    """Trace CSV: round,lambda_1..lambda_dim,C_hat,G_1..G_m,L_max,L_min,gap."""
+    """Trace CSV: round,lambda_1..lambda_dim,C_hat,G_1..G_m,L_max,L_min,gap,
+    reals to 17 significant digits; one write per chunk of rows."""
     dim, m = trace.lambdas.shape[1], trace.g_hat_member.shape[1]
     header = ("round," + ",".join(f"lambda_{i + 1}" for i in range(dim))
               + ",C_hat" + "".join(f",G_{i + 1}" for i in range(m))
               + ",L_max,L_min,gap")
+    reals = np.column_stack([trace.lambdas, trace.c_hat_member,
+                             trace.g_hat_member, trace.l_max, trace.l_min,
+                             trace.gap])
+    line = "%d" + ",%.17g" * reals.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(len(trace.rounds)):
-            parts = [str(int(trace.rounds[i]))]
-            parts += [f"{v:.17g}" for v in trace.lambdas[i]]
-            parts.append(f"{trace.c_hat_member[i]:.17g}")
-            parts += [f"{v:.17g}" for v in trace.g_hat_member[i]]
-            parts += [f"{trace.l_max[i]:.17g}", f"{trace.l_min[i]:.17g}",
-                      f"{trace.gap[i]:.17g}"]
-            fh.write(",".join(parts) + "\n")
+        for lo in range(0, len(reals), _TRACE_WRITE_ROWS):
+            rows = slice(lo, lo + _TRACE_WRITE_ROWS)
+            fh.write("".join(line % (t, *row) for t, row in zip(
+                trace.rounds[rows].tolist(), reals[rows].tolist())))

@@ -13,7 +13,7 @@ from cbpl.learner import (ConvergenceError, LearnerConfig, MixturePolicy,
                           run, write_trace_csv)
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock, build_random_mdp)
-from cbpl.onlineopt import eg_init
+from cbpl.onlineopt import DualVector, EG_FLAVOR, augmented_loss, eg_init
 from cbpl.oracle import (ExactSolver, exact_constrained_optimum,
                          exact_policy_values)
 
@@ -244,42 +244,278 @@ class TestRun:
             assert np.array_equal(a.actions, b.actions)
 
 
-class TestBlockChunks:
+# The chunk length of reference_block_advance; its results do not depend on it.
+REFERENCE_CHUNK = 1 << 15
+
+
+def reference_block_advance(state, sub, lam, prev_sig, config, trace_buf,
+                            max_rounds):
+    """The chunked block advance the closed-form one replaced: every round
+    of the block computed elementwise, in chunks of REFERENCE_CHUNK rounds
+    with the running lambda sum carried from chunk to chunk. Same contract
+    as learner._block_advance."""
+    B, eta, omega, tau = config.B, config.eta, config.omega, config.tau
+    pi_bytes, til_bytes = prev_sig[0], prev_sig[1]
+    # The certified pi~ has til_bytes, and exact evaluations are cached by
+    # policy, so its values are the ones the signature recorded.
+    c_til, g_til0 = prev_sig[4], prev_sig[5][0]
+    pi_t = state.members[-1]
+    c_t, g_t = sub.evaluate(pi_t)
+    z = augmented_loss(g_t, tau)
+    exponent = eta * z  # per-round log-multiplier
+
+    t0 = state.t
+    J = min(1 << 20, max_rounds - t0)
+    if J < 1:
+        return None, False
+
+    # Single-column closed form for the two-coordinate simplex: the first
+    # coordinate after j updates is B * sigmoid(-(d0 + j*de)) with logit gap
+    # d = log(lam1/lam0) growing linearly.
+    l0, l1 = np.log(np.maximum(lam.coords, 1e-300))
+    d0 = l1 - l0
+    de = exponent[1] - exponent[0]
+
+    size = min(REFERENCE_CHUNK, J)
+    base = np.arange(size, dtype=float)
+    j, t, d, ez, lam0, cum, lam_hat = (np.empty(size) for _ in range(7))
+    c_mix, g_mix, l_max, l_min, gap, work = (np.empty(size) for _ in range(6))
+    flags = np.empty(size, dtype=bool)
+
+    def rows_at(sel):
+        lam_sel, c_sel, g_sel = lam0[sel], c_mix[sel], g_mix[sel]
+        l_mid = c_sel + lam_hat[sel] * (g_sel - tau[0])
+        k = len(lam_sel)
+        return np.column_stack([
+            lam_sel, B - lam_sel, np.full(k, c_t), np.full(k, g_t[0]),
+            c_sel, g_sel, l_max[sel], l_min[sel], l_mid, gap[sel]])
+
+    lam_lo = hat_lo = math.inf
+    lam_hi = hat_hi = -math.inf
+    carry = 0.0
+    stop = None  # rounds the block advances, known once the gap work ends
+    converged = False
+    pend_ts, pend_rows, pend_stride = [], [], trace_buf.stride
+    for lo in range(0, J, size):
+        n = min(size, J - lo)
+        jv, tv, dv, ezv = j[:n], t[:n], d[:n], ez[:n]
+        lv, cv, hv = lam0[:n], cum[:n], lam_hat[:n]
+        np.add(base[:n], lo, out=jv)
+        np.add(base[:n], t0 + 1 + lo, out=tv)  # exact below 2^53
+        np.multiply(jv, de, out=dv)
+        np.add(dv, d0, out=dv)
+        np.abs(dv, out=ezv)
+        np.negative(ezv, out=ezv)
+        np.exp(ezv, out=ezv)
+        # d is monotone in j, so the sign changes at most once: each sigmoid
+        # branch is computed on its own side only.
+        n_pos = int(np.count_nonzero(np.greater_equal(dv, 0.0, out=flags[:n])))
+        pos = slice(n - n_pos, n) if de >= 0 else slice(0, n_pos)
+        neg = slice(0, n - n_pos) if de >= 0 else slice(n_pos, n)
+        np.add(ezv, 1.0, out=cv)
+        np.divide(ezv[pos], cv[pos], out=lv[pos])
+        np.divide(1.0, cv[neg], out=lv[neg])
+        np.multiply(lv, B, out=lv)
+        np.copyto(cv, lv)
+        cv[0] += carry
+        np.cumsum(cv, out=cv)
+        carry = cv[-1]
+        np.add(cv, state.sum_lam[0], out=hv)
+        np.divide(hv, tv, out=hv)
+        lam_lo, lam_hi = min(lam_lo, lv.min()), max(lam_hi, lv.max())
+        hat_lo, hat_hi = min(hat_lo, hv.min()), max(hat_hi, hv.max())
+        if stop is not None:
+            continue  # past the first gap hit only the certificates need it
+
+        cm, gm, lx, ln, gp, wk = (c_mix[:n], g_mix[:n], l_max[:n],
+                                  l_min[:n], gap[:n], work[:n])
+        np.add(jv, 1.0, out=wk)
+        np.multiply(wk, c_t, out=cm)
+        np.add(cm, state.sum_c, out=cm)
+        np.divide(cm, tv, out=cm)
+        np.multiply(wk, g_t[0], out=gm)
+        np.add(gm, state.sum_g[0], out=gm)
+        np.divide(gm, tv, out=gm)
+        np.subtract(gm, tau[0], out=wk)
+        np.maximum(0.0, wk, out=wk)
+        np.multiply(wk, B, out=wk)
+        np.add(cm, wk, out=lx)
+        np.multiply(hv, g_til0 - tau[0], out=ln)
+        np.add(ln, c_til, out=ln)
+        np.subtract(lx, ln, out=gp)
+        hits = np.less_equal(gp, omega, out=flags[:n])
+        converged = bool(hits.any())
+        m = int(np.argmax(hits)) + 1 if converged else n
+
+        # Trace rows of the kept rounds, at the stride the buffer will have
+        # once these rounds are in.
+        t_end = t0 + lo + m
+        stride = trace_buf.stride_for(t_end)
+        if stride != pend_stride:
+            keeps = [ts % stride == 0 for ts in pend_ts]
+            pend_ts = [ts[k] for ts, k in zip(pend_ts, keeps)]
+            pend_rows = [rows[k] for rows, k in zip(pend_rows, keeps)]
+            pend_stride = stride
+        first = -(t0 + 1 + lo) % stride
+        pend_ts.append(np.arange(t0 + 1 + lo + first, t_end + 1, stride,
+                                 dtype=np.int64))
+        pend_rows.append(rows_at(slice(first, m, stride)))
+        if converged or lo + n == J:
+            stop = lo + m
+            final = (t_end, rows_at(slice(m - 1, m))[0])
+            cum_stop, lam_stop = cv[m - 1], lv[m - 1]
+
+    # Stability certificates: best responses constant over the 1-d multiplier
+    # ranges covered by the block (regions are intervals, so endpoints suffice).
+    for v in (lam_lo, lam_hi):
+        if sub.best_response(np.array([v])).actions.tobytes() != pi_bytes:
+            return None, False
+    for v in (hat_lo, hat_hi):
+        if sub.best_response(np.array([v])).actions.tobytes() != til_bytes:
+            return None, False
+
+    trace_buf.extend(np.concatenate(pend_ts), np.concatenate(pend_rows), final)
+    state.add_member(pi_t, c_t, g_t, repeat=stop)
+    state.sum_lam[0] += cum_stop
+    state.sum_lam[1] += stop * B - cum_stop
+    if converged:
+        v0 = lam_stop
+    else:
+        # Multiplier entering round t0+stop+1.
+        dn = d0 + stop * de
+        ezn = math.exp(-abs(dn))
+        v0 = B * (ezn / (1.0 + ezn) if dn >= 0 else 1.0 / (1.0 + ezn))
+    coords = np.maximum([v0, B - v0], 1e-300)
+    next_lam = DualVector(coords, B, EG_FLAVOR)
+    return next_lam, converged
+
+
+def assert_same_run(out, expected):
+    """out matches the reference run expected: columns the closed forms
+    share with it bit for bit, lam-hat's columns within 1e-12 relative."""
+    (mixture, trace), (ref_mixture, ref) = out, expected
+    for field in ("converged", "total_rounds", "stride", "block_rounds",
+                  "generic_rounds"):
+        assert getattr(trace, field) == getattr(ref, field), field
+    for field in ("rounds", "lambdas", "c_hat_member", "g_hat_member",
+                  "c_hat_mix", "g_hat_mix", "l_max"):
+        assert np.array_equal(getattr(trace, field), getattr(ref, field)), field
+    for field in ("l_min", "l_mid", "gap"):
+        np.testing.assert_allclose(getattr(trace, field), getattr(ref, field),
+                                   rtol=1e-12, atol=0, err_msg=field)
+    assert np.array_equal(mixture.counts, ref_mixture.counts)
+    assert len(mixture.members) == len(ref_mixture.members)
+    for a, b in zip(mixture.members, ref_mixture.members):
+        assert np.array_equal(a.actions, b.actions)
+
+
+class TestClosedFormBlocks:
+    # test_01's step size: omega / (4 Gbar^2 B) with Gbar = 1 / (1 - gamma).
+    TUNED_ETA = 0.05 / (4 * 20.0 ** 2 * 30.0)
     RUNS = {
-        # One block from round 3; the gap reaches omega at round 83,193,
-        # inside the third chunk of the default size.
-        "converges_in_a_later_chunk": dict(eta=0.005, max_rounds=100_000),
-        # Never converges; the block is cut by max_rounds mid-chunk.
+        # One block from round 3; the gap reaches omega at round 83,193.
+        "converges_inside_the_block": dict(eta=0.005, max_rounds=100_000),
+        # Never converges; the block is cut by max_rounds.
         "stops_mid_block_at_max_rounds": dict(eta=0.001, omega=1e-6,
                                               max_rounds=50_000),
+        "fast_forward": dict(eta=0.01, omega=0.3, max_rounds=20_000),
+        # Four full blocks of test_01's run, with a thinned trace.
+        "tuned_four_blocks": dict(eta=TUNED_ETA, max_rounds=4 * 2 ** 20 + 2),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
-    def test_results_do_not_depend_on_chunk_size(self, name, fl8,
-                                                 monkeypatch):
-        default = learner_mod._CHUNK
-        outs = []
-        for chunk in (7, 4093, default):
-            monkeypatch.setattr(learner_mod, "_CHUNK", chunk)
-            outs.append(run(None, exact_config(**self.RUNS[name]),
-                            mdp_handle=fl8))
-        mixture, trace = outs[-1]
-        assert trace.block_rounds > default
-        if name == "converges_in_a_later_chunk":
-            assert trace.converged and trace.total_rounds == 83_193
-        else:
-            assert not trace.converged and trace.total_rounds == 50_000
-        for other_mixture, other in outs[:-1]:
-            for field in TRACE_ARRAYS:
-                assert np.array_equal(getattr(other, field),
-                                      getattr(trace, field)), field
-            for field in ("converged", "total_rounds", "stride",
-                          "bound_excess_max", "block_rounds",
-                          "generic_rounds"):
-                assert getattr(other, field) == getattr(trace, field), field
-            assert np.array_equal(other_mixture.counts, mixture.counts)
-            for a, b in zip(other_mixture.members, mixture.members):
-                assert np.array_equal(a.actions, b.actions)
+    def test_matches_reference_block_advance(self, name, fl8, monkeypatch):
+        config = exact_config(**self.RUNS[name])
+        out = run(None, config, mdp_handle=fl8)
+        monkeypatch.setattr(learner_mod, "_block_advance",
+                            reference_block_advance)
+        expected = run(None, config, mdp_handle=fl8)
+        assert out[1].block_rounds > 0
+        assert_same_run(out, expected)
+        if name == "converges_inside_the_block":
+            assert out[1].converged and out[1].total_rounds == 83_193
+        if name == "tuned_four_blocks":
+            assert out[1].block_rounds == 4 * 2 ** 20 and out[1].stride > 1
+
+    @staticmethod
+    def fixed_block(advance, lam0, lam_hat0, g_t, omega, asked):
+        """One block from round 2 of a stub game whose best response is
+        always the same policy, with C 1 and G g_t, and whose pi~ has C 1
+        and G 0; tau is 0.1. Returns (the block's result, the state, lam
+        and lam-hat over the 2^20 rounds of the block)."""
+        B, J = 30.0, 2 ** 20
+        policy = DeterministicPolicy(np.zeros(4, dtype=np.int64))
+
+        class FixedSub:
+            def evaluate(self, pi):
+                return 1.0, np.array([g_t])
+
+            def best_response(self, lam_m):
+                asked.append(float(lam_m[0]))
+                return policy
+
+        state = learner_mod._RunState(1, 2)
+        state.add_member(policy, 1.0, np.array([g_t]), repeat=2)
+        state.sum_lam[:] = [2 * lam_hat0, 2 * (B - lam_hat0)]
+        sig = (policy.actions.tobytes(), policy.actions.tobytes(),
+               1.0, (g_t,), 1.0, (0.0,))
+        config = exact_config(eta=1e-5, omega=omega, max_rounds=10 * J)
+        block = (learner_mod._block_advance if advance == "closed_form"
+                 else reference_block_advance)
+        out = block(state, FixedSub(), DualVector([lam0, B - lam0], B, EG_FLAVOR),
+                    sig, config, learner_mod._TraceBuffer(64), 10 * J)
+        lams = learner_mod._lambda_at(B, math.log((B - lam0) / lam0),
+                                      -config.eta * (g_t - 0.1),
+                                      np.arange(J, dtype=float))
+        lam_hat = (2 * lam_hat0 + np.cumsum(lams)) / np.arange(3, J + 3)
+        return out, state, lams, lam_hat
+
+    @pytest.mark.parametrize("advance", ["closed_form", "reference"])
+    def test_certificates_take_the_turn_of_lam_hat(self, advance):
+        # lam falls from 29 while lam-hat starts at 0.5 below it: lam-hat
+        # rises until lam crosses it, then falls, so the top of its range
+        # lies inside the block.
+        asked = []
+        (next_lam, converged), _, _, lam_hat = self.fixed_block(
+            advance, 29.0, 0.5, 0.0, 1e-9, asked)
+        assert next_lam is not None and not converged
+        J = len(lam_hat)
+        peak = int(np.argmax(lam_hat))
+        assert 0 < peak < J - 1
+        np.testing.assert_allclose(asked[2:], [lam_hat.min(), lam_hat.max()],
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("advance", ["closed_form", "reference"])
+    def test_finds_a_gap_dip_between_kept_rounds(self, advance):
+        # lam rises from 1 while lam-hat starts at 5 above it: lam-hat, and
+        # with it the gap 3 + lam-hat / 10, falls until lam crosses it and
+        # then rises. omega is met only near the bottom, between the kept
+        # rounds 0 and 2^14 of a 64-row trace.
+        _, _, _, lam_hat = self.fixed_block(advance, 1.0, 5.0, 0.2, 1e-9, [])
+        gap = 3.0 + lam_hat / 10
+        omega = (gap.min() + min(gap[0], gap[2 ** 14 - 1])) / 2
+        first = int(np.argmax(gap <= omega))
+        assert 0 < first < 2 ** 14 - 1
+        (next_lam, converged), state, lams, _ = self.fixed_block(
+            advance, 1.0, 5.0, 0.2, omega, [])
+        assert converged and state.t == 2 + first + 1
+        assert next_lam.coords[0] == lams[first]
+
+    @pytest.mark.parametrize("de", [1e-7, -1e-7, 1e-5, -1e-4, 1e-3, -1e-3,
+                                    1e-2, -1e-2, 0.05, -5.0])
+    @pytest.mark.parametrize("d0", [2.08e-7, -3.0, 12.0])
+    def test_lambda_sums_match_fsum(self, d0, de):
+        B, J = 30.0, 2 ** 20
+        lam = learner_mod._lambda_at(B, d0, de, np.arange(J, dtype=float))
+        sums = learner_mod._lambda_sums(B, d0, de, J)
+        n = np.array([0, 1, 2, 2048, J], dtype=float)
+        expected = [math.fsum(lam[:int(k)].tolist()) for k in n]
+        np.testing.assert_allclose(sums(n), expected, rtol=1e-12, atol=0)
+
+    def test_lambda_sums_of_a_constant_multiplier(self):
+        sums = learner_mod._lambda_sums(30.0, 0.4, 0.0, 100)
+        lam = float(learner_mod._lambda_at(30.0, 0.4, 0.0, 0.0))
+        assert np.array_equal(sums(np.arange(4.0)), np.arange(4.0) * lam)
 
     @pytest.mark.parametrize("path", ["block", "generic"])
     def test_small_trace_limit_keeps_stride_multiples_and_final_round(

@@ -4,8 +4,10 @@
         --workload data-roundtrip --pairs 10 --seed 1
 
 Each pair runs ``benchmarks/run.py`` (untraced) once on a copy of the parent
-commit, made with ``git archive`` in a temporary directory, and once on the
-working tree, alternating which side goes first. The file named by ``--out``
+commit, made with ``git archive``, and once on a copy of the working tree
+(the files ``git ls-files -co --exclude-standard`` lists), alternating which
+side goes first. Both copies sit side by side in one temporary directory,
+so neither side runs from a different kind of location. The file named by ``--out``
 gets, per workload and seed, every run's end-to-end metrics and each side's
 median and quartiles, the number of pairs the change won (ties count for
 neither), and whether the change's median beats the parent's by more than
@@ -18,6 +20,7 @@ start and end of each run are recorded with the runs.
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,6 +49,19 @@ def export(revision, dest):
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def export_worktree(dest):
+    """Copy the working tree's tracked files and its untracked files that
+    are not ignored into dest."""
+    names = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-co", "--exclude-standard", "-z"],
+        check=True, capture_output=True, text=True).stdout.split("\0")
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def run_once(tree, workload, seed, seconds):
@@ -88,8 +104,9 @@ def main(argv=None):
                                 check=True, capture_output=True, text=True).stdout.strip()
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        export(parent_rev, tmp)
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(parent_rev, trees["parent"])
+        export_worktree(trees["change"])
         for workload in args.workload:
             runs = {"parent": [], "change": []}
             for pair in range(args.pairs):
