@@ -80,6 +80,19 @@ class EmpiricalModel:
     @classmethod
     def from_dataset(cls, dataset):
         """Group equal rows with one lexsort and adjacent differences."""
+        return cls._grouped(dataset)[0]
+
+    @classmethod
+    def with_row_ids(cls, dataset):
+        """from_dataset's model and, for every sample, the index of the
+        model row it falls in."""
+        model, order, new_row = cls._grouped(dataset)
+        row_ids = np.empty(len(order), dtype=np.int64)
+        row_ids[order] = np.cumsum(new_row) - 1
+        return model, row_ids
+
+    @classmethod
+    def _grouped(cls, dataset):
         keys = [dataset.x, dataset.a, dataset.x_next, dataset.done, dataset.c,
                 *dataset.g.T]
         order = np.lexsort(keys[::-1])
@@ -91,9 +104,19 @@ class EmpiricalModel:
         first = np.flatnonzero(new_row)
         count = np.diff(np.append(first, len(order)))
         rows = order[first]
-        return cls(dataset.x[rows], dataset.a[rows], dataset.x_next[rows],
-                   dataset.done[rows], dataset.c[rows], dataset.g[rows], count,
-                   dataset.x[dataset.t == 0])
+        model = cls(dataset.x[rows], dataset.a[rows], dataset.x_next[rows],
+                    dataset.done[rows], dataset.c[rows], dataset.g[rows],
+                    count, dataset.x[dataset.t == 0])
+        return model, order, new_row
+
+    def restrict(self, row_ids, starts):
+        """The model of the samples whose model rows are row_ids, with t = 0
+        start states starts: from_dataset of those samples, without a sort."""
+        count = np.bincount(row_ids, minlength=len(self))
+        keep = np.flatnonzero(count)
+        return EmpiricalModel(self.x[keep], self.a[keep], self.x_next[keep],
+                              self.done[keep], self.c[keep], self.g[keep],
+                              count[keep], starts)
 
     def __len__(self):
         return len(self.x)

@@ -283,8 +283,7 @@ def _cmd_ope_compare(args):
         raise ValidationError("fractions must lie in (0, 1]")
     derived = np.random.SeedSequence([args.seed, _STREAM_OPE])
     config = OpeConfig(fqe_iters=args.iters,
-                       seed=int(derived.generate_state(1)[0]),
-                       jobs=args.jobs)
+                       seed=int(derived.generate_state(1)[0]))
     rows = ope_comparison(data, policy, mdp, fractions, args.trials, config)
     write_ope_report(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -402,7 +401,6 @@ def build_parser():
                    default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", type=float, default=0.95)

@@ -62,7 +62,7 @@ def ope_protocol(fl8):
     fractions = [round(0.1 * k, 1) for k in range(1, 11)]
     t0 = time.monotonic()
     rows = ope_comparison(data, policy, fl8, fractions, 30,
-                          OpeConfig(fqe_iters=100, seed=0, jobs=2))
+                          OpeConfig(fqe_iters=100, seed=0))
     elapsed = time.monotonic() - t0
     return data, policy, rows, elapsed
 

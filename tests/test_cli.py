@@ -274,6 +274,7 @@ class TestErrorExitCodes:
         "x_next_70": _data_rows(x_next=70),
         "x_16": _data_rows(x=16),
         "a_4": _data_rows(a=4),
+        "a_7": _data_rows(a=7),
         "x_next_negative": _data_rows(x_next=-1),
         "traj_id_2_63": _data_rows().replace("\n0,0,", f"\n{2 ** 63},0,"),
         # Not a dataset: a two-member mixture over the 16 states.
@@ -319,6 +320,10 @@ class TestErrorExitCodes:
         "fqe_mixture_policy": (
             ["fqe", "--data", "{data}", "--map", "{map}",
              "--policy", "{mixture}"], None, 1),
+        # The policy file is deterministic, so pdis alone could not tell.
+        "ope_compare_action_outside_map": (
+            ["ope-compare", "--data", "{a_7}", "--map", "{map}",
+             "--policy", "{policy}", "--out", "{dir}/r.csv"], None, 1),
         "ope_compare_mixture_policy": (
             ["ope-compare", "--data", "{data}", "--map", "{map}",
              "--policy", "{mixture}", "--out", "{dir}/r.csv"], None, 1),
@@ -336,6 +341,10 @@ class TestErrorExitCodes:
         "oracle_seed": (
             ["oracle", "--map", "{map}", "--policy", "{policy}",
              "--seed", "1"], None, 1),
+        "ope_compare_jobs": (
+            ["ope-compare", "--data", "{data}", "--map", "{map}",
+             "--policy", "{policy}", "--jobs", "2", "--out", "{dir}/r.csv"],
+            None, 1),
         "collect_gamma": (
             ["collect", "--map", "{map}", "--gamma", "0.9",
              "--out", "{dir}/d.csv"], None, 1),

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from cbpl.batchrl import CostSelector, fqe
-from cbpl.dataset import Dataset, collect, full_coverage_dataset
+from cbpl.batchrl import CostSelector, EmpiricalModel, fqe
+from cbpl.dataset import (Dataset, check_indices, collect,
+                          full_coverage_dataset, load,
+                          make_frozenlake_behavior, subsample)
 from cbpl.funcapprox import QFunction
+from cbpl.cli import main
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
-                      build_combination_lock)
-from cbpl.ope import (OpeConfig, doubly_robust, ope_comparison, pdis,
-                      weighted_doubly_robust, write_ope_report)
+                      as_stochastic, build_combination_lock, build_frozenlake,
+                      build_random_mdp)
+from cbpl.ope import (OpeConfig, _SubsampleModels, doubly_robust,
+                      ope_comparison, pdis, weighted_doubly_robust,
+                      write_ope_report)
 from cbpl.oracle import ExactSolver, exact_policy_values
+
+from conftest import FROZENLAKE_4X4
 
 
 def random_terminating_mdp(seed, num_states=4, num_actions=2, gamma=0.9):
@@ -103,6 +110,55 @@ def looped_wdr(data, probs, q, gamma):
     return total
 
 
+def padded_weighted_sum(dataset, eval_policy, gamma, q_hat=None,
+                        normalized=False):
+    """The estimators' sum over the padded (trajectories x horizon) matrix,
+    the layout the ragged sum in cbpl.ope replaces: the cumulative ratio is
+    a cumprod along each padded row (1 past the end), and WDR divides each
+    column by its sum."""
+    if q_hat is not None:
+        vals = q_hat.values()
+    elif isinstance(eval_policy, StochasticPolicy):
+        vals = np.zeros(eval_policy.probs.shape)
+    else:
+        vals = np.zeros((len(eval_policy.actions),
+                         max(dataset.a.max(), eval_policy.actions.max()) + 1))
+    check_indices(dataset, *vals.shape)
+    probs = as_stochastic(eval_policy, vals.shape[1])
+    v = np.einsum("xa,xa->x", probs, vals)
+    starts, stops = dataset.trajectory_bounds()
+    n, horizon = len(starts), int((stops - starts).max())
+    row = np.repeat(np.arange(n), stops - starts)
+    col = np.arange(len(dataset)) - starts[row]
+    x, a = dataset.x, dataset.a
+
+    def padded(values, fill=0.0):
+        out = np.full((n, horizon), fill)
+        out[row, col] = values
+        return out
+
+    w = np.cumprod(padded(probs[x, a] / dataset.behavior_prob, 1.0), axis=1)
+    if normalized:
+        sums = w.sum(axis=0)
+        w = np.divide(w, sums, out=np.zeros_like(w), where=sums > 0)
+    else:
+        w /= n
+    w_prev = np.concatenate([np.full((n, 1), 1.0 / n), w[:, :-1]], axis=1)
+    terms = w * (padded(dataset.c) - padded(vals[x, a])) + w_prev * padded(v[x])
+    return float(np.sum(gamma ** np.arange(horizon) * terms))
+
+
+def assert_matches_padded(data, policy, q_hat, gamma):
+    """PDIS, DR and WDR agree with the padded-matrix sum within 1e-12."""
+    assert pdis(data, policy, gamma) == pytest.approx(
+        padded_weighted_sum(data, policy, gamma), abs=1e-12)
+    assert doubly_robust(data, policy, q_hat, gamma) == pytest.approx(
+        padded_weighted_sum(data, policy, gamma, q_hat), abs=1e-12)
+    assert weighted_doubly_robust(data, policy, q_hat, gamma) == (
+        pytest.approx(padded_weighted_sum(data, policy, gamma, q_hat,
+                                          normalized=True), abs=1e-12))
+
+
 def random_dataset(rng, num_states, num_actions, num_trajs, max_len,
                    zero_at=None):
     """Trajectories of random lengths 1..max_len (some length 1), each ending
@@ -133,8 +189,8 @@ def random_dataset(rng, num_states, num_actions, num_trajs, max_len,
 
 
 class TestWeightedSumMatchesLoops:
-    """The three estimators, one sum over the padded trajectory matrix,
-    against the per-trajectory loops they replace."""
+    """The three estimators, one ragged sum over the trajectories, against
+    the per-trajectory loops and the padded-matrix sum they replace."""
 
     S, A = 5, 3
 
@@ -146,6 +202,7 @@ class TestWeightedSumMatchesLoops:
             recursive_dr(data, probs, q_table, gamma), abs=1e-12)
         assert weighted_doubly_robust(data, policy, q_hat, gamma) == (
             pytest.approx(looped_wdr(data, probs, q_table, gamma), abs=1e-12))
+        assert_matches_padded(data, policy, q_hat, gamma)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mixed_lengths(self, seed):
@@ -176,6 +233,116 @@ class TestWeightedSumMatchesLoops:
             head = slice(s, min(e, s + 3))
             assert np.any(data.a[head] != actions[data.x[head]])
         self.check(data, policy, probs, q_table, 0.95)
+
+
+class TestRaggedSumMatchesPadded:
+    """The ragged sum against the padded-matrix reference on a hand-built
+    case and on full-size FrozenLake collections."""
+
+    def test_trajectory_ends_with_nonzero_weight_while_another_runs_on(self):
+        # Trajectory 0 ends after one step with cumulative ratio 2;
+        # trajectory 1 has ratios 0.5 and then 2. At t = 0 the weights are
+        # 2 / 2.5 and 0.5 / 2.5, adding 0.8 * 1 + 0.2 * 1 = 1. At t = 1
+        # trajectory 0's ratio 2 stays in the normalizer, so trajectory 1
+        # weighs 1 / (2 + 1) and the step adds 0.9 * 4 / 3 = 1.2.
+        data = Dataset([0, 1, 1], [0, 0, 1], [0, 0, 0], [0, 0, 1], [0, 0, 0],
+                       [1.0, 1.0, 4.0], np.zeros((3, 0)), [True, False, True],
+                       [0.25, 1.0, 0.25])
+        policy = StochasticPolicy([[0.5, 0.5]])
+        zero_q = QFunction.tabular_zeros(1, 2)
+        assert weighted_doubly_robust(data, policy, zero_q, 0.9) == (
+            pytest.approx(2.2, abs=1e-15))
+        assert_matches_padded(data, policy, zero_q, 0.9)
+        assert_matches_padded(data, policy,
+                              QFunction(table=np.array([[0.3, -0.7]])), 0.9)
+
+    @staticmethod
+    def check_policies(fl8, data):
+        """A deterministic (greedy) and a stochastic evaluation policy, each
+        with its FQE table as the control variate."""
+        template = QFunction.tabular_zeros(64, 4)
+        for policy in (ExactSolver(fl8).best_response(np.array([1e6])),
+                       make_frozenlake_behavior(fl8, 0.5)):
+            _, run = fqe(data, policy, CostSelector.primary(), 100, template,
+                         mdp=fl8)
+            assert_matches_padded(data, policy, run.q_final, fl8.gamma)
+
+    def test_estimator_comparison_protocol(self, fl8):
+        # test_08's collection: epsilon 0.5, 5000 trajectories, seed 1.
+        data = collect(fl8, make_frozenlake_behavior(fl8, 0.5), 5000, 200,
+                       np.random.default_rng(1))
+        for fraction in (0.1, 1.0):
+            sub = subsample(data, fraction, np.random.default_rng(2))
+            self.check_policies(fl8, sub)
+
+    def test_default_collections(self, fl8, fl8_dataset, tmp_path):
+        starts, stops = fl8_dataset.trajectory_bounds()
+        assert (len(fl8_dataset), (stops - starts).max()) == (144_281, 154)
+        self.check_policies(fl8, fl8_dataset)
+        path = str(tmp_path / "d.csv")
+        assert main(["collect", "--seed", "1", "--out", path]) == 0
+        data = load(path)
+        starts, stops = data.trajectory_bounds()
+        assert (len(data), (stops - starts).max()) == (141_408, 200)
+        self.check_policies(fl8, data)
+
+
+class TestSubsampleModels:
+    """A trial's EmpiricalModel, counted from the full dataset's model, is
+    the one from_dataset builds from the subsample."""
+
+    FIELDS = ("x", "a", "x_next", "done", "c", "g", "count", "starts")
+
+    def assert_same_model(self, derived, built):
+        for field in self.FIELDS:
+            got, want = getattr(derived, field), getattr(built, field)
+            assert got.dtype == want.dtype, field
+            assert np.array_equal(got, want), field
+
+    def check_subsamples(self, data, seed):
+        models = _SubsampleModels(data)
+        rng = np.random.default_rng(seed)
+        for fraction in (0.05, 0.1, 0.5, 0.9, 1.0):
+            sub = subsample(data, fraction, rng)
+            self.assert_same_model(models(sub),
+                                   EmpiricalModel.from_dataset(sub))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_frozenlake(self, fl8, seed):
+        data = collect(fl8, make_frozenlake_behavior(fl8, 0.5), 500, 200,
+                       np.random.default_rng(seed))
+        self.check_subsamples(data, 10 + seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_constraint_columns_and_unordered_ids(self, seed):
+        mdp = build_random_mdp(6, 3, 2, seed)
+        behavior = StochasticPolicy(np.full((6, 3), 1.0 / 3.0))
+        data = collect(mdp, behavior, 200, 15, np.random.default_rng(seed))
+        assert data.m == 2
+        # Trajectory ids in no particular order, with gaps.
+        starts, stops = data.trajectory_bounds()
+        ids = np.random.default_rng(seed).permutation(len(starts)) * 7 + 3
+        data = Dataset(np.repeat(ids, stops - starts), data.t, data.x, data.a,
+                       data.x_next, data.c, data.g, data.done,
+                       data.behavior_prob)
+        self.check_subsamples(data, 20 + seed)
+
+    def test_fqe_rows_equal_fqe_on_the_subsample(self, fl8):
+        data = collect(fl8, make_frozenlake_behavior(fl8, 0.5), 400, 200,
+                       np.random.default_rng(3))
+        policy = ExactSolver(fl8).best_response(np.array([1e6]))
+        fractions, trials = [0.2, 1.0], 3
+        config = OpeConfig(fqe_iters=40, seed=7)
+        rows = ope_comparison(data, policy, fl8, fractions, trials, config)
+        seeds = np.random.SeedSequence(config.seed).spawn(len(fractions)
+                                                          * trials)
+        template = QFunction.tabular_zeros(64, 4)
+        expected = []
+        for seed, fraction in zip(seeds, np.repeat(fractions, trials)):
+            sub = subsample(data, fraction, np.random.default_rng(seed))
+            expected.append(fqe(sub, policy, CostSelector.primary(),
+                                config.fqe_iters, template, mdp=fl8)[0])
+        assert [row[3] for row in rows if row[0] == "fqe"] == expected
 
 
 class TestPdis:
@@ -309,14 +476,15 @@ class TestOpeComparison:
         rows2 = ope_comparison(data, policy, fl8, [0.5], 2, config)
         assert rows1 == rows2
 
-    def test_parallel_jobs_match_serial(self, fl8, fl8_behavior):
-        data = collect(fl8, fl8_behavior, 150, 200, np.random.default_rng(1))
-        policy = ExactSolver(fl8).best_response(np.array([1e6]))
-        serial = ope_comparison(data, policy, fl8, [0.5, 1.0], 2,
-                                OpeConfig(fqe_iters=30, seed=5, jobs=1))
-        parallel = ope_comparison(data, policy, fl8, [0.5, 1.0], 2,
-                                  OpeConfig(fqe_iters=30, seed=5, jobs=4))
-        assert serial == parallel
+    def test_action_outside_map_with_deterministic_policy_raises(self):
+        # pdis alone cannot tell: the policy carries no action count, so
+        # the row gets ratio 0. The protocol checks a against the map.
+        lake = build_frozenlake(FROZENLAKE_4X4)
+        data = Dataset([0, 1], [0, 0], [0, 1], [7, 2], [4, 2], [0.0, 0.0],
+                       np.zeros((2, 1)), [False, False], [0.25, 0.25])
+        policy = DeterministicPolicy(np.zeros(16, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"row 1 has a = 7"):
+            ope_comparison(data, policy, lake, [1.0], 1)
 
     def test_report_csv_format(self, fl8, tmp_path):
         data = full_coverage_dataset(fl8)
