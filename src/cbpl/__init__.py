@@ -22,7 +22,7 @@ from .learner import (ConvergenceError, LearnerConfig, MixturePolicy,
                       regularization_grid, run, write_trace_csv)
 from .mdp import (DeterministicPolicy, FROZENLAKE_8X8, StochasticPolicy,
                   TabularMdp, build_combination_lock, build_frozenlake,
-                  build_random_mdp, step)
+                  build_random_mdp)
 from .onlineopt import (DualVector, augmented_loss, eg_init, eg_regret_bound,
                         eg_update, ogd_init, ogd_update)
 from .ope import (OpeConfig, doubly_robust, ope_comparison, pdis,

@@ -164,11 +164,15 @@ def _as_model(data):
 
 
 def _resolve_gamma(gamma, mdp):
-    if gamma is not None:
+    """The discount: the map's, which a given gamma must equal, else the
+    given one."""
+    if mdp is None:
+        if gamma is None:
+            raise ValueError("provide gamma or an mdp handle")
         return float(gamma)
-    if mdp is not None:
-        return mdp.gamma
-    raise ValueError("provide gamma or an mdp handle")
+    if gamma is not None and float(gamma) != mdp.gamma:
+        raise ValueError(f"gamma {gamma} differs from the map's {mdp.gamma}")
+    return mdp.gamma
 
 
 def _initial_distribution(starts, mdp, num_states):

@@ -102,33 +102,29 @@ def save_mixture(mixture, path):
 
 def _action_table(pairs, num_states, num_actions, path):
     """Actions indexed by state from (state, action) pairs. Every state of
-    0..S-1 must appear exactly once, S being num_states when given (the
-    map's) and else one more than the largest state listed; actions must
-    lie in [0, num_actions) when num_actions is given."""
+    0..num_states-1 must appear exactly once, with an action in
+    [0, num_actions)."""
     if not pairs:
         raise ValidationError(f"policy file {path} lists no states")
     states = sorted(x for x, _ in pairs)
-    S = states[-1] + 1 if num_states is None else num_states
-    if states != list(range(S)):
+    if states != list(range(num_states)):
         raise ValidationError(
             f"policy file {path} lists {len(states)} state rows in "
-            f"{states[0]}..{states[-1]}; expected each of the {S} states "
-            f"0..{S - 1} once")
-    upper = float("inf") if num_actions is None else num_actions
-    actions = np.zeros(S, dtype=np.int64)
+            f"{states[0]}..{states[-1]}; expected each of the {num_states} "
+            f"states 0..{num_states - 1} once")
+    actions = np.zeros(num_states, dtype=np.int64)
     for x, a in pairs:
-        if not 0 <= a < upper:
+        if not 0 <= a < num_actions:
             raise ValidationError(f"policy file {path}: action {a} at state "
-                                  f"{x} is outside [0, {upper})")
+                                  f"{x} is outside [0, {num_actions})")
         actions[x] = a
     return actions
 
 
-def load_policy(path, num_states=None, num_actions=None,
-                allow_mixture=True):
+def load_policy(path, num_states, num_actions, allow_mixture=True):
     """Load a deterministic policy or, if allow_mixture, a mixture, as the
-    header says. Pass the map's num_states and num_actions to check the file
-    against it."""
+    header says, checked against num_states states and num_actions
+    actions."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -181,14 +177,22 @@ def _cmd_collect(args):
 
 
 def _resolve_learn_config(args):
-    """LearnerConfig from the flags; the fitted-solver flags are rejected by
-    the flavors that solve their MDP exactly, and default to LearnerConfig's
-    values when not given."""
+    """LearnerConfig from the flags. Flags that would do nothing are
+    rejected: the fitted-solver flags under the flavors that solve their MDP
+    exactly, --data under the exact flavor, which solves the map, and
+    --derandomize without --policy-out. The fitted-solver flags default to
+    LearnerConfig's values when not given."""
     fitted = {"K_fqi": args.iters_fqi, "K_fqe": args.iters_fqe}
     given = {k: v for k, v in fitted.items() if v is not None}
     if given and args.flavor != "fitted":
         raise ValidationError(f"--flavor {args.flavor} solves its MDP exactly "
                               f"and takes no --iters-fqi or --iters-fqe")
+    if args.data and args.flavor == "exact":
+        raise ValidationError("--flavor exact solves the map's MDP and takes "
+                              "no --data")
+    if args.derandomize and not args.policy_out:
+        raise ValidationError("--derandomize writes its policy to "
+                              "--policy-out, which is missing")
     return LearnerConfig(
         B=args.B, eta=args.eta, omega=args.omega,
         tau=np.array([float(v) for v in args.tau.split(",")]),
@@ -199,13 +203,13 @@ def _resolve_learn_config(args):
 
 
 def _cmd_learn(args):
+    config = _resolve_learn_config(args)
     mdp = _load_map(args.map, args.gamma) if args.map else None
     data = _load_data(args.data, mdp) if args.data else None
     if args.flavor == "exact" and mdp is None:
         raise ValidationError("--flavor exact requires --map")
     if args.flavor != "exact" and data is None:
         raise ValidationError(f"--flavor {args.flavor} requires --data")
-    config = _resolve_learn_config(args)
     mixture, trace = run(data, config, mdp_handle=mdp)
     if args.trace_out:
         write_trace_csv(trace, args.trace_out)
@@ -224,38 +228,37 @@ def _cmd_learn(args):
 def _fitted_common(args):
     mdp = _load_map(args.map, args.gamma) if args.map else None
     data = _load_data(args.data, mdp)
-    gamma = mdp.gamma if mdp else args.gamma
     S = (mdp.num_states if mdp
          else int(max(data.x.max(), data.x_next.max())) + 1)
     A = mdp.num_actions if mdp else int(data.a.max()) + 1
     template = QFunction.tabular_zeros(S, A)
-    return data, mdp, gamma, template
+    return data, mdp, template
 
 
 def _cmd_fqe(args):
-    data, mdp, gamma, template = _fitted_common(args)
+    data, mdp, template = _fitted_common(args)
     policy = load_policy(args.policy, *template.table.shape,
                          allow_mixture=False)
     est, run_info = fqe(data, policy, _parse_cost(args.cost), args.iters,
-                        template, gamma=gamma, mdp=mdp)
+                        template, gamma=args.gamma, mdp=mdp)
     print(f"estimate,{est:.17g}")
     return 0
 
 
 def _cmd_fqi(args):
-    data, mdp, gamma, template = _fitted_common(args)
+    data, mdp, template = _fitted_common(args)
     policy, _ = fqi(data, _parse_cost(args.cost), args.iters, template,
-                    gamma=gamma, mdp=mdp)
+                    gamma=args.gamma, mdp=mdp)
     save_policy(policy, args.policy_out)
     return 0
 
 
 def _cmd_lspi(args):
-    data, mdp, gamma, _ = _fitted_common(args)
+    data, mdp, _ = _fitted_common(args)
     if mdp is None:
         raise ValidationError("lspi needs --map to build one-hot features")
     features = one_hot_features(mdp)
-    result = lspi(data, _parse_cost(args.cost), features, gamma,
+    result = lspi(data, _parse_cost(args.cost), features, args.gamma,
                   eps_stop=args.eps, max_iters=args.iters, ridge=args.ridge)
     policy = lspi_policy(result.weights, features)
     save_policy(policy, args.policy_out)

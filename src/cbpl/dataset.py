@@ -31,13 +31,7 @@ class Dataset:
         self.a = np.asarray(a, dtype=np.int64)
         self.x_next = np.asarray(x_next, dtype=np.int64)
         self.c = np.asarray(c, dtype=float)
-        g_arr = np.asarray(g, dtype=float)
-        if g_arr.ndim != 2:
-            if len(self.c):
-                g_arr = g_arr.reshape(len(self.c), -1)
-            else:
-                g_arr = g_arr.reshape(0, 0)
-        self.g = g_arr
+        self.g = np.asarray(g, dtype=float)
         self.done = np.asarray(done, dtype=bool)
         self.behavior_prob = np.asarray(behavior_prob, dtype=float)
         n = len(self.traj_id)
@@ -45,6 +39,8 @@ class Dataset:
                     self.behavior_prob):
             if len(arr) != n:
                 raise ValueError("all columns must have equal length")
+        if self.g.ndim != 2 or len(self.g) != n:
+            raise ValueError("g must have shape (rows, m)")
         if n and self.behavior_prob.min() <= 0:
             raise ValueError("behavior_prob must be positive")
         if n and self.g.min(initial=0.0) < 0:
@@ -94,11 +90,6 @@ class Dataset:
         """Start and stop row arrays of the trajectories, in file order."""
         return self._starts, self._stops
 
-    @classmethod
-    def empty(cls, m):
-        z = np.zeros(0)
-        return cls(z, z, z, z, z, z, np.zeros((0, m)), z, np.ones(0))
-
 
 def collect(mdp, behavior, num_trajectories, max_horizon, rng):
     """Roll out the behavior policy from the initial distribution.
@@ -116,7 +107,7 @@ def collect(mdp, behavior, num_trajectories, max_horizon, rng):
         raise ValueError("need num_trajectories >= 0 and max_horizon >= 1")
     probs = as_stochastic(behavior, mdp.num_actions)
     cum_behavior = np.cumsum(probs, axis=1).tolist()
-    cum_transition = mdp.cumulative_transition().tolist()
+    cum_transition = np.cumsum(mdp.transition, axis=2).tolist()
     cum_initial = np.cumsum(mdp.initial_dist).tolist()
     terminal = mdp.terminal_mask.tolist()
     S, A = mdp.num_states, mdp.num_actions

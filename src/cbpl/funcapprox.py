@@ -23,14 +23,6 @@ class FeatureMap:
     def k(self):
         return self.phi.shape[2]
 
-    @property
-    def num_states(self):
-        return self.phi.shape[0]
-
-    @property
-    def num_actions(self):
-        return self.phi.shape[1]
-
 
 def one_hot_features(mdp):
     """Indicator features: k = S*A, one coordinate per (x, a) cell."""
@@ -56,10 +48,6 @@ class QFunction:
     @classmethod
     def tabular_zeros(cls, num_states, num_actions):
         return cls(table=np.zeros((num_states, num_actions)))
-
-    @classmethod
-    def linear_zeros(cls, features):
-        return cls(weights=np.zeros(features.k), features=features)
 
     @property
     def is_tabular(self):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batchrl import CostSelector, EmpiricalModel, fqe, fqi
+from .batchrl import CostSelector, EmpiricalModel, _resolve_gamma, fqe, fqi
 from .funcapprox import QFunction
 from .mdp import DeterministicPolicy
 from .onlineopt import (DualVector, EG_FLAVOR, OGD_FLAVOR, augmented_loss,
@@ -54,7 +54,7 @@ class LearnerConfig:
     seed: int = 0
     dual_flavor: str = EG_FLAVOR
     subroutine_flavor: str = "fitted"
-    gamma: float = 0.95
+    gamma: float = None
 
     def __post_init__(self):
         self.tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
@@ -198,13 +198,13 @@ class _ExactSub:
 
 
 class _FittedSub:
-    def __init__(self, dataset, mdp, config, num_states, num_actions):
+    def __init__(self, dataset, mdp, config, num_states, num_actions, gamma):
         # FQI and FQE sweep the deduplicated rows; built once per subroutine.
         self.model = EmpiricalModel.from_dataset(dataset)
         self.mdp = mdp
         self.config = config
         self.template = QFunction.tabular_zeros(num_states, num_actions)
-        self.gamma = mdp.gamma if mdp is not None else config.gamma
+        self.gamma = gamma
         self._eval_cache = {}
 
     def best_response(self, lam_m):
@@ -244,9 +244,10 @@ def lagrangian_max(c_hat, g_hat, tau, B, flavor=EG_FLAVOR):
 
 
 def _make_subroutine(dataset, config, mdp_handle):
+    if config.subroutine_flavor == "exact" and mdp_handle is None:
+        raise ValueError("exact flavor requires an mdp handle")
+    gamma = _resolve_gamma(config.gamma, mdp_handle)
     if config.subroutine_flavor == "exact":
-        if mdp_handle is None:
-            raise ValueError("exact flavor requires an mdp handle")
         return _ExactSub(mdp_handle)
     if dataset is None or len(dataset) == 0:
         raise ValueError("fitted flavors require a nonempty dataset")
@@ -256,17 +257,14 @@ def _make_subroutine(dataset, config, mdp_handle):
         S = int(max(dataset.x.max(), dataset.x_next.max())) + 1
         A = int(dataset.a.max()) + 1
     if config.subroutine_flavor == "fitted":
-        return _FittedSub(dataset, mdp_handle, config, S, A)
-    if mdp_handle is not None:
-        gamma, chi = mdp_handle.gamma, mdp_handle.initial_dist
-    else:
-        gamma, chi = config.gamma, None
+        return _FittedSub(dataset, mdp_handle, config, S, A, gamma)
+    chi = None if mdp_handle is None else mdp_handle.initial_dist
     model = EmpiricalModel.from_dataset(dataset)
     return _ExactSub(model.to_mdp(S, A, gamma, chi), sink=True)
 
 
 def _default_g_bar(dataset, mdp_handle, config):
-    gamma = mdp_handle.gamma if mdp_handle is not None else config.gamma
+    gamma = _resolve_gamma(config.gamma, mdp_handle)
     if dataset is not None and len(dataset) and dataset.m:
         peak = float(np.abs(dataset.g).max())
     elif mdp_handle is not None and mdp_handle.m:

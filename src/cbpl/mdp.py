@@ -61,7 +61,6 @@ class TabularMdp:
         self.terminal_mask = np.zeros(S, dtype=bool)
         if self.terminal_states:
             self.terminal_mask[sorted(self.terminal_states)] = True
-        self._cum_transition = None
 
     @property
     def num_states(self):
@@ -75,12 +74,6 @@ class TabularMdp:
     def m(self):
         return self.cost_g.shape[2]
 
-    def cumulative_transition(self):
-        """Per-(x, a) cumulative row sums, cached for fast sampling."""
-        if self._cum_transition is None:
-            self._cum_transition = np.cumsum(self.transition, axis=2)
-        return self._cum_transition
-
 
 class DeterministicPolicy:
     """Maps every state to a single action."""
@@ -89,9 +82,6 @@ class DeterministicPolicy:
         self.actions = np.asarray(actions, dtype=np.int64)
         if self.actions.ndim != 1:
             raise ValueError("actions must be a 1-d array over states")
-
-    def __len__(self):
-        return len(self.actions)
 
 
 class StochasticPolicy:
@@ -113,25 +103,6 @@ def as_stochastic(policy, num_actions):
     probs = np.zeros((len(actions), num_actions))
     probs[np.arange(len(actions)), actions] = 1.0
     return probs
-
-
-def step(mdp, x, a, rng):
-    """Sample one transition; returns (x_next, c, g, terminal).
-
-    Stepping from a terminal state follows its absorbing self-loop.
-    """
-    x = int(x)
-    a = int(a)
-    if not 0 <= x < mdp.num_states:
-        raise ValueError(f"invalid state index {x}")
-    if not 0 <= a < mdp.num_actions:
-        raise ValueError(f"invalid action index {a}")
-    cum = mdp.cumulative_transition()[x, a]
-    x_next = int(np.searchsorted(cum, rng.random(), side="right"))
-    x_next = min(x_next, mdp.num_states - 1)
-    c = float(mdp.cost_c[x, a])
-    g = mdp.cost_g[x, a].copy()
-    return x_next, c, g, bool(mdp.terminal_mask[x_next])
 
 
 def _parse_layout(layout):

@@ -29,10 +29,6 @@ class DualVector:
             if np.any(self.coords < 0) or np.linalg.norm(self.coords) > self.budget + 1e-9:
                 raise ValueError("OGD dual must be nonnegative inside the l2 ball")
 
-    @property
-    def m(self):
-        return len(self.coords) - 1 if self.flavor == EG_FLAVOR else len(self.coords)
-
 
 def eg_init(m, B):
     """Uniform augmented vector (B/(m+1), ..., B/(m+1)) of length m+1."""

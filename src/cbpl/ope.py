@@ -126,6 +126,8 @@ def ope_comparison(dataset, eval_policy, mdp, fractions, trials, config=None):
     DR, and WDR on a trajectory subsample and record absolute errors against
     the exact value. Returns rows of
     (method, fraction, trial, estimate, abs_error)."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     config = config or OpeConfig()
     check_indices(dataset, mdp.num_states, mdp.num_actions)
     exact_c, _ = exact_policy_values(mdp, eval_policy)

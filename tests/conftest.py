@@ -50,7 +50,7 @@ def mc_policy_values(mdp, policy_probs, num_traj, horizon, rng):
     alive = ~mdp.terminal_mask[states]
     C = np.zeros(num_traj)
     G = np.zeros((num_traj, mdp.m))
-    cum_t = mdp.cumulative_transition()
+    cum_t = np.cumsum(mdp.transition, axis=2)
     disc = 1.0
     for _ in range(horizon):
         idx = np.flatnonzero(alive)

@@ -119,6 +119,24 @@ class TestFqe:
                 template_for(fl8), mdp=fl8)
 
 
+class TestDiscountRule:
+    """fqe and fqi discount by the map's gamma, which a given gamma must
+    equal; without a map gamma must be given."""
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(gamma=0.9), "differs from the map's 0.5"),
+        (dict(mdp=None), "provide gamma")])
+    def test_rejected_discounts(self, kw, message):
+        mdp = two_state_chain(gamma=0.5)
+        data = full_coverage_dataset(mdp)
+        kw = dict(dict(mdp=mdp), **kw)
+        with pytest.raises(ValueError, match=message):
+            fqe(data, DeterministicPolicy([0, 0]), CostSelector.primary(), 2,
+                template_for(mdp), **kw)
+        with pytest.raises(ValueError, match=message):
+            fqi(data, CostSelector.primary(), 2, template_for(mdp), **kw)
+
+
 class TestFqi:
     def test_combination_lock_learns_forward_action(self):
         mdp = build_combination_lock(3, gamma=0.9)
@@ -319,7 +337,7 @@ def templates(num_states, num_actions):
     rng = np.random.default_rng(5)
     feats = FeatureMap(rng.uniform(size=(num_states, num_actions, 6)))
     return {"tabular": QFunction.tabular_zeros(num_states, num_actions),
-            "linear": QFunction.linear_zeros(feats)}
+            "linear": QFunction(weights=np.zeros(feats.k), features=feats)}
 
 
 def shuffled_trajectories(data, seed):

@@ -81,7 +81,7 @@ class TestLearn:
         lines = trace.read_text().splitlines()
         assert lines[0] == "round,lambda_1,lambda_2,C_hat,G_1,L_max,L_min,gap"
         assert len(lines) > 1
-        mixture = load_policy(str(pol))
+        mixture = load_policy(str(pol), 16, 4)
         assert isinstance(mixture, MixturePolicy)
 
     def test_derandomize_writes_single_policy(self, tmp_path, map_file):
@@ -91,7 +91,7 @@ class TestLearn:
                      "--omega", "0.01", "--rounds", "100000",
                      "--derandomize", "--policy-out", str(pol)])
         assert code == 0
-        policy = load_policy(str(pol))
+        policy = load_policy(str(pol), 16, 4)
         assert isinstance(policy, DeterministicPolicy)
         assert len(policy.actions) == 16
 
@@ -142,9 +142,10 @@ class TestLearn:
         mixture = load_policy(str(pol), 16, 4)
         assert isinstance(mixture, MixturePolicy)
 
-    def test_exact_flavor_without_map_exits_1(self, dataset_file, capsys):
-        code = main(["learn", "--data", dataset_file, "--flavor", "exact"])
+    def test_exact_flavor_without_map_exits_1(self, capsys):
+        code = main(["learn", "--flavor", "exact"])
         assert code == 1
+        assert "requires --map" in capsys.readouterr().err
 
 
 class TestFittedSubcommands:
@@ -179,7 +180,7 @@ class TestFittedSubcommands:
                      "--cost", "scalarized:2.0", "--iters", "50",
                      "--policy-out", str(pol)])
         assert code == 0
-        assert load_policy(str(pol)).actions.shape == (16,)
+        assert load_policy(str(pol), 16, 4).actions.shape == (16,)
 
     def test_bad_cost_spec_exits_1(self, dataset_file, map_file, capsys):
         code = main(["fqi", "--data", dataset_file, "--map", map_file,
@@ -191,7 +192,7 @@ class TestFittedSubcommands:
         code = main(["lspi", "--data", dataset_file, "--map", map_file,
                      "--policy-out", str(pol)])
         assert code == 0
-        assert load_policy(str(pol)).actions.shape == (16,)
+        assert load_policy(str(pol), 16, 4).actions.shape == (16,)
 
     def test_lspi_without_map_exits_1(self, dataset_file, capsys):
         code = main(["lspi", "--data", dataset_file])
@@ -315,6 +316,17 @@ class TestErrorExitCodes:
         "learn_exact_ridge": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
              "--ridge", "0.1"], None, 1),
+        # Flags that would do nothing.
+        "learn_exact_data": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
+             "--data", "{data}"], None, 1),
+        "learn_derandomize_without_policy_out": (
+            ["learn", "--data", "{data}", "--map", "{map}", "--derandomize"],
+            None, 1),
+        "ope_compare_zero_trials": (
+            ["ope-compare", "--data", "{data}", "--map", "{map}",
+             "--policy", "{policy}", "--trials", "0", "--out", "{dir}/r.csv"],
+            None, 1),
         "learn_traj_id_above_int64": (
             ["learn", "--data", "{traj_id_2_63}", "--map", "{map}"], None, 1),
         "fqe_mixture_policy": (
@@ -463,7 +475,8 @@ class TestPolicyFileRoundTrips:
         policy = DeterministicPolicy([1, 3, 0, 2])
         path = tmp_path / "p.csv"
         save_policy(policy, path)
-        assert np.array_equal(load_policy(str(path)).actions, policy.actions)
+        assert np.array_equal(load_policy(str(path), 4, 4).actions,
+                              policy.actions)
 
     def test_deterministic_policy_without_path_goes_to_stdout(
             self, tmp_path, capsys):
@@ -473,7 +486,8 @@ class TestPolicyFileRoundTrips:
         assert text == "state,action\n0,1\n1,3\n2,0\n3,2\n"
         path = tmp_path / "p.csv"
         path.write_text(text)
-        assert np.array_equal(load_policy(str(path)).actions, policy.actions)
+        assert np.array_equal(load_policy(str(path), 4, 4).actions,
+                              policy.actions)
 
     def test_mixture(self, tmp_path):
         members = [DeterministicPolicy([0, 1]), DeterministicPolicy([1, 0])]
@@ -481,7 +495,7 @@ class TestPolicyFileRoundTrips:
                                 [np.zeros(1), np.zeros(1)])
         path = tmp_path / "m.csv"
         save_mixture(mixture, path)
-        loaded = load_policy(str(path))
+        loaded = load_policy(str(path), 2, 2)
         assert isinstance(loaded, MixturePolicy)
         assert np.allclose(loaded.weights, [0.75, 0.25])
         assert np.array_equal(loaded.members[1].actions, [1, 0])

@@ -23,11 +23,17 @@ def chain_dataset(traj_id, t, x, x_next):
                    np.zeros((n, 1)), np.zeros(n, dtype=bool), np.ones(n))
 
 
+def empty_dataset(m):
+    """A dataset of zero rows and m constraint channels."""
+    z = np.zeros(0)
+    return Dataset(z, z, z, z, z, z, np.zeros((0, m)), z, z)
+
+
 def reference_collect(mdp, behavior, num_trajectories, max_horizon, rng):
     """The per-step rollout collect replaced: three scalar draws per step."""
     probs = as_stochastic(behavior, mdp.num_actions)
     cum_behavior = np.cumsum(probs, axis=1)
-    cum_transition = mdp.cumulative_transition()
+    cum_transition = np.cumsum(mdp.transition, axis=2)
     cum_initial = np.cumsum(mdp.initial_dist)
     terminal = mdp.terminal_mask
     S = mdp.num_states
@@ -243,7 +249,17 @@ class TestTrajectoryIndex:
         assert starts.tolist() == [0, 2, 3]
         assert stops.tolist() == [2, 3, 6]
         assert data.traj_id[starts].tolist() == [7, 2, 5]
-        assert [len(v) for v in Dataset.empty(1).trajectory_bounds()] == [0, 0]
+        assert [len(v) for v in empty_dataset(1).trajectory_bounds()] == [0, 0]
+
+    def test_g_must_have_one_row_per_transition(self):
+        columns = dict(traj_id=[0, 0], t=[0, 1], x=[0, 1], a=[0, 0],
+                       x_next=[1, 2], c=[0.0, 0.0], done=[False, True],
+                       behavior_prob=[1.0, 1.0])
+        assert Dataset(**columns, g=np.zeros((2, 2))).m == 2
+        for g in (np.zeros(4), np.zeros(2), np.zeros((3, 1)),
+                  np.zeros((1, 2)), np.zeros((2, 1, 1))):
+            with pytest.raises(ValueError, match=r"g must have shape \(rows, m\)"):
+                Dataset(**columns, g=g)
 
 
 class TestFrozenlakeBehavior:
@@ -329,14 +345,14 @@ class TestSubsample:
         with pytest.raises(ValueError):
             subsample(fl8_dataset, 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            subsample(Dataset.empty(1), 0.5, np.random.default_rng(0))
+            subsample(empty_dataset(1), 0.5, np.random.default_rng(0))
 
 
 class TestPersistence:
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.csv"
-        save(Dataset.empty(2), path)
-        assert_same_dataset(load(path), Dataset.empty(2))
+        save(empty_dataset(2), path)
+        assert_same_dataset(load(path), empty_dataset(2))
 
     def test_single_sample_round_trip(self, tmp_path):
         data = Dataset([0], [0], [3], [1], [4], [-1.25], [[0.5]], [True], [0.3])

@@ -27,7 +27,8 @@ class TestFitLeastSquares:
         assert q.table[0, 0] == 2.0
 
     def test_one_hot_normal_equations(self):
-        template = QFunction.linear_zeros(two_cell_features())
+        feats = two_cell_features()
+        template = QFunction(weights=np.zeros(feats.k), features=feats)
         q = fit_least_squares(([0, 0], [0, 1]), [1.0, 3.0], template, ridge=0.0)
         assert np.allclose(q.weights, [1.0, 3.0])
 
@@ -40,7 +41,7 @@ class TestFitLeastSquares:
     def test_singular_system_advises_positive_ridge(self):
         # Two identical feature columns make the Gram matrix singular.
         feats = FeatureMap(np.ones((1, 1, 2)))
-        template = QFunction.linear_zeros(feats)
+        template = QFunction(weights=np.zeros(feats.k), features=feats)
         with pytest.raises(np.linalg.LinAlgError, match="ridge"):
             fit_least_squares(([0], [0]), [1.0], template, ridge=0.0)
 
@@ -61,8 +62,8 @@ class TestFitLeastSquares:
         feats = FeatureMap(np.eye(S * A).reshape(S, A, S * A))
         # A tiny ridge keeps unseen one-hot coordinates solvable; it perturbs
         # seen-cell means by a relative 1e-12.
-        lin = fit_least_squares((xs, aa), y, QFunction.linear_zeros(feats),
-                                ridge=1e-12)
+        zeros = QFunction(weights=np.zeros(feats.k), features=feats)
+        lin = fit_least_squares((xs, aa), y, zeros, ridge=1e-12)
         seen = np.zeros((S, A), dtype=bool)
         seen[xs, aa] = True
         assert np.allclose(tab.table[seen], lin.values()[seen], atol=1e-10)
@@ -96,7 +97,7 @@ class TestFitLeastSquares:
         rep = np.repeat(np.arange(n), w)
         feats = FeatureMap(rng.normal(size=(S, A, 3)))
         for template in (QFunction.tabular_zeros(S, A),
-                         QFunction.linear_zeros(feats)):
+                         QFunction(weights=np.zeros(3), features=feats)):
             weighted = fit_least_squares((xs, aa), y, template, weights=w)
             repeated = fit_least_squares((xs[rep], aa[rep]), y[rep], template)
             assert np.allclose(weighted.values(), repeated.values(),
@@ -121,7 +122,9 @@ class TestQValue:
         assert QFunction.tabular_zeros(2, 2).values()[1, 1] == 0.0
 
     def test_zero_linear(self):
-        assert QFunction.linear_zeros(two_cell_features()).values()[0, 1] == 0.0
+        feats = two_cell_features()
+        zeros = QFunction(weights=np.zeros(feats.k), features=feats)
+        assert zeros.values()[0, 1] == 0.0
 
     def test_one_hot_dot_product(self):
         q = QFunction(weights=np.array([1.0, 3.0]), features=two_cell_features())

@@ -112,7 +112,7 @@ class TestLagrangianMin:
         config = exact_config()
         dual = eg_init(1, 30.0)
         [(lam, _, c_til, g_til)] = regularization_grid(
-            None, [dual.coords[:dual.m]], config, mdp_handle=fl8)
+            None, [dual.coords[:-1]], config, mdp_handle=fl8)
         l_min = c_til + float(lam @ (g_til - config.tau))
         solver = ExactSolver(fl8)
         expect_pi = solver.best_response(np.array([15.0]))
@@ -682,6 +682,30 @@ class TestTraceCsv:
         assert len(lines) == len(trace.rounds) + 1
         first = lines[1].split(",")
         assert int(first[0]) == trace.rounds[0]
+
+
+class TestDiscountRule:
+    """The learner takes the map's gamma, which LearnerConfig.gamma must
+    equal when given; without a map LearnerConfig.gamma is required."""
+
+    @pytest.mark.parametrize("flavor", ["fitted", "lspi", "exact"])
+    def test_config_gamma_other_than_the_maps_raises(self, flavor, fl8):
+        data = None if flavor == "exact" else full_coverage_dataset(fl8)
+        config = LearnerConfig(B=30.0, eta=50.0, omega=0.05, tau=[0.1],
+                               subroutine_flavor=flavor, max_rounds=1,
+                               gamma=0.5)
+        with pytest.raises(ValueError, match="differs from the map's 0.95"):
+            run(data, config, mdp_handle=fl8)
+        with pytest.raises(ValueError, match="differs from the map's 0.95"):
+            regularization_grid(data, [np.zeros(1)], config, mdp_handle=fl8)
+
+    @pytest.mark.parametrize("flavor", ["fitted", "lspi"])
+    def test_without_a_map_gamma_is_required(self, flavor):
+        mdp = build_combination_lock(4)
+        config = LearnerConfig(B=10.0, eta=1.0, omega=0.01, tau=[],
+                               subroutine_flavor=flavor)
+        with pytest.raises(ValueError, match="provide gamma"):
+            run(full_coverage_dataset(mdp), config)
 
 
 class TestConfigValidation:

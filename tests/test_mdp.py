@@ -1,49 +1,38 @@
 import numpy as np
 import pytest
 
-from cbpl.mdp import (ACTION_EAST, ACTION_SOUTH, FROZENLAKE_8X8,
-                      DeterministicPolicy, StochasticPolicy, TabularMdp,
-                      as_stochastic, build_combination_lock, build_frozenlake,
-                      build_random_mdp, step)
+from cbpl.mdp import (ACTION_EAST, ACTION_NORTH, ACTION_SOUTH,
+                      FROZENLAKE_8X8, DeterministicPolicy, StochasticPolicy,
+                      TabularMdp, as_stochastic, build_combination_lock,
+                      build_frozenlake, build_random_mdp)
 from cbpl.oracle import exact_policy_values, value_iteration
 
 from conftest import mc_policy_values, one_state_mdp
 
 
-class TestStep:
+class TestTransitionTables:
     def test_absorbing_state(self):
         mdp = one_state_mdp(terminal=True)
-        rng = np.random.default_rng(0)
-        nx, c, g, terminal = step(mdp, 0, 0, rng)
-        assert (nx, c, terminal) == (0, 0.0, True)
-        assert g.shape == (0,)
+        assert mdp.transition[0, 0, 0] == 1.0
+        assert mdp.cost_c[0, 0] == 0.0
+        assert mdp.cost_g.shape == (1, 1, 0)
+        assert mdp.terminal_mask[0]
 
     def test_entering_goal_costs_minus_one(self, fl8):
         goal = 63
         left_of_goal = 62
-        rng = np.random.default_rng(0)
-        nx, c, g, terminal = step(fl8, left_of_goal, ACTION_EAST, rng)
-        assert (nx, c, g[0], terminal) == (goal, -1.0, 0.0, True)
+        assert fl8.transition[left_of_goal, ACTION_EAST, goal] == 1.0
+        assert fl8.cost_c[left_of_goal, ACTION_EAST] == -1.0
+        assert fl8.cost_g[left_of_goal, ACTION_EAST, 0] == 0.0
+        assert fl8.terminal_mask[goal]
 
     def test_entering_hole_costs_one_constraint(self, fl8):
         hole = 19  # row 2, col 3
         above_hole = 11
-        rng = np.random.default_rng(0)
-        nx, c, g, terminal = step(fl8, above_hole, ACTION_SOUTH, rng)
-        assert (nx, c, g[0], terminal) == (hole, 0.0, 1.0, True)
-
-    def test_invalid_indices_raise(self, fl8):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            step(fl8, 64, 0, rng)
-        with pytest.raises(ValueError):
-            step(fl8, 0, 4, rng)
-
-    def test_pure_function_of_rng_state(self):
-        mdp = build_random_mdp(5, 3, 1, seed=3)
-        out1 = step(mdp, 0, 1, np.random.default_rng(9))
-        out2 = step(mdp, 0, 1, np.random.default_rng(9))
-        assert out1[0] == out2[0] and out1[1] == out2[1]
+        assert fl8.transition[above_hole, ACTION_SOUTH, hole] == 1.0
+        assert fl8.cost_c[above_hole, ACTION_SOUTH] == 0.0
+        assert fl8.cost_g[above_hole, ACTION_SOUTH, 0] == 1.0
+        assert fl8.terminal_mask[hole]
 
 
 class TestBuildFrozenlake:
@@ -55,9 +44,12 @@ class TestBuildFrozenlake:
 
     def test_1x2_start_goal(self):
         mdp = build_frozenlake(("SG",))
-        rng = np.random.default_rng(0)
-        nx, c, g, terminal = step(mdp, 0, ACTION_EAST, rng)
-        assert (nx, c, terminal) == (1, -1.0, True)
+        assert mdp.transition[0, ACTION_EAST, 1] == 1.0
+        assert mdp.cost_c[0, ACTION_EAST] == -1.0
+        assert mdp.terminal_mask.tolist() == [False, True]
+        # Off the grid: moving north stays put at no cost.
+        assert mdp.transition[0, ACTION_NORTH, 0] == 1.0
+        assert mdp.cost_c[0, ACTION_NORTH] == 0.0
 
     def test_2x2_hand_enumeration(self):
         # Layout: S F / H G. States 0=S, 1=F, 2=H, 3=G; actions N,S,E,W.
@@ -105,19 +97,15 @@ class TestBuildFrozenlake:
 class TestCombinationLock:
     def test_forward_forward_reaches_terminal_with_cost_minus_one(self):
         mdp = build_combination_lock(3)
-        rng = np.random.default_rng(0)
-        x = 0
-        total = 0.0
-        for _ in range(2):
-            x, c, _, terminal = step(mdp, x, 1, rng)
-            total += c
-        assert (x, total, terminal) == (2, -1.0, True)
+        assert mdp.transition[0, 1, 1] == 1.0
+        assert mdp.transition[1, 1, 2] == 1.0
+        assert mdp.cost_c[0, 1] + mdp.cost_c[1, 1] == -1.0
+        assert mdp.terminal_mask.tolist() == [False, False, True]
 
     def test_reset_action_returns_to_start(self):
         mdp = build_combination_lock(3)
-        rng = np.random.default_rng(0)
-        nx, _, _, _ = step(mdp, 1, 0, rng)
-        assert nx == 0
+        assert mdp.transition[1, 0, 0] == 1.0
+        assert mdp.cost_c[1, 0] == 0.0
 
     def test_n5_optimal_value_is_gamma_cubed(self):
         mdp = build_combination_lock(5, gamma=0.9)

@@ -27,9 +27,9 @@ class TestDualVector:
 
     def test_m_excludes_augmented_coordinate(self):
         lam = eg_init(2, 3.0)
-        assert lam.m == 2
-        assert np.array_equal(lam.coords[:lam.m], [1.0, 1.0])
-        assert ogd_init(2, 3.0).m == 2
+        assert len(lam.coords) - 1 == 2
+        assert np.array_equal(lam.coords[:-1], [1.0, 1.0])
+        assert len(ogd_init(2, 3.0).coords) == 2
 
 
 class TestEgInit:

@@ -455,10 +455,10 @@ class TestWeightedDoublyRobust:
 
 
 class TestOpeComparison:
-    def test_zero_trials_give_empty_report(self, fl8, fl8_dataset):
+    def test_zero_trials_raise(self, fl8, fl8_dataset):
         policy = ExactSolver(fl8).best_response(np.array([1e6]))
-        rows = ope_comparison(fl8_dataset, policy, fl8, [0.5], 0)
-        assert rows == []
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            ope_comparison(fl8_dataset, policy, fl8, [0.5], 0)
 
     def test_full_coverage_fqe_error_small(self, fl8):
         data = full_coverage_dataset(fl8)
