@@ -105,46 +105,61 @@ def collect(mdp, behavior, num_trajectories, max_horizon, rng):
     """
     if num_trajectories < 0 or max_horizon < 1:
         raise ValueError("need num_trajectories >= 0 and max_horizon >= 1")
-    probs = as_stochastic(behavior, mdp.num_actions)
-    cum_behavior = np.cumsum(probs, axis=1).tolist()
-    cum_transition = np.cumsum(mdp.transition, axis=2).tolist()
-    cum_initial = np.cumsum(mdp.initial_dist).tolist()
-    terminal = mdp.terminal_mask.tolist()
     S, A = mdp.num_states, mdp.num_actions
+    probs = as_stochastic(behavior, A)
+    if probs.shape != (S, A):
+        raise ValueError(f"behavior table has shape {probs.shape}, "
+                         f"expected ({S}, {A})")
+    cum_initial = _sentinel_cumsum(mdp.initial_dist).tolist()
+    cum_behavior = _sentinel_cumsum(probs).tolist()
+    # Row k = x * A + a holds the cumulative P(. | x, a).
+    cum_transition = _sentinel_cumsum(mdp.transition).reshape(S * A, S)
+    cum_transition = cum_transition.tolist()
+    terminal = mdp.terminal_mask.tolist()
 
     state = rng.bit_generator.state
     uniforms = itertools.chain.from_iterable(
         iter(lambda: rng.random(_DRAW_CHUNK).tolist(), None))
     draw = uniforms.__next__
-    xs, aa, xn, lengths = [], [], [], []
+    bisect_right = bisect.bisect_right
+    ks, xn, lengths = [], [], []
     for _ in range(num_trajectories):
-        x = min(bisect.bisect_right(cum_initial, draw()), S - 1)
-        before = len(xs)
+        x = bisect_right(cum_initial, draw())
+        before = len(ks)
         for _ in range(max_horizon):
             if terminal[x]:
                 break
-            a = min(bisect.bisect_right(cum_behavior[x], draw()), A - 1)
-            nx = min(bisect.bisect_right(cum_transition[x][a], draw()), S - 1)
-            xs.append(x)
-            aa.append(a)
-            xn.append(nx)
-            if terminal[nx]:
+            k = x * A + bisect_right(cum_behavior[x], draw())
+            x = bisect_right(cum_transition[k], draw())
+            ks.append(k)
+            xn.append(x)
+            if terminal[x]:
                 break
-            x = nx
-        lengths.append(len(xs) - before)
+        lengths.append(len(ks) - before)
     # One draw per start state and two per step.
-    used = num_trajectories + 2 * len(xs)
+    used = num_trajectories + 2 * len(ks)
     rng.bit_generator.state = state
     for drawn in range(0, used, _DRAW_CHUNK):
         rng.random(min(_DRAW_CHUNK, used - drawn))
 
-    xs, aa, xn = (np.array(v, dtype=np.int64) for v in (xs, aa, xn))
+    xs, aa = np.divmod(np.array(ks, dtype=np.int64), A)
+    del ks  # free the list before the dataset's columns are built
+    xn = np.array(xn, dtype=np.int64)
     lengths = np.array(lengths, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     t = np.arange(len(xs)) - np.repeat(starts, lengths)
     return Dataset(np.repeat(np.arange(num_trajectories), lengths), t, xs, aa,
                    xn, mdp.cost_c[xs, aa], mdp.cost_g[xs, aa],
                    mdp.terminal_mask[xn], probs[xs, aa])
+
+
+def _sentinel_cumsum(table):
+    """Cumulative sums along the last axis with each row's last entry set to
+    inf. For a nonnegative row and u < inf, bisect_right on the result equals
+    min(bisect_right(plain cumsum, u), len - 1), so no clamp is needed."""
+    cum = np.cumsum(table, axis=-1)
+    cum[..., -1] = np.inf
+    return cum
 
 
 def make_frozenlake_behavior(mdp, epsilon_random):
@@ -247,12 +262,17 @@ def full_coverage_dataset(mdp):
                    mdp.terminal_mask[nx], np.full(n, 1.0 / A))
 
 
-def _format_reals(values):
-    """'.17g' strings of a float column, one format call per distinct bit
-    pattern (so -0.0 and 0.0 stay apart)."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
-    return np.array(text, dtype=object)[inverse].tolist()
+def _column_texts(values, end):
+    """Object array of each entry's CSV text followed by end. Each distinct
+    value is formatted once: ints with str, reals with '.17g' by bit pattern
+    (so -0.0 and 0.0 stay apart)."""
+    if values.dtype.kind == "f":
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        text = [f"{v:.17g}{end}" for v in bits.view(np.float64).tolist()]
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        text = [f"{v}{end}" for v in distinct.tolist()]
+    return np.array(text, dtype=object)[inverse]
 
 
 def save(dataset, path):
@@ -263,17 +283,16 @@ def save(dataset, path):
     if d.m:
         header += "," + ",".join(f"g_{i + 1}" for i in range(d.m))
     header += ",done,behavior_prob"
+    columns = (d.traj_id, d.t, d.x, d.a, d.x_next, d.c, *d.g.T,
+               d.done.astype(np.int64), d.behavior_prob)
+    ends = [","] * (len(columns) - 1) + ["\n"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(d), _SAVE_ROWS):
-            rows = slice(lo, lo + _SAVE_ROWS)
-            ints = [map(str, col[rows].tolist())
-                    for col in (d.traj_id, d.t, d.x, d.a, d.x_next)]
-            c, *g, bp = [_format_reals(col[rows])
-                         for col in (d.c, *d.g.T, d.behavior_prob)]
-            done = map(str, d.done[rows].astype(np.int64).tolist())
-            fields = ints + [c, *g, done, bp]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            fields = np.column_stack([
+                _column_texts(col[lo:lo + _SAVE_ROWS], end)
+                for col, end in zip(columns, ends)])
+            fh.write("".join(fields.ravel().tolist()))
 
 
 def _constraint_count(header, path):

@@ -45,6 +45,8 @@ class TabularMdp:
             raise ValueError("initial_dist must have shape (S,)")
         if np.any(self.cost_g < 0):
             raise ValueError("constraint costs must be nonnegative")
+        if not np.all(self.transition >= 0):  # NaN fails too
+            raise ValueError("transition probabilities must be nonnegative")
         row_sums = self.transition.sum(axis=2)
         if np.max(np.abs(row_sums - 1.0)) > 1e-12:
             raise ValueError("transition rows must sum to 1")

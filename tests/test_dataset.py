@@ -1,10 +1,11 @@
+import bisect
 import hashlib
 
 import numpy as np
 import pytest
 
 from cbpl.batchrl import CostSelector, fqe, fqi
-from cbpl.dataset import (Dataset, check_indices, collect,
+from cbpl.dataset import (Dataset, _sentinel_cumsum, check_indices, collect,
                           full_coverage_dataset, load,
                           make_frozenlake_behavior, save, subsample)
 from cbpl.funcapprox import QFunction
@@ -111,6 +112,24 @@ def reference_load(path):
     return Dataset(traj_id, ts, xs, aa, xn, cs, garr, dn, bp)
 
 
+def reference_save(data, path):
+    """A per-row writer: one ",".join per row, str for ints and '.17g' for
+    reals."""
+    header = ["traj_id", "t", "x", "a", "x_next", "c",
+              *(f"g_{i + 1}" for i in range(data.m)), "done", "behavior_prob"]
+    ints = zip(*(col.tolist() for col in (data.traj_id, data.t, data.x,
+                                          data.a, data.x_next)))
+    lines = [",".join(header)]
+    for row, c, g, done, bp in zip(ints, data.c.tolist(), data.g.tolist(),
+                                   data.done.tolist(),
+                                   data.behavior_prob.tolist()):
+        lines.append(",".join([*(str(v) for v in row),
+                               *(f"{v:.17g}" for v in (c, *g)),
+                               str(int(done)), f"{bp:.17g}"]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
 def outcome(load_fn, path):
     """("ok", dataset) or ("raises", exception type, message)."""
     try:
@@ -200,6 +219,34 @@ class TestCollect:
                                      ref_rng)
         assert_same_dataset(data, expected)
         assert rng.random() == ref_rng.random()
+
+    # name: behavior for the 64-state, 4-action fl8
+    WRONG_SHAPE = {
+        "too_few_rows": StochasticPolicy(np.full((63, 4), 0.25)),
+        "too_many_rows": StochasticPolicy(np.full((65, 4), 0.25)),
+        "too_many_actions": StochasticPolicy(np.full((64, 5), 0.2)),
+        "deterministic_too_short": DeterministicPolicy(np.zeros(63, int)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRONG_SHAPE))
+    def test_behavior_table_must_match_the_mdp(self, fl8, name):
+        with pytest.raises(ValueError, match=r"expected \(64, 4\)"):
+            collect(fl8, self.WRONG_SHAPE[name], 10, 200,
+                    np.random.default_rng(0))
+
+    def test_sentinel_row_equals_clamped_row(self, fl8, fl8_behavior):
+        random_mdp = build_random_mdp(6, 3, 2, seed=4)
+        tables = [fl8_behavior.probs, fl8.transition, fl8.initial_dist,
+                  random_mdp.transition, random_mdp.initial_dist]
+        for table in tables:
+            plain = np.cumsum(table, axis=-1).reshape(-1, table.shape[-1])
+            sentinel = _sentinel_cumsum(table).reshape(plain.shape)
+            for row, walked in zip(plain.tolist(), sentinel.tolist()):
+                us = [*row, *np.nextafter(row, -np.inf).tolist(),
+                      *np.nextafter(row, np.inf).tolist(), 1 - 2 ** -53]
+                for u in us:
+                    expected = min(bisect.bisect_right(row, u), len(row) - 1)
+                    assert bisect.bisect_right(walked, u) == expected, (row, u)
 
     def test_empirical_action_frequency_on_minimal_grid(self):
         # On the 1x2 grid with a uniform behavior, every recorded action is an
@@ -367,6 +414,55 @@ class TestPersistence:
         save(load(p1), p2)
         digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
         assert digest(p1) == digest(p2)
+
+    @staticmethod
+    def random_rows(m, n):
+        """n one-step trajectories with m constraint channels; half the c
+        values repeat from a pool of 50."""
+        rng = np.random.default_rng(3)
+        pool = rng.normal(size=50)
+        return Dataset(rng.permutation(n) * 1_000_003 - 10 ** 9, np.zeros(n),
+                       rng.integers(0, 64, size=n), rng.integers(0, 4, size=n),
+                       rng.integers(0, 64, size=n),
+                       np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                                rng.normal(size=n)),
+                       rng.random((n, m)), rng.random(n) < 0.3,
+                       rng.uniform(0.01, 1.0, size=n))
+
+    ZEROS = [-0.0, 0.0, 0.0, -0.0]
+    TINY = [5e-324, 1e-300, 1 / 3]
+    # name: dataset the writer must render as the per-row writer does
+    WRITER_CASES = {
+        "signed_zeros": lambda: Dataset(
+            range(4), np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4),
+            TestPersistence.ZEROS, np.array([TestPersistence.ZEROS[::-1]]).T,
+            [True, False] * 2, np.ones(4)),
+        "tiny_and_third": lambda: Dataset(
+            range(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3),
+            TestPersistence.TINY,
+            np.array([TestPersistence.TINY[::-1], TestPersistence.TINY]).T,
+            np.zeros(3), TestPersistence.TINY),
+        "int64_extremes": lambda: Dataset(
+            [-2 ** 63, 2 ** 63 - 1], [0, 0], [0, 5], [1, 2], [5, 0],
+            [0.5, 0.5], np.zeros((2, 1)), [False, True], [0.5, 0.5]),
+        # 2 and 0.25 in several columns, each with its own separator.
+        "shared_values": lambda: Dataset(
+            [2, 2, 2], [0, 1, 2], [2, 2, 2], [2, 2, 2], [2, 2, 2],
+            [0.25, 0.25, 1.0], [[0.25], [1.0], [0.25]], [False, False, True],
+            [0.25, 1.0, 0.25]),
+        "m_0": lambda: TestPersistence.random_rows(0, 500),
+        "m_3": lambda: TestPersistence.random_rows(3, 500),
+        "two_chunks": lambda: TestPersistence.random_rows(2, 2 ** 15 + 7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRITER_CASES))
+    def test_writer_equals_per_row_writer(self, name, tmp_path):
+        data = self.WRITER_CASES[name]()
+        got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+        save(data, got)
+        reference_save(data, expected)
+        assert got.read_bytes() == expected.read_bytes()
+        assert_same_dataset(load(got), data)
 
     def test_malformed_file_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -156,6 +156,16 @@ class TestMdpValidation:
             TabularMdp(transition, np.zeros((2, 1)), np.zeros((2, 1, 0)),
                        0.9, np.array([1.0, 0.0]))
 
+    # The first row sums to 1 (or to NaN, which passes the sum check), but
+    # its cumulative row is not monotone.
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [np.nan, 1.0]],
+                             ids=["negative", "nan"])
+    def test_negative_transition_entry_rejected(self, row):
+        transition = np.array([[row], [[0.0, 1.0]]])
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            TabularMdp(transition, np.zeros((2, 1)), np.zeros((2, 1, 0)),
+                       0.9, np.array([1.0, 0.0]))
+
     def test_nonabsorbing_terminal_rejected(self):
         transition = np.zeros((2, 1, 2))
         transition[0, 0, 1] = 1.0
