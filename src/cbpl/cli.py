@@ -44,7 +44,7 @@ def _stream(seed, label):
     return np.random.default_rng(np.random.SeedSequence([int(seed), label]))
 
 
-def _load_map(spec, gamma=0.95):
+def _load_map(spec, gamma):
     if spec == "8x8":
         return build_frozenlake(FROZENLAKE_8X8, gamma=gamma)
     try:
@@ -166,7 +166,7 @@ def load_policy(path, num_states, num_actions, allow_mixture=True):
 
 
 def _cmd_collect(args):
-    mdp = _load_map(args.map)
+    mdp = _load_map(args.map, 0.95)  # a rollout never reads the discount
     behavior = ds.make_frozenlake_behavior(mdp, args.epsilon)
     rng = _stream(args.seed, _STREAM_COLLECT)
     data = ds.collect(mdp, behavior, args.trajs, args.horizon, rng)
@@ -215,7 +215,7 @@ def _cmd_learn(args):
         write_trace_csv(trace, args.trace_out)
     if args.policy_out:
         if args.derandomize:
-            policy, idx = derandomize(mixture, config.tau)
+            policy, _ = derandomize(mixture, config.tau)
             save_policy(policy, args.policy_out)
         else:
             save_mixture(mixture, args.policy_out)
@@ -239,8 +239,8 @@ def _cmd_fqe(args):
     data, mdp, template = _fitted_common(args)
     policy = load_policy(args.policy, *template.table.shape,
                          allow_mixture=False)
-    est, run_info = fqe(data, policy, _parse_cost(args.cost), args.iters,
-                        template, gamma=args.gamma, mdp=mdp)
+    est, _ = fqe(data, policy, _parse_cost(args.cost), args.iters, template,
+                 gamma=args.gamma, mdp=mdp)
     print(f"estimate,{est:.17g}")
     return 0
 

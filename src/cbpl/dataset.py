@@ -223,9 +223,10 @@ def check_indices(data, num_states, num_actions):
                              f"outside [0, {upper})")
 
 
-def subsample(dataset, fraction, rng):
+def draw_trajectories(dataset, fraction, rng):
     """Draw whole trajectories uniformly at random until the accumulated
-    transition count first reaches fraction * total transitions."""
+    transition count first reaches fraction * total transitions. Returns
+    their indices in draw order and their rows, trajectory by trajectory."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
     if len(dataset) == 0:
@@ -237,10 +238,15 @@ def subsample(dataset, fraction, rng):
     # The first k trajectories of the permutation: the k-th reaches the target.
     k = int(np.searchsorted(counts, fraction * len(dataset))) + 1
     chosen = starts[order[:k]] - (counts[:k] - lengths[:k])
-    sel = np.arange(counts[k - 1]) + np.repeat(chosen, lengths[:k])
-    return Dataset(dataset.traj_id[sel], dataset.t[sel], dataset.x[sel],
-                   dataset.a[sel], dataset.x_next[sel], dataset.c[sel],
-                   dataset.g[sel], dataset.done[sel], dataset.behavior_prob[sel])
+    return order[:k], np.arange(counts[k - 1]) + np.repeat(chosen, lengths[:k])
+
+
+def subsample(dataset, fraction, rng):
+    """The Dataset of the trajectories draw_trajectories picks."""
+    _, sel = draw_trajectories(dataset, fraction, rng)
+    d = dataset
+    return Dataset(d.traj_id[sel], d.t[sel], d.x[sel], d.a[sel], d.x_next[sel],
+                   d.c[sel], d.g[sel], d.done[sel], d.behavior_prob[sel])
 
 
 def full_coverage_dataset(mdp):

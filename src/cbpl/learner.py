@@ -12,7 +12,8 @@ oracles on the true MDP. Member policies repeat across rounds extremely
 often, so mixtures store unique policies with multiplicities and every
 evaluation is cached by policy.
 
-When the exact flavor runs with a single constraint and EG duals, long
+When the exact or lspi flavor (an exact solver, of the true or the
+empirical MDP) runs with a single constraint and EG duals, long
 stretches of rounds change nothing but the multiplier; those stretches are
 advanced in closed-form blocks (valid because best-response regions are
 intervals on the 1-d multiplier line, so endpoint checks certify the whole
@@ -399,9 +400,10 @@ def run(dataset, config, mdp_handle=None):
         trace_buf.append(t, row)
 
     while state.t < max_rounds:
-        # Closed-form block advance for steady exact/EG/m=1 stretches.
+        # Closed-form block advance for steady EG/m=1 stretches of a
+        # subroutine that solves its MDP exactly (the exact and lspi flavors).
         if (steady_streak >= min_streak and is_eg and m == 1
-                and config.subroutine_flavor == "exact"):
+                and isinstance(sub, _ExactSub)):
             t_before = state.t
             advanced, converged = _block_advance(
                 state, sub, lam, prev_sig, config, trace_buf, max_rounds)

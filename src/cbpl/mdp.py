@@ -50,7 +50,8 @@ class TabularMdp:
         row_sums = self.transition.sum(axis=2)
         if np.max(np.abs(row_sums - 1.0)) > 1e-12:
             raise ValueError("transition rows must sum to 1")
-        if abs(self.initial_dist.sum() - 1.0) > 1e-12 or np.any(self.initial_dist < 0):
+        if (abs(self.initial_dist.sum() - 1.0) > 1e-12
+                or not np.all(self.initial_dist >= 0)):  # NaN fails too
             raise ValueError("initial_dist must be a probability vector")
         for s in self.terminal_states:
             if not (0 <= s < S):
@@ -93,7 +94,8 @@ class StochasticPolicy:
         self.probs = np.asarray(probs, dtype=float)
         if self.probs.ndim != 2:
             raise ValueError("probs must have shape (S, A)")
-        if np.any(self.probs < 0) or np.max(np.abs(self.probs.sum(axis=1) - 1.0)) > 1e-12:
+        if (not np.all(self.probs >= 0)  # NaN fails too
+                or np.max(np.abs(self.probs.sum(axis=1) - 1.0)) > 1e-12):
             raise ValueError("policy rows must be probability vectors")
 
 
@@ -102,6 +104,10 @@ def as_stochastic(policy, num_actions):
     if isinstance(policy, StochasticPolicy):
         return policy.probs
     actions = policy.actions
+    bad = np.flatnonzero((actions < 0) | (actions >= num_actions))
+    if len(bad):
+        raise ValueError(f"action {actions[bad[0]]} at state {bad[0]} is "
+                         f"outside [0, {num_actions})")
     probs = np.zeros((len(actions), num_actions))
     probs[np.arange(len(actions)), actions] = 1.0
     return probs

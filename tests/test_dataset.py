@@ -6,7 +6,7 @@ import pytest
 
 from cbpl.batchrl import CostSelector, fqe, fqi
 from cbpl.dataset import (Dataset, _sentinel_cumsum, check_indices, collect,
-                          full_coverage_dataset, load,
+                          draw_trajectories, full_coverage_dataset, load,
                           make_frozenlake_behavior, save, subsample)
 from cbpl.funcapprox import QFunction
 from cbpl.mdp import (ACTION_EAST, DeterministicPolicy, StochasticPolicy,
@@ -234,6 +234,12 @@ class TestCollect:
             collect(fl8, self.WRONG_SHAPE[name], 10, 200,
                     np.random.default_rng(0))
 
+    def test_behavior_action_off_the_map_raises(self, fl8):
+        # Action -1 used to wrap to action 3, recorded with probability 1.
+        behavior = DeterministicPolicy(np.full(64, -1))
+        with pytest.raises(ValueError, match=r"action -1 at state 0"):
+            collect(fl8, behavior, 2, 5, np.random.default_rng(0))
+
     def test_sentinel_row_equals_clamped_row(self, fl8, fl8_behavior):
         random_mdp = build_random_mdp(6, 3, 2, seed=4)
         tables = [fl8_behavior.probs, fl8.transition, fl8.initial_dist,
@@ -374,13 +380,17 @@ class TestSubsample:
                                                            fraction, seed):
         slices = list(zip(*fl8_dataset.trajectory_bounds()))
         order = np.random.default_rng(seed).permutation(len(slices))
-        rows, count = [], 0
+        rows, picked, count = [], [], 0
         for idx in order:
             if count >= fraction * len(fl8_dataset):
                 break
             s, e = slices[idx]
             rows.extend(range(s, e))
+            picked.append(idx)
             count += e - s
+        trajs, sel = draw_trajectories(fl8_dataset, fraction,
+                                       np.random.default_rng(seed))
+        assert trajs.tolist() == picked and sel.tolist() == rows
         d = fl8_dataset
         expected = Dataset(d.traj_id[rows], d.t[rows], d.x[rows], d.a[rows],
                            d.x_next[rows], d.c[rows], d.g[rows], d.done[rows],

@@ -6,7 +6,8 @@ import pytest
 import cbpl.learner as learner_mod
 from cbpl.batchrl import (CostSelector, EmpiricalModel, fqi, lspi,
                           lstdq_policy)
-from cbpl.dataset import collect, full_coverage_dataset
+from cbpl.dataset import (collect, full_coverage_dataset,
+                          make_frozenlake_behavior)
 from cbpl.funcapprox import FeatureMap, QFunction
 from cbpl.learner import (ConvergenceError, LearnerConfig, MixturePolicy,
                           derandomize, lagrangian_max, regularization_grid,
@@ -196,12 +197,12 @@ class TestRun:
         with pytest.raises(ValueError):
             run(fl8_dataset, config, mdp_handle=fl8)
 
-    def test_block_fast_forward_matches_generic_loop(self, fl8, monkeypatch):
-        config = exact_config(eta=0.01, omega=0.3, max_rounds=20_000)
-        _, fast = run(None, config, mdp_handle=fl8)
+    @staticmethod
+    def assert_blocks_match_generic_loop(data, config, mdp, monkeypatch):
+        _, fast = run(data, config, mdp_handle=mdp)
         monkeypatch.setattr(learner_mod, "_block_advance",
                             lambda *a, **k: (None, False))
-        _, slow = run(None, config, mdp_handle=fl8)
+        _, slow = run(data, config, mdp_handle=mdp)
         assert fast.converged and slow.converged
         assert fast.total_rounds == slow.total_rounds
         assert fast.block_rounds > 0
@@ -215,6 +216,45 @@ class TestRun:
         assert np.allclose(fast.lambdas[fi], slow.lambdas[si], atol=1e-9)
         assert np.allclose(fast.gap[fi], slow.gap[si], atol=1e-9)
         assert np.allclose(fast.c_hat_mix[fi], slow.c_hat_mix[si], atol=1e-9)
+
+    def test_block_fast_forward_matches_generic_loop(self, fl8, monkeypatch):
+        config = exact_config(eta=0.01, omega=0.3, max_rounds=20_000)
+        self.assert_blocks_match_generic_loop(None, config, fl8, monkeypatch)
+
+    def test_lspi_block_fast_forward_matches_generic_loop(self, fl8,
+                                                          fl8_dataset,
+                                                          monkeypatch):
+        # The lspi flavor solves the data's empirical MDP exactly, so its
+        # steady stretches take the same closed-form blocks.
+        config = exact_config(eta=0.05, omega=0.1, max_rounds=20_000,
+                              subroutine_flavor="lspi")
+        self.assert_blocks_match_generic_loop(fl8_dataset, config, fl8,
+                                              monkeypatch)
+
+    def test_lspi_at_the_tuned_step_converges_with_fitted_values(self, fl8):
+        # test_01's step size and round cap on the rows that
+        # `cbpl collect --seed 1` writes: blocks carry the 399,252,792
+        # rounds, and the mixture has the fitted flavor's exact values.
+        data = collect(fl8, make_frozenlake_behavior(fl8, 0.95), 5000, 200,
+                       np.random.default_rng(np.random.SeedSequence([1, 1])))
+        B, omega, g_bar = 30.0, 0.05, 1.0 / (1.0 - fl8.gamma)
+        eta = omega / (4 * g_bar ** 2 * B)
+        cap = math.ceil(16 * B ** 2 * g_bar ** 2 * math.log(2) / omega ** 2)
+        mixture, trace = run(data, exact_config(
+            eta=eta, max_rounds=cap, subroutine_flavor="lspi"),
+            mdp_handle=fl8)
+        assert trace.converged and trace.gap[-1] <= omega
+        assert trace.total_rounds == 399_252_792
+        assert trace.generic_rounds < 10
+        bounds = 2 * (B * math.log(2) / (eta * trace.rounds)
+                      + eta * B * g_bar ** 2)
+        assert np.all(trace.gap <= bounds + 1e-9)
+        fitted, _ = run(data, exact_config(subroutine_flavor="fitted",
+                                           max_rounds=200), mdp_handle=fl8)
+        c, g = exact_policy_values(fl8, mixture)
+        c_fitted, g_fitted = exact_policy_values(fl8, fitted)
+        assert c == c_fitted and np.array_equal(g, g_fitted)
+        assert c == pytest.approx(-0.51334, abs=1e-5) and g[0] == 0.0
 
     def test_failed_block_advances_back_off(self, monkeypatch):
         # Here no steady stretch survives its certificates; without a

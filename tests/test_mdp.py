@@ -166,6 +166,15 @@ class TestMdpValidation:
             TabularMdp(transition, np.zeros((2, 1)), np.zeros((2, 1, 0)),
                        0.9, np.array([1.0, 0.0]))
 
+    def test_nan_initial_dist_rejected(self):
+        # [nan, 1.0] sums to NaN, which passes the sum check.
+        transition = np.zeros((2, 1, 2))
+        transition[:, 0, 1] = 1.0
+        with pytest.raises(ValueError, match="initial_dist must be a "
+                                             "probability vector"):
+            TabularMdp(transition, np.zeros((2, 1)), np.zeros((2, 1, 0)),
+                       0.9, np.array([np.nan, 1.0]))
+
     def test_nonabsorbing_terminal_rejected(self):
         transition = np.zeros((2, 1, 2))
         transition[0, 0, 1] = 1.0
@@ -197,3 +206,14 @@ class TestPolicies:
     def test_bad_stochastic_rows_rejected(self):
         with pytest.raises(ValueError):
             StochasticPolicy([[0.5, 0.4]])
+        # The row sums to NaN, which passes the sum check.
+        with pytest.raises(ValueError, match="probability vectors"):
+            StochasticPolicy([[np.nan, 1.0]])
+
+    # -1 used to wrap to the last action, 7 to raise IndexError.
+    @pytest.mark.parametrize("action", [-1, 7])
+    def test_as_stochastic_rejects_an_action_off_the_map(self, action):
+        policy = DeterministicPolicy([0, action, 1])
+        with pytest.raises(ValueError, match=rf"action {action} at state 1 "
+                                             r"is outside \[0, 4\)"):
+            as_stochastic(policy, 4)

@@ -10,9 +10,9 @@ from cbpl.cli import main
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       as_stochastic, build_combination_lock, build_frozenlake,
                       build_random_mdp)
-from cbpl.ope import (OpeConfig, _SubsampleModels, doubly_robust,
-                      ope_comparison, pdis, weighted_doubly_robust,
-                      write_ope_report)
+import cbpl.ope as ope_mod
+from cbpl.ope import (OpeConfig, doubly_robust, ope_comparison, pdis,
+                      weighted_doubly_robust, write_ope_report)
 from cbpl.oracle import ExactSolver, exact_policy_values
 
 from conftest import FROZENLAKE_4X4
@@ -287,34 +287,68 @@ class TestRaggedSumMatchesPadded:
         self.check_policies(fl8, data)
 
 
-class TestSubsampleModels:
-    """A trial's EmpiricalModel, counted from the full dataset's model, is
-    the one from_dataset builds from the subsample."""
+class TestTrialsAreTrajectoryDraws:
+    """A trial of ope_comparison reads the rows of its drawn trajectories in
+    the full dataset and counts its model from the full dataset's. Its four
+    rows equal fqe, pdis, doubly_robust and weighted_doubly_robust on the
+    Dataset that subsample draws with the trial's generator, and the model
+    its FQE runs on is from_dataset of that Dataset."""
 
+    FRACTIONS = (0.05, 0.1, 0.5, 0.9, 1.0)
     FIELDS = ("x", "a", "x_next", "done", "c", "g", "count", "starts")
 
-    def assert_same_model(self, derived, built):
-        for field in self.FIELDS:
-            got, want = getattr(derived, field), getattr(built, field)
-            assert got.dtype == want.dtype, field
-            assert np.array_equal(got, want), field
+    def check(self, data, policy, mdp, monkeypatch, trials=2):
+        models = []
 
-    def check_subsamples(self, data, seed):
-        models = _SubsampleModels(data)
-        rng = np.random.default_rng(seed)
-        for fraction in (0.05, 0.1, 0.5, 0.9, 1.0):
-            sub = subsample(data, fraction, rng)
-            self.assert_same_model(models(sub),
-                                   EmpiricalModel.from_dataset(sub))
+        def recording_fqe(model, *args, **kwargs):
+            models.append(model)
+            return fqe(model, *args, **kwargs)
+
+        monkeypatch.setattr(ope_mod, "fqe", recording_fqe)
+        config = OpeConfig(fqe_iters=40, seed=7)
+        rows = ope_comparison(data, policy, mdp, self.FRACTIONS, trials,
+                              config)
+        tasks = [(f, trial) for f in self.FRACTIONS for trial in range(trials)]
+        seeds = np.random.SeedSequence(config.seed).spawn(len(tasks))
+        assert len(models) == len(tasks)
+        exact_c, _ = exact_policy_values(mdp, policy)
+        template = QFunction.tabular_zeros(mdp.num_states, mdp.num_actions)
+        expected = []
+        for (fraction, trial), seed, model in zip(tasks, seeds, models):
+            sub = subsample(data, fraction, np.random.default_rng(seed))
+            built = EmpiricalModel.from_dataset(sub)
+            for field in self.FIELDS:
+                got, want = getattr(model, field), getattr(built, field)
+                assert got.dtype == want.dtype, field
+                assert np.array_equal(got, want), field
+            est, run = fqe(sub, policy, CostSelector.primary(),
+                           config.fqe_iters, template, mdp=mdp)
+            q_hat = run.q_final
+            for name, value in (
+                    ("fqe", est), ("pdis", pdis(sub, policy, mdp.gamma)),
+                    ("dr", doubly_robust(sub, policy, q_hat, mdp.gamma)),
+                    ("wdr", weighted_doubly_robust(sub, policy, q_hat,
+                                                   mdp.gamma))):
+                expected.append((name, fraction, trial, value,
+                                 abs(value - exact_c)))
+        assert rows == expected
+        return rows
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_frozenlake(self, fl8, seed):
-        data = collect(fl8, make_frozenlake_behavior(fl8, 0.5), 500, 200,
+    def test_frozenlake(self, fl8, seed, monkeypatch):
+        data = collect(fl8, make_frozenlake_behavior(fl8, 0.5), 400, 200,
                        np.random.default_rng(seed))
-        self.check_subsamples(data, 10 + seed)
+        self.check(data, ExactSolver(fl8).best_response(np.array([1e6])),
+                   fl8, monkeypatch)
+        rows = self.check(data, make_frozenlake_behavior(fl8, 0.8), fl8,
+                          monkeypatch)
+        # A draw of a few trajectories may miss the goal; larger ones do not.
+        assert all(est != 0 for name, fraction, _, est, _ in rows
+                   if name == "pdis" and fraction >= 0.5)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_two_constraint_columns_and_unordered_ids(self, seed):
+    def test_two_constraint_columns_and_unordered_ids(self, seed,
+                                                      monkeypatch):
         mdp = build_random_mdp(6, 3, 2, seed)
         behavior = StochasticPolicy(np.full((6, 3), 1.0 / 3.0))
         data = collect(mdp, behavior, 200, 15, np.random.default_rng(seed))
@@ -325,24 +359,10 @@ class TestSubsampleModels:
         data = Dataset(np.repeat(ids, stops - starts), data.t, data.x, data.a,
                        data.x_next, data.c, data.g, data.done,
                        data.behavior_prob)
-        self.check_subsamples(data, 20 + seed)
-
-    def test_fqe_rows_equal_fqe_on_the_subsample(self, fl8):
-        data = collect(fl8, make_frozenlake_behavior(fl8, 0.5), 400, 200,
-                       np.random.default_rng(3))
-        policy = ExactSolver(fl8).best_response(np.array([1e6]))
-        fractions, trials = [0.2, 1.0], 3
-        config = OpeConfig(fqe_iters=40, seed=7)
-        rows = ope_comparison(data, policy, fl8, fractions, trials, config)
-        seeds = np.random.SeedSequence(config.seed).spawn(len(fractions)
-                                                          * trials)
-        template = QFunction.tabular_zeros(64, 4)
-        expected = []
-        for seed, fraction in zip(seeds, np.repeat(fractions, trials)):
-            sub = subsample(data, fraction, np.random.default_rng(seed))
-            expected.append(fqe(sub, policy, CostSelector.primary(),
-                                config.fqe_iters, template, mdp=fl8)[0])
-        assert [row[3] for row in rows if row[0] == "fqe"] == expected
+        policy = StochasticPolicy(
+            np.random.default_rng(seed).dirichlet(np.ones(3), size=6))
+        rows = self.check(data, policy, mdp, monkeypatch)
+        assert all(est != 0 for name, _, _, est, _ in rows if name == "pdis")
 
 
 class TestPdis:
