@@ -83,21 +83,17 @@ def _parse_cost(text):
 
 def save_policy(policy, path=None):
     """Write state,action rows to path, or to stdout when path is None."""
-    text = "state,action\n" + "".join(
-        f"{x},{a}\n" for x, a in enumerate(policy.actions))
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    ds.write_csv(sys.stdout if path is None else path, "state,action",
+                 (np.arange(len(policy.actions)), policy.actions))
 
 
 def save_mixture(mixture, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("member,weight,state,action\n")
-        for i, (policy, w) in enumerate(zip(mixture.members, mixture.weights)):
-            for x, a in enumerate(policy.actions):
-                fh.write(f"{i},{w:.17g},{x},{a}\n")
+    """Write member,weight,state,action rows, one member after another."""
+    actions = np.array([p.actions for p in mixture.members])
+    k, S = actions.shape
+    ds.write_csv(path, "member,weight,state,action",
+                 (np.repeat(np.arange(k), S), np.repeat(mixture.weights, S),
+                  np.tile(np.arange(S), k), actions.ravel()))
 
 
 def _action_table(pairs, num_states, num_actions, path):
@@ -148,21 +144,23 @@ def load_policy(path, num_states, num_actions, allow_mixture=True):
     weights = {}
     for r in rows:
         i, w, x, a = int(r[0]), float(r[1]), int(r[2]), int(r[3])
+        if not 0 < w < np.inf:
+            raise ValidationError(f"policy file {path}: member {i} has "
+                                  f"weight {r[1]}; weights must be finite "
+                                  f"and positive")
+        if weights.setdefault(i, w) != w:
+            raise ValidationError(f"policy file {path}: member {i} has rows "
+                                  f"with weights {weights[i]!r} and {w!r}")
         members.setdefault(i, []).append((x, a))
-        weights[i] = w
     if not members:
         raise ValidationError(f"policy file {path} lists no members")
-    policies = []
-    counts = []
     total = sum(weights.values())
-    scale = 10 ** 9
-    for i in sorted(members):
-        policies.append(DeterministicPolicy(
-            _action_table(members[i], num_states, num_actions, path)))
-        counts.append(max(1, round(weights[i] / total * scale)))
-    m_placeholder = [np.zeros(0)] * len(policies)
-    return MixturePolicy(policies, counts, [0.0] * len(policies),
-                         m_placeholder)
+    order = sorted(members)
+    policies = [DeterministicPolicy(_action_table(
+        members[i], num_states, num_actions, path)) for i in order]
+    counts = [max(1, round(weights[i] / total * 10 ** 9)) for i in order]
+    return MixturePolicy(policies, counts, [0.0] * len(order),
+                         [np.zeros(0)] * len(order))
 
 
 def _cmd_collect(args):
@@ -309,12 +307,11 @@ def _cmd_frozenlake_experiment(args):
     mixture, trace = run(data, config, mdp_handle=mdp)
     write_trace_csv(trace, os.path.join(args.outdir, "trace.csv"))
     save_mixture(mixture, os.path.join(args.outdir, "mixture.csv"))
-    with open(os.path.join(args.outdir, "values.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("member,weight,C_hat,G_hat_1\n")
-        for i, w in enumerate(mixture.weights):
-            fh.write(f"{i},{w:.17g},{mixture.member_c_hat[i]:.17g},"
-                     f"{mixture.member_g_hat[i][0]:.17g}\n")
+    ds.write_csv(os.path.join(args.outdir, "values.csv"),
+                 "member,weight,C_hat,G_hat_1",
+                 (np.arange(len(mixture.members)), mixture.weights,
+                  mixture.member_c_hat,
+                  [g[0] for g in mixture.member_g_hat]))
 
     c_mix, g_mix = exact_policy_values(mdp, mixture)
     c_behavior, g_behavior = exact_policy_values(mdp, behavior)

@@ -9,13 +9,14 @@ with 17 significant digits so round-trips are exact.
 import bisect
 import collections
 import itertools
+import os
 
 import numpy as np
 
 from .mdp import StochasticPolicy, as_stochastic
 
 _DRAW_CHUNK = 2**16  # uniforms per bulk draw in collect
-_SAVE_ROWS = 2**15  # rows per write in save
+_WRITE_ROWS = 2**15  # rows per write in write_csv
 _SCAN_CHARS = 2**20  # characters per read when load checks a body
 # The ASCII line breaks of str.splitlines other than \n and \r.
 _EXTRA_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
@@ -270,8 +271,8 @@ def full_coverage_dataset(mdp):
 
 def _column_texts(values, end):
     """Object array of each entry's CSV text followed by end. Each distinct
-    value is formatted once: ints with str, reals with '.17g' by bit pattern
-    (so -0.0 and 0.0 stay apart)."""
+    value is formatted once: reals with '.17g' by bit pattern (so -0.0 and
+    0.0 stay apart), anything else (ints, strings) with str."""
     if values.dtype.kind == "f":
         bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
         text = [f"{v:.17g}{end}" for v in bits.view(np.float64).tolist()]
@@ -281,24 +282,30 @@ def _column_texts(values, end):
     return np.array(text, dtype=object)[inverse]
 
 
-def save(dataset, path):
-    """Write the CSV representation (17 significant digits for reals), one
-    write per chunk of rows."""
-    d = dataset
-    header = "traj_id,t,x,a,x_next,c"
-    if d.m:
-        header += "," + ",".join(f"g_{i + 1}" for i in range(d.m))
-    header += ",done,behavior_prob"
-    columns = (d.traj_id, d.t, d.x, d.a, d.x_next, d.c, *d.g.T,
-               d.done.astype(np.int64), d.behavior_prob)
+def write_csv(dest, header, columns):
+    """Write a header line and the rows of equal-length 1-d columns to dest,
+    a path or an open text stream: ints and strings with str, float64 with
+    17 significant digits (so a read gives back the same bits), one write
+    per chunk of rows."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8") as fh:
+            return write_csv(fh, header, columns)
+    columns = [np.asarray(col) for col in columns]
     ends = [","] * (len(columns) - 1) + ["\n"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(d), _SAVE_ROWS):
-            fields = np.column_stack([
-                _column_texts(col[lo:lo + _SAVE_ROWS], end)
-                for col, end in zip(columns, ends)])
-            fh.write("".join(fields.ravel().tolist()))
+    dest.write(header + "\n")
+    for lo in range(0, len(columns[0]), _WRITE_ROWS):
+        fields = np.column_stack([_column_texts(col[lo:lo + _WRITE_ROWS], end)
+                                  for col, end in zip(columns, ends)])
+        dest.write("".join(fields.ravel().tolist()))
+
+
+def save(dataset, path):
+    """Write the CSV representation (17 significant digits for reals)."""
+    d = dataset
+    g_names = "".join(f",g_{i + 1}" for i in range(d.m))
+    write_csv(path, f"traj_id,t,x,a,x_next,c{g_names},done,behavior_prob",
+              (d.traj_id, d.t, d.x, d.a, d.x_next, d.c, *d.g.T,
+               d.done.astype(np.int64), d.behavior_prob))
 
 
 def _constraint_count(header, path):

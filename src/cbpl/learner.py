@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batchrl import CostSelector, EmpiricalModel, _resolve_gamma, fqe, fqi
+from .dataset import write_csv
 from .funcapprox import QFunction
 from .mdp import DeterministicPolicy
 from .onlineopt import (DualVector, EG_FLAVOR, OGD_FLAVOR, augmented_loss,
@@ -287,7 +288,6 @@ def default_max_rounds(B, g_bar, omega, m):
 # 3e-14 of math.fsum); beyond it they are summed until the multiplier is 0 or B.
 _EM_MAX_STEP = 1e-2
 _TRACE_LIMIT = 200_000  # trace rows kept before _TraceBuffer thins them
-_TRACE_WRITE_ROWS = 2**15  # rows per write in write_trace_csv
 
 
 def _lambda_at(B, d0, de, j):
@@ -611,18 +611,11 @@ def derandomize(mixture, tau):
 
 def write_trace_csv(trace, path):
     """Trace CSV: round,lambda_1..lambda_dim,C_hat,G_1..G_m,L_max,L_min,gap,
-    reals to 17 significant digits; one write per chunk of rows."""
+    written by dataset.write_csv."""
     dim, m = trace.lambdas.shape[1], trace.g_hat_member.shape[1]
     header = ("round," + ",".join(f"lambda_{i + 1}" for i in range(dim))
               + ",C_hat" + "".join(f",G_{i + 1}" for i in range(m))
               + ",L_max,L_min,gap")
-    reals = np.column_stack([trace.lambdas, trace.c_hat_member,
-                             trace.g_hat_member, trace.l_max, trace.l_min,
-                             trace.gap])
-    line = "%d" + ",%.17g" * reals.shape[1] + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(reals), _TRACE_WRITE_ROWS):
-            rows = slice(lo, lo + _TRACE_WRITE_ROWS)
-            fh.write("".join(line % (t, *row) for t, row in zip(
-                trace.rounds[rows].tolist(), reals[rows].tolist())))
+    write_csv(path, header, (trace.rounds, *trace.lambdas.T,
+                             trace.c_hat_member, *trace.g_hat_member.T,
+                             trace.l_max, trace.l_min, trace.gap))

@@ -9,7 +9,8 @@ import numpy as np
 
 from .batchrl import CostSelector, EmpiricalModel, fqe
 # subsample is not called here; benchmarks/tracer.py wraps it by this name.
-from .dataset import check_indices, draw_trajectories, subsample  # noqa: F401
+from .dataset import (check_indices, draw_trajectories,  # noqa: F401
+                      subsample, write_csv)
 from .funcapprox import QFunction
 from .mdp import StochasticPolicy, as_stochastic
 from .oracle import exact_policy_values
@@ -149,7 +150,5 @@ def ope_comparison(dataset, eval_policy, mdp, fractions, trials, config=None):
 
 def write_ope_report(rows, path):
     """Report CSV: method,fraction,trial,estimate,abs_error."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method,fraction,trial,estimate,abs_error\n")
-        for method, frac, trial, est, err in rows:
-            fh.write(f"{method},{frac:.17g},{trial},{est:.17g},{err:.17g}\n")
+    columns = list(zip(*rows)) or [()] * 5  # no rows: five empty columns
+    write_csv(path, "method,fraction,trial,estimate,abs_error", columns)

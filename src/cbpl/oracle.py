@@ -10,14 +10,17 @@ from .mdp import DeterministicPolicy, as_stochastic
 
 def _policy_matrices(mdp, policy):
     """P^pi (S, S) and per-channel expected costs (S, 1+m) for a policy."""
-    S = mdp.num_states
+    S, A = mdp.num_states, mdp.num_actions
     channels = np.concatenate([mdp.cost_c[:, :, None], mdp.cost_g], axis=2)
     if isinstance(policy, DeterministicPolicy):
         idx = np.arange(S)
         p_pi = mdp.transition[idx, policy.actions]
         cost_pi = channels[idx, policy.actions]
     else:
-        probs = as_stochastic(policy, mdp.num_actions)
+        probs = as_stochastic(policy, A)
+        if probs.shape != (S, A):
+            raise ValueError(f"policy table has shape {probs.shape}, "
+                             f"expected ({S}, {A})")
         p_pi = np.einsum("xa,xay->xy", probs, mdp.transition)
         cost_pi = np.einsum("xa,xak->xk", probs, channels)
     return p_pi, cost_pi

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cbpl.cli import load_policy, main, save_mixture, save_policy
-from cbpl.learner import ConvergenceError, MixturePolicy
+from cbpl.learner import ConvergenceError, MixturePolicy, run
 from cbpl.mdp import DeterministicPolicy
 
 from conftest import FROZENLAKE_4X4
@@ -34,6 +34,29 @@ def policy_file(tmp_path_factory, dataset_file, map_file):
                  "--iters", "50", "--policy-out", str(path)])
     assert code == 0
     return str(path)
+
+
+def reference_policy_text(actions):
+    """A policy file from a per-row writer."""
+    return "state,action\n" + "".join(
+        f"{x},{a}\n" for x, a in enumerate(actions))
+
+
+def reference_mixture_text(mixture):
+    """A mixture file from a per-row writer."""
+    return "member,weight,state,action\n" + "".join(
+        f"{i},{w:.17g},{x},{a}\n"
+        for i, (policy, w) in enumerate(zip(mixture.members, mixture.weights))
+        for x, a in enumerate(policy.actions))
+
+
+def reference_values_text(mixture):
+    """frozenlake-experiment's values.csv from a per-row writer."""
+    return "member,weight,C_hat,G_hat_1\n" + "".join(
+        f"{i},{w:.17g},{c:.17g},{g[0]:.17g}\n"
+        for i, (w, c, g) in enumerate(zip(mixture.weights,
+                                          mixture.member_c_hat,
+                                          mixture.member_g_hat)))
 
 
 class TestCollect:
@@ -218,6 +241,13 @@ def _policy_rows(states, action=0):
     return "state,action\n" + "".join(f"{x},{action}\n" for x in range(states))
 
 
+def _mixture_rows(weight):
+    """Two members over the 16 states of the 4x4 map, member i taking action
+    i; weight(i, x) is the weight field of member i's row for state x."""
+    return "member,weight,state,action\n" + "".join(
+        f"{i},{weight(i, x)},{x},{i}\n" for i in (0, 1) for x in range(16))
+
+
 class TestPolicyFileValidation:
     # The 4x4 map has 16 states and 4 actions.
     BAD_FILES = {
@@ -253,6 +283,30 @@ class TestPolicyFileValidation:
         pol = tmp_path / "ok.csv"
         pol.write_text(_policy_rows(16, action=3))
         assert main(["oracle", "--map", map_file, "--policy", str(pol)]) == 0
+        pol.write_text(_mixture_rows(lambda i, x: (0.25, 0.75)[i]))
+        assert main(["oracle", "--map", map_file, "--policy", str(pol)]) == 0
+
+    # weight(member, state) gives each row's weight field.
+    BAD_WEIGHTS = {
+        "all_zero": lambda i, x: 0,
+        "one_zero": lambda i, x: i,
+        "negative": lambda i, x: (-1, 2)[i],
+        "inf": lambda i, x: ("inf", 1)[i],
+        "nan": lambda i, x: (1, "nan")[i],
+        "member_rows_disagree": lambda i, x: 0.25 if x == 5 else 0.5,
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_WEIGHTS))
+    def test_bad_mixture_weights_exit_1_with_one_error_line(
+            self, name, map_file, tmp_path, capsys):
+        pol = tmp_path / "mix.csv"
+        pol.write_text(_mixture_rows(self.BAD_WEIGHTS[name]))
+        assert main(["oracle", "--map", map_file, "--policy", str(pol)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), captured.err
+        assert str(pol) in err[0] and "weight" in err[0]
+        assert captured.out == ""
 
 
 def _raise(exc):
@@ -433,7 +487,14 @@ class TestOpeCompare:
 
 
 class TestFrozenlakeExperiment:
-    def test_pipeline_writes_all_artifacts(self, tmp_path, capsys):
+    def test_pipeline_writes_all_artifacts(self, tmp_path, monkeypatch,
+                                           capsys):
+        runs = []
+
+        def recording_run(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr("cbpl.cli.run", recording_run)
         outdir = tmp_path / "exp"
         code = main(["frozenlake-experiment", "--outdir", str(outdir),
                      "--trajs", "400", "--horizon", "100", "--rounds", "60",
@@ -445,6 +506,12 @@ class TestFrozenlakeExperiment:
         report = (outdir / "report.csv").read_text().splitlines()
         assert report[0] == "policy,exact_C,exact_G_1"
         assert report[1].startswith("learned_mixture,")
+        # The learner's mixture, written as a per-row writer would.
+        (mixture, _), = runs
+        assert ((outdir / "values.csv").read_bytes()
+                == reference_values_text(mixture).encode())
+        assert ((outdir / "mixture.csv").read_bytes()
+                == reference_mixture_text(mixture).encode())
 
     EXPERIMENT = ["frozenlake-experiment", "--trajs", "200", "--horizon",
                   "100", "--rounds", "20", "--seed", "2", "--outdir"]
@@ -477,6 +544,12 @@ class TestPolicyFileRoundTrips:
         save_policy(policy, path)
         assert np.array_equal(load_policy(str(path), 4, 4).actions,
                               policy.actions)
+        assert path.read_bytes() == reference_policy_text(
+            policy.actions).encode()
+        wide = DeterministicPolicy(np.random.default_rng(0).integers(0, 4, 70))
+        save_policy(wide, path)
+        assert path.read_bytes() == reference_policy_text(
+            wide.actions).encode()
 
     def test_deterministic_policy_without_path_goes_to_stdout(
             self, tmp_path, capsys):
@@ -484,6 +557,7 @@ class TestPolicyFileRoundTrips:
         save_policy(policy)
         text = capsys.readouterr().out
         assert text == "state,action\n0,1\n1,3\n2,0\n3,2\n"
+        assert text == reference_policy_text(policy.actions)
         path = tmp_path / "p.csv"
         path.write_text(text)
         assert np.array_equal(load_policy(str(path), 4, 4).actions,
@@ -499,6 +573,15 @@ class TestPolicyFileRoundTrips:
         assert isinstance(loaded, MixturePolicy)
         assert np.allclose(loaded.weights, [0.75, 0.25])
         assert np.array_equal(loaded.members[1].actions, [1, 0])
+        assert path.read_bytes() == reference_mixture_text(mixture).encode()
+        # Weights 2/3 and 1/3 need all 17 digits.
+        members = [DeterministicPolicy([0, 1, 3]),
+                   DeterministicPolicy([2, 0, 1])]
+        thirds = MixturePolicy(members, [2, 1], [0.0, 0.0],
+                               [np.zeros(1), np.zeros(1)])
+        save_mixture(thirds, path)
+        assert path.read_bytes() == reference_mixture_text(thirds).encode()
+        assert "0,0.66666666666666663,0,0\n" in path.read_text()
 
     def test_unknown_argument_exits_1(self):
         assert main(["collect", "--bogus"]) == 1

@@ -10,11 +10,12 @@ from cbpl.dataset import (collect, full_coverage_dataset,
                           make_frozenlake_behavior)
 from cbpl.funcapprox import FeatureMap, QFunction
 from cbpl.learner import (ConvergenceError, LearnerConfig, MixturePolicy,
-                          derandomize, lagrangian_max, regularization_grid,
-                          run, write_trace_csv)
+                          RunTrace, derandomize, lagrangian_max,
+                          regularization_grid, run, write_trace_csv)
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock, build_random_mdp)
-from cbpl.onlineopt import DualVector, EG_FLAVOR, augmented_loss, eg_init
+from cbpl.onlineopt import (DualVector, EG_FLAVOR, OGD_FLAVOR,
+                            augmented_loss, eg_init)
 from cbpl.oracle import (ExactSolver, exact_constrained_optimum,
                          exact_policy_values)
 
@@ -711,6 +712,42 @@ class TestDerandomize:
         assert idx == 1
 
 
+def reference_trace_csv(trace):
+    """The trace file's bytes from a per-row writer: '%d' for the round and
+    '%.17g' for each real."""
+    dim, m = trace.lambdas.shape[1], trace.g_hat_member.shape[1]
+    header = ",".join(["round", *(f"lambda_{i + 1}" for i in range(dim)),
+                       "C_hat", *(f"G_{i + 1}" for i in range(m)),
+                       "L_max", "L_min", "gap"])
+    reals = np.column_stack([trace.lambdas, trace.c_hat_member,
+                             trace.g_hat_member, trace.l_max, trace.l_min,
+                             trace.gap])
+    line = "%d" + ",%.17g" * reals.shape[1] + "\n"
+    return (header + "\n" + "".join(
+        line % (t, *row)
+        for t, row in zip(trace.rounds.tolist(), reals.tolist()))).encode()
+
+
+def synthetic_trace(rows, dim, m, seed):
+    """A RunTrace of the given size whose reals mix wide-ranging random
+    values with -0.0, 0.0, 5e-324 and 1/3; its first row holds -0.0, 5e-324
+    and 1/3."""
+    rng = np.random.default_rng(seed)
+    width = dim + 1 + m + 3
+    reals = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
+        -300, 300, (rows, width))
+    special = rng.random((rows, width)) < 0.2
+    reals[special] = rng.choice([-0.0, 0.0, 5e-324, 1 / 3], special.sum())
+    reals[0] = np.resize([-0.0, 5e-324, 1 / 3], width)
+    return RunTrace(
+        rounds=np.arange(1, rows + 1) * 3, lambdas=reals[:, :dim],
+        c_hat_member=reals[:, dim], g_hat_member=reals[:, dim + 1:-3],
+        c_hat_mix=reals[:, dim], g_hat_mix=reals[:, dim + 1:-3],
+        l_max=reals[:, -3], l_min=reals[:, -2], l_mid=reals[:, -2],
+        gap=reals[:, -1], converged=True, termination_reason="gap <= omega",
+        total_rounds=3 * rows, stride=3)
+
+
 class TestTraceCsv:
     def test_header_and_row_count(self, small_fitted, tmp_path):
         _, _, _, trace = small_fitted
@@ -722,6 +759,31 @@ class TestTraceCsv:
         assert len(lines) == len(trace.rounds) + 1
         first = lines[1].split(",")
         assert int(first[0]) == trace.rounds[0]
+        assert path.read_bytes() == reference_trace_csv(trace)
+
+    def test_ogd_trace_bytes(self, fl8, tmp_path):
+        _, trace = run(None, exact_config(dual_flavor=OGD_FLAVOR,
+                                          max_rounds=50), mdp_handle=fl8)
+        assert trace.lambdas.shape[1] == trace.g_hat_member.shape[1] == 1
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_text().startswith("round,lambda_1,C_hat,G_1,")
+        assert path.read_bytes() == reference_trace_csv(trace)
+
+    # 2**15 + 3 rows span two write chunks.
+    @pytest.mark.parametrize("rows, dim, m", [(2**15 + 3, 2, 1), (7, 3, 2),
+                                              (1, 1, 1)])
+    def test_special_reals_and_long_traces_match_per_row_bytes(
+            self, rows, dim, m, tmp_path):
+        trace = synthetic_trace(rows, dim, m, seed=rows)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == reference_trace_csv(trace)
+        text = path.read_text()
+        assert len(text.splitlines()) == rows + 1
+        first = text.splitlines()[1].split(",")
+        assert {"-0", "4.9406564584124654e-324",
+                "0.33333333333333331"} <= set(first[1:])
 
 
 class TestDiscountRule:

@@ -515,3 +515,15 @@ class TestOpeComparison:
         lines = path.read_text().splitlines()
         assert lines[0] == "method,fraction,trial,estimate,abs_error"
         assert len(lines) == len(rows) + 1
+        # The bytes of a per-row writer, also for signed zeros, subnormals
+        # and for a report with no rows.
+        special = [("pdis", 0.1, 0, -0.0, 5e-324), ("dr", 1 / 3, 7, 1 / 3, 0.0),
+                   ("wdr", 1.0, 12, -1e-300, 0.5)]
+        for name, report in (("frozenlake", rows), ("special", special),
+                             ("empty", [])):
+            path = tmp_path / f"{name}.csv"
+            write_ope_report(report, path)
+            reference = "method,fraction,trial,estimate,abs_error\n" + "".join(
+                f"{method},{frac:.17g},{trial},{est:.17g},{err:.17g}\n"
+                for method, frac, trial, est, err in report)
+            assert path.read_bytes() == reference.encode(), name

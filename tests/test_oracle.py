@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from cbpl.batchrl import EmpiricalModel
+from cbpl.dataset import full_coverage_dataset
 from cbpl.learner import ConvergenceError
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock, build_frozenlake,
                       build_random_mdp)
+from cbpl.ope import ope_comparison
 from cbpl.oracle import (ExactSolver, exact_constrained_optimum,
                          exact_policy_values, occupancy,
                          performance_difference_check, value_iteration)
@@ -63,6 +65,22 @@ class TestExactPolicyValues:
         c_mix, g_mix = exact_policy_values(fl8, mix)
         assert c_mix == pytest.approx(0.25 * c0 + 0.75 * c1, abs=1e-12)
         assert g_mix[0] == pytest.approx(0.25 * g0[0] + 0.75 * g1[0], abs=1e-12)
+
+
+    @pytest.mark.parametrize("shape", [(64, 3), (60, 4)])
+    @pytest.mark.parametrize("caller", ["exact_policy_values", "occupancy",
+                                        "ope_comparison"])
+    def test_stochastic_table_off_the_map_raises(self, caller, shape, fl8):
+        policy = StochasticPolicy(np.full(shape, 1.0 / shape[1]))
+        call = {
+            "exact_policy_values": lambda: exact_policy_values(fl8, policy),
+            "occupancy": lambda: occupancy(fl8, policy),
+            "ope_comparison": lambda: ope_comparison(
+                full_coverage_dataset(fl8), policy, fl8, [1.0], 1),
+        }[caller]
+        with pytest.raises(ValueError, match=rf"policy table has shape "
+                           rf"\({shape[0]}, {shape[1]}\), expected \(64, 4\)"):
+            call()
 
 
 class TestOccupancy:
