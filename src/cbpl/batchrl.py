@@ -6,7 +6,8 @@ import collections
 import numpy as np
 
 from .dataset import check_indices
-from .funcapprox import QFunction, fit_least_squares, greedy_policy
+from .funcapprox import (CellMeans, QFunction, check_weights,
+                         fit_least_squares, greedy_policy)
 from .mdp import StochasticPolicy, TabularMdp
 
 
@@ -187,33 +188,53 @@ def _initial_distribution(starts, mdp, num_states):
     return chi / chi.sum()
 
 
-def _state_values(q, policy):
-    """V(x) = sum_a pi(a|x) Q(x, a) for every state."""
-    vals = q.values()
+def _state_values(vals, policy):
+    """V(x) = sum_a pi(a|x) Q(x, a) for every state, from the (S, A) values."""
     if isinstance(policy, StochasticPolicy):
         return np.einsum("xa,xa->x", policy.probs, vals)
     return vals[np.arange(vals.shape[0]), policy.actions]
 
 
 def _fitted_sweeps(model, cost, K, template, gamma, bootstrap_of):
-    """K regressions of y = c + gamma * bootstrap_of(Q)[x'] (y = c on done
-    rows), each weighted by the row counts. Returns (Q_K, residuals), the
-    residual being the RMS Bellman error over the original samples."""
+    """K regressions of y = c + gamma * bootstrap_of(Q values)[x'] (y = c on
+    done rows), each weighted by the row counts. Returns (Q_K, residuals),
+    the residual being the RMS Bellman error over the original samples.
+
+    A tabular template sets its cells up once (CellMeans), so a sweep is the
+    targets, one bincount and the residual; a linear one calls
+    fit_least_squares each sweep."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if len(model) == 0:
         raise ValueError("dataset is empty")
-    check_indices(model, *template.values().shape)
-    costs = cost.select(model)
+    shape = template.values().shape
+    check_indices(model, *shape)
     xs, aa, nx, done, w = model.x, model.a, model.x_next, model.done, model.count
+    check_weights(w, xs.shape)
+    costs = cost.select(model)
     total = w.sum()
-    q = template
     residuals = []
-    for _ in range(K):
-        y = costs + gamma * np.where(done, 0.0, bootstrap_of(q)[nx])
-        q = fit_least_squares((xs, aa), y, template, weights=w)
-        err = q.values()[xs, aa] - y
+
+    def targets(vals):
+        return costs + gamma * np.where(done, 0.0, bootstrap_of(vals)[nx])
+
+    def record(err):
         residuals.append(float(np.sqrt(np.dot(w, err * err) / total)))
+
+    if template.is_tabular:
+        cells = CellMeans(xs, aa, w, template.table)
+        vals = template.table
+        for _ in range(K):
+            y = targets(vals)
+            table = cells.fit(y)
+            record(table[cells.flat] - y)
+            vals = table.reshape(shape)
+        return QFunction(table=vals), residuals
+    q = template
+    for _ in range(K):
+        y = targets(q.values())
+        q = fit_least_squares((xs, aa), y, template, weights=w)
+        record(q.values()[xs, aa] - y)
     return q, residuals
 
 
@@ -228,8 +249,8 @@ def fqe(dataset, policy, cost, K, template, gamma=None, mdp=None):
     model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
     q, residuals = _fitted_sweeps(model, cost, K, template, gamma,
-                                  lambda q: _state_values(q, policy))
-    v_pi = _state_values(q, policy)
+                                  lambda vals: _state_values(vals, policy))
+    v_pi = _state_values(q.values(), policy)
     chi = _initial_distribution(model.starts, mdp, len(v_pi))
     return float(chi @ v_pi), FittedRun(q, residuals, K)
 
@@ -244,7 +265,7 @@ def fqi(dataset, cost, K, template, gamma=None, mdp=None):
     model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
     q, residuals = _fitted_sweeps(model, cost, K, template, gamma,
-                                  lambda q: q.values().min(axis=1))
+                                  lambda vals: vals.min(axis=1))
     return greedy_policy(q), FittedRun(q, residuals, K)
 
 

@@ -9,6 +9,7 @@ labels so identical invocations produce byte-identical files.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -154,6 +155,11 @@ def load_policy(path, num_states, num_actions, allow_mixture=True):
         members.setdefault(i, []).append((x, a))
     if not members:
         raise ValidationError(f"policy file {path} lists no members")
+    # Divided by the power of two at or above the largest weight, the sum of
+    # finite weights stays finite; where the unscaled sum does not overflow,
+    # every count is the one the unscaled weights give.
+    scale = math.frexp(max(weights.values()))[1]
+    weights = {i: math.ldexp(w, -scale) for i, w in weights.items()}
     total = sum(weights.values())
     order = sorted(members)
     policies = [DeterministicPolicy(_action_table(

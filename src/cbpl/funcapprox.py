@@ -60,6 +60,39 @@ class QFunction:
         return self.features.phi @ self.weights
 
 
+def check_weights(weights, shape):
+    """Raise ValueError unless weights has the given shape and no negative
+    entry."""
+    if weights.shape != shape or np.any(weights < 0):
+        raise ValueError("weights must be nonnegative and aligned with targets")
+
+
+class CellMeans:
+    """The tabular least-squares fit on fixed rows (xs, aa) with fixed
+    weights (None weighs every row 1): each seen (x, a) cell of the (S, A)
+    table becomes the weighted mean of its rows' targets, and unseen cells
+    keep the given table's values. The flat cells, the indices of the seen
+    cells and their weighted counts are set up once, so each fit is one
+    bincount."""
+
+    def __init__(self, xs, aa, weights, table):
+        S, A = table.shape
+        self.flat = xs * A + aa
+        self.weights = weights
+        counts = np.bincount(self.flat, weights=weights, minlength=S * A)
+        self.seen = np.flatnonzero(counts > 0)
+        self.counts = counts[self.seen]
+        self.base = table.ravel()
+
+    def fit(self, y):
+        """The fitted table for targets y, flattened to length S*A."""
+        wy = y if self.weights is None else self.weights * y
+        sums = np.bincount(self.flat, weights=wy, minlength=len(self.base))
+        table = self.base.copy()
+        table[self.seen] = sums[self.seen] / self.counts
+        return table
+
+
 def fit_least_squares(inputs, targets, template, ridge=1e-8, weights=None):
     """Least-squares regression of targets onto the template's function class.
 
@@ -79,19 +112,11 @@ def fit_least_squares(inputs, targets, template, ridge=1e-8, weights=None):
         raise ValueError("ridge must be >= 0")
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != y.shape or np.any(weights < 0):
-            raise ValueError("weights must be nonnegative and aligned with targets")
+        check_weights(weights, y.shape)
 
     if template.is_tabular:
-        S, A = template.table.shape
-        flat = xs * A + aa
-        counts = np.bincount(flat, weights=weights, minlength=S * A)
-        wy = y if weights is None else weights * y
-        sums = np.bincount(flat, weights=wy, minlength=S * A)
-        table = template.table.copy().ravel()
-        seen = counts > 0
-        table[seen] = sums[seen] / counts[seen]
-        return QFunction(table=table.reshape(S, A))
+        table = CellMeans(xs, aa, weights, template.table).fit(y)
+        return QFunction(table=table.reshape(template.table.shape))
 
     # Directions of sqrt(W) Phi below its numerical rank add nothing in
     # exact arithmetic; solving for them would amplify roundoff by 1/ridge.

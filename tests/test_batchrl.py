@@ -3,8 +3,8 @@ import pytest
 
 from cbpl.batchrl import (CostSelector, EmpiricalModel, fqe, fqi, lspi,
                           lspi_policy, lstdq, lstdq_policy)
-from cbpl.dataset import (Dataset, collect, full_coverage_dataset,
-                          make_frozenlake_behavior)
+from cbpl.dataset import (Dataset, collect, draw_trajectories,
+                          full_coverage_dataset, make_frozenlake_behavior)
 from cbpl.funcapprox import (FeatureMap, QFunction, fit_least_squares,
                              one_hot_features)
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy,
@@ -488,6 +488,102 @@ class TestModelMatchesPerSampleRegression:
                     mdp=fl8)[0]
                 == fqe(model, policy, CostSelector.primary(), 30, template,
                        mdp=fl8)[0])
+
+
+def chained_fits(model, cost, K, template, gamma, bootstrap):
+    """K fit_least_squares calls on the model's rows weighted by their
+    counts, each with its RMS residual: the sweep loop that the tabular
+    kernel replaces. bootstrap maps the (S, A) values to state values."""
+    costs = cost.select(model)
+    w = model.count
+    q = template
+    residuals = []
+    for _ in range(K):
+        y = costs + gamma * np.where(model.done, 0.0,
+                                     bootstrap(q.values())[model.x_next])
+        q = fit_least_squares((model.x, model.a), y, template, weights=w)
+        err = q.values()[model.x, model.a] - y
+        residuals.append(float(np.sqrt(np.dot(w, err * err) / w.sum())))
+    return q, residuals
+
+
+class TestTabularKernelMatchesChainedFits:
+    """fqi and fqe on a tabular template equal K chained fit_least_squares
+    calls bit for bit, in Q and in every residual."""
+
+    K = 30
+
+    @staticmethod
+    def models(fl8_dataset):
+        """The dataset's model and, built as an OPE trial builds it, the
+        restricted model of a 10 % draw of trajectories."""
+        model, row_ids = EmpiricalModel.with_row_ids(fl8_dataset)
+        yield model
+        _, rows = draw_trajectories(fl8_dataset, 0.1,
+                                    np.random.default_rng(3))
+        yield model.restrict(row_ids[rows],
+                             fl8_dataset.x[rows[fl8_dataset.t[rows] == 0]])
+
+    @staticmethod
+    def template(kind, model):
+        """A zero or a random nonzero template, and the cells the model
+        never visits, which must keep the template's values."""
+        table = (np.zeros((64, 4)) if kind == "zero"
+                 else np.random.default_rng(7).normal(size=(64, 4)))
+        unseen = np.ones((64, 4), dtype=bool)
+        unseen[model.x, model.a] = False
+        assert unseen.any()
+        return QFunction(table=table), unseen
+
+    @staticmethod
+    def assert_identical(run, expect, template, unseen):
+        q, residuals = expect
+        got = run.q_final.values()
+        assert got.tobytes() == q.values().tobytes()
+        assert (np.array(run.per_iteration_bellman_residuals).tobytes()
+                == np.array(residuals).tobytes())
+        assert np.array_equal(got[unseen], template.table[unseen])
+
+    @pytest.mark.parametrize("kind", ["zero", "nonzero"])
+    def test_fqi(self, fl8_dataset, fl8, kind):
+        cost = CostSelector.scalarized([3.0])
+        for model in self.models(fl8_dataset):
+            template, unseen = self.template(kind, model)
+            _, run = fqi(model, cost, self.K, template, mdp=fl8)
+            expect = chained_fits(model, cost, self.K, template, fl8.gamma,
+                                  lambda v: v.min(axis=1))
+            self.assert_identical(run, expect, template, unseen)
+
+    @pytest.mark.parametrize("kind", ["zero", "nonzero"])
+    def test_fqe(self, fl8_dataset, fl8, kind):
+        rng = np.random.default_rng(4)
+        det = DeterministicPolicy(rng.integers(0, 4, size=64))
+        sto = StochasticPolicy(rng.dirichlet(np.ones(4), size=64))
+        bootstraps = ((det, lambda v: v[np.arange(64), det.actions]),
+                      (sto, lambda v: np.einsum("xa,xa->x", sto.probs, v)))
+        for model in self.models(fl8_dataset):
+            template, unseen = self.template(kind, model)
+            for policy, bootstrap in bootstraps:
+                for cost in (CostSelector.primary(),
+                             CostSelector.constraint(0)):
+                    _, run = fqe(model, policy, cost, self.K, template,
+                                 mdp=fl8)
+                    expect = chained_fits(model, cost, self.K, template,
+                                          fl8.gamma, bootstrap)
+                    self.assert_identical(run, expect, template, unseen)
+
+
+class TestFittedInputChecks:
+    @pytest.mark.parametrize("count", [[2.0, -1.0], [-0.5, 3.0]])
+    def test_negative_count_raises(self, count):
+        model = EmpiricalModel([0, 1], [0, 1], [1, 1], [False, True],
+                               [1.0, 0.5], np.zeros((2, 0)), count, [0])
+        template = QFunction.tabular_zeros(2, 2)
+        with pytest.raises(ValueError, match="weights"):
+            fqi(model, CostSelector.primary(), 5, template, gamma=0.9)
+        with pytest.raises(ValueError, match="weights"):
+            fqe(model, DeterministicPolicy([0, 1]), CostSelector.primary(),
+                5, template, gamma=0.9)
 
 
 class TestFqiTieBreaking:

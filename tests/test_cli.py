@@ -583,5 +583,21 @@ class TestPolicyFileRoundTrips:
         assert path.read_bytes() == reference_mixture_text(thirds).encode()
         assert "0,0.66666666666666663,0,0\n" in path.read_text()
 
+    @pytest.mark.parametrize("weights,counts", [
+        # 1e308 + 1e308 overflows; unscaled, all three loaded as 1/3.
+        (["1e308", "1e308", "1"], [500000000, 500000000, 1]),
+        (["3e300", "1e300"], [750000000, 250000000]),
+        (["5e-324", "1e-323"], [333333333, 666666667]),
+        (["0.25", "0.75"], [250000000, 750000000]),
+    ])
+    def test_mixture_weights_load_in_proportion(self, tmp_path, weights,
+                                                counts):
+        path = tmp_path / "m.csv"
+        path.write_text("member,weight,state,action\n" + "".join(
+            f"{i},{w},{x},0\n" for i, w in enumerate(weights)
+            for x in range(2)))
+        loaded = load_policy(str(path), 2, 2)
+        assert loaded.counts.tolist() == counts
+
     def test_unknown_argument_exits_1(self):
         assert main(["collect", "--bogus"]) == 1
