@@ -6,9 +6,10 @@ import collections
 import numpy as np
 
 from .dataset import check_indices
-from .funcapprox import (CellMeans, QFunction, check_weights,
-                         fit_least_squares, greedy_policy)
-from .mdp import StochasticPolicy, TabularMdp
+# Not called here: benchmarks/tracer.py wraps fit_least_squares by this name.
+from .funcapprox import (QFunction, check_ridge,  # noqa: F401
+                         fit_least_squares, greedy_policy, regression)
+from .mdp import StochasticPolicy, TabularMdp, check_policy
 
 
 class CostSelector:
@@ -198,44 +199,27 @@ def _state_values(vals, policy):
 def _fitted_sweeps(model, cost, K, template, gamma, bootstrap_of):
     """K regressions of y = c + gamma * bootstrap_of(Q values)[x'] (y = c on
     done rows), each weighted by the row counts. Returns (Q_K, residuals),
-    the residual being the RMS Bellman error over the original samples.
-
-    A tabular template sets its cells up once (CellMeans), so a sweep is the
-    targets, one bincount and the residual; a linear one calls
-    fit_least_squares each sweep."""
+    the residual being the RMS Bellman error over the original samples. The
+    regression is set up once, so a sweep is the targets, one fit and the
+    residual through the rows' flat cells."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if len(model) == 0:
         raise ValueError("dataset is empty")
-    shape = template.values().shape
-    check_indices(model, *shape)
-    xs, aa, nx, done, w = model.x, model.a, model.x_next, model.done, model.count
-    check_weights(w, xs.shape)
+    vals = template.values()
+    check_indices(model, *vals.shape)
+    nx, done, w = model.x_next, model.done, model.count
+    reg = regression(template, model.x, model.a, w)
     costs = cost.select(model)
     total = w.sum()
     residuals = []
-
-    def targets(vals):
-        return costs + gamma * np.where(done, 0.0, bootstrap_of(vals)[nx])
-
-    def record(err):
-        residuals.append(float(np.sqrt(np.dot(w, err * err) / total)))
-
-    if template.is_tabular:
-        cells = CellMeans(xs, aa, w, template.table)
-        vals = template.table
-        for _ in range(K):
-            y = targets(vals)
-            table = cells.fit(y)
-            record(table[cells.flat] - y)
-            vals = table.reshape(shape)
-        return QFunction(table=vals), residuals
-    q = template
     for _ in range(K):
-        y = targets(q.values())
-        q = fit_least_squares((xs, aa), y, template, weights=w)
-        record(q.values()[xs, aa] - y)
-    return q, residuals
+        y = costs + gamma * np.where(done, 0.0, bootstrap_of(vals)[nx])
+        fitted = reg.fit(y)
+        err = fitted[reg.flat] - y
+        residuals.append(float(np.sqrt(np.dot(w, err * err) / total)))
+        vals = fitted.reshape(reg.shape)
+    return reg.q_function(vals), residuals
 
 
 def fqe(dataset, policy, cost, K, template, gamma=None, mdp=None):
@@ -248,6 +232,7 @@ def fqe(dataset, policy, cost, K, template, gamma=None, mdp=None):
     """
     model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
+    check_policy(policy, *template.values().shape)
     q, residuals = _fitted_sweeps(model, cost, K, template, gamma,
                                   lambda vals: _state_values(vals, policy))
     v_pi = _state_values(q.values(), policy)
@@ -271,18 +256,28 @@ def fqi(dataset, cost, K, template, gamma=None, mdp=None):
 
 def lspi_policy(weights, features):
     """Greedy policy of a linear Q given by LSTDQ/LSPI weights."""
-    q = QFunction(weights=np.asarray(weights, dtype=float), features=features)
-    return greedy_policy(q)
+    return greedy_policy(QFunction(weights=weights, features=features))
 
 
-def _lstdq_solve(dataset, cost, features, gamma, ridge, successor):
-    """The LSTDQ weights with successor action successor[x'] at each x', on
-    the distinct rows of the data weighted by their counts."""
+def lstdq(dataset, w, cost, features, gamma, ridge=1e-8):
+    """One LSTDQ solve with successor actions greedy under the given w:
+    a' = argmin_a w.phi(x', a), tied as in lspi_policy."""
+    return lstdq_policy(dataset, lspi_policy(w, features), cost, features,
+                        gamma, ridge)
+
+
+def lstdq_policy(dataset, policy, cost, features, gamma, ridge=1e-8):
+    """LSTDQ in policy-evaluation form, successor actions a' = pi(x'), on
+    the distinct rows of the data weighted by their counts. dataset: a
+    Dataset or its EmpiricalModel. Done samples contribute no successor
+    feature."""
+    check_policy(policy, *features.phi.shape[:2])
+    check_ridge(ridge)
     model = _as_model(dataset)
     phi_all = features.phi
     phi = phi_all[model.x, model.a]
     phi_next = np.where(model.done[:, None], 0.0,
-                        phi_all[model.x_next, successor[model.x_next]])
+                        phi_all[model.x_next, policy.actions[model.x_next]])
     weighted = phi.T * model.count
     a_tilde = weighted @ (phi - gamma * phi_next) + ridge * np.eye(features.k)
     b_tilde = weighted @ cost.select(model)
@@ -293,24 +288,11 @@ def _lstdq_solve(dataset, cost, features, gamma, ridge, successor):
             "singular LSTDQ system; use a positive ridge") from exc
 
 
-def lstdq(dataset, w, cost, features, gamma, ridge=1e-8):
-    """One LSTDQ solve with successor actions greedy under the given w:
-    a' = argmin_a w.phi(x', a), tied as in lspi_policy. dataset: a Dataset
-    or its EmpiricalModel. Done samples contribute no successor feature."""
-    return _lstdq_solve(dataset, cost, features, gamma, ridge,
-                        lspi_policy(w, features).actions)
-
-
-def lstdq_policy(dataset, policy, cost, features, gamma, ridge=1e-8):
-    """LSTDQ in policy-evaluation form: successor actions a' = pi(x')."""
-    return _lstdq_solve(dataset, cost, features, gamma, ridge, policy.actions)
-
-
 def lspi(dataset, cost, features, gamma, eps_stop=1e-6, max_iters=50, ridge=1e-8):
     """Least-squares policy iteration: iterate w <- lstdq(w) from w = 0
     until the l2 change drops to eps_stop; returns an LspiResult."""
-    if eps_stop <= 0:
-        raise ValueError("eps_stop must be positive")
+    if not 0 < eps_stop < np.inf:  # NaN fails too
+        raise ValueError("eps_stop must be a finite number > 0")
     model = _as_model(dataset)
     w = np.zeros(features.k)
     for it in range(1, max_iters + 1):

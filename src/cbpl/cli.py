@@ -232,9 +232,8 @@ def _cmd_learn(args):
 def _fitted_common(args):
     mdp = _load_map(args.map, args.gamma) if args.map else None
     data = _load_data(args.data, mdp)
-    S = (mdp.num_states if mdp
-         else int(max(data.x.max(), data.x_next.max())) + 1)
-    A = mdp.num_actions if mdp else int(data.a.max()) + 1
+    S, A = ((mdp.num_states, mdp.num_actions) if mdp
+            else ds.implied_shape(data))
     template = QFunction.tabular_zeros(S, A)
     return data, mdp, template
 
@@ -299,6 +298,10 @@ def _cmd_ope_compare(args):
 
 def _cmd_frozenlake_experiment(args):
     import os
+    tau = np.array([args.tau])
+    config = LearnerConfig(B=args.B, eta=args.eta, omega=args.omega, tau=tau,
+                           max_rounds=args.rounds, subroutine_flavor="fitted",
+                           gamma=args.gamma)
     os.makedirs(args.outdir, exist_ok=True)
     mdp = _load_map("8x8", args.gamma)
     behavior = ds.make_frozenlake_behavior(mdp, args.epsilon)
@@ -306,10 +309,6 @@ def _cmd_frozenlake_experiment(args):
     data = ds.collect(mdp, behavior, args.trajs, args.horizon, rng)
     ds.save(data, os.path.join(args.outdir, "dataset.csv"))
 
-    tau = np.array([args.tau])
-    config = LearnerConfig(B=args.B, eta=args.eta, omega=args.omega, tau=tau,
-                           max_rounds=args.rounds, subroutine_flavor="fitted",
-                           gamma=args.gamma)
     mixture, trace = run(data, config, mdp_handle=mdp)
     write_trace_csv(trace, os.path.join(args.outdir, "trace.csv"))
     save_mixture(mixture, os.path.join(args.outdir, "mixture.csv"))

@@ -107,10 +107,7 @@ def collect(mdp, behavior, num_trajectories, max_horizon, rng):
     if num_trajectories < 0 or max_horizon < 1:
         raise ValueError("need num_trajectories >= 0 and max_horizon >= 1")
     S, A = mdp.num_states, mdp.num_actions
-    probs = as_stochastic(behavior, A)
-    if probs.shape != (S, A):
-        raise ValueError(f"behavior table has shape {probs.shape}, "
-                         f"expected ({S}, {A})")
+    probs = as_stochastic(behavior, S, A)
     cum_initial = _sentinel_cumsum(mdp.initial_dist).tolist()
     cum_behavior = _sentinel_cumsum(probs).tolist()
     # Row k = x * A + a holds the cumulative P(. | x, a).
@@ -222,6 +219,13 @@ def check_indices(data, num_states, num_actions):
         if len(bad):
             raise ValueError(f"row {bad[0] + 1} has {name} = {col[bad[0]]}, "
                              f"outside [0, {upper})")
+
+
+def implied_shape(data):
+    """The (S, A) of data read without a map: one past its largest state
+    (x or x_next) and one past its largest action."""
+    return (int(max(data.x.max(), data.x_next.max())) + 1,
+            int(data.a.max()) + 1)
 
 
 def draw_trajectories(dataset, fraction, rng):

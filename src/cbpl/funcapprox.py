@@ -60,77 +60,94 @@ class QFunction:
         return self.features.phi @ self.weights
 
 
-def check_weights(weights, shape):
-    """Raise ValueError unless weights has the given shape and no negative
-    entry."""
-    if weights.shape != shape or np.any(weights < 0):
-        raise ValueError("weights must be nonnegative and aligned with targets")
+def check_ridge(ridge):
+    """Raise ValueError unless ridge is a finite number >= 0."""
+    if not 0 <= ridge < np.inf:  # NaN fails too
+        raise ValueError("ridge must be a finite number >= 0")
 
 
 class CellMeans:
-    """The tabular least-squares fit on fixed rows (xs, aa) with fixed
-    weights (None weighs every row 1): each seen (x, a) cell of the (S, A)
-    table becomes the weighted mean of its rows' targets, and unseen cells
-    keep the given table's values. The flat cells, the indices of the seen
-    cells and their weighted counts are set up once, so each fit is one
-    bincount."""
+    """The tabular fit on fixed rows (xs, aa) with fixed weights: each seen
+    (x, a) cell becomes the weighted mean of its rows' targets, and unseen
+    cells keep the given table's values. The rows' flat cells, the seen
+    cells and their weighted counts are set up once: a fit is one bincount."""
 
     def __init__(self, xs, aa, weights, table):
-        S, A = table.shape
-        self.flat = xs * A + aa
+        self.shape = table.shape
+        self.flat = xs * self.shape[1] + aa
         self.weights = weights
-        counts = np.bincount(self.flat, weights=weights, minlength=S * A)
+        counts = np.bincount(self.flat, weights=weights, minlength=table.size)
         self.seen = np.flatnonzero(counts > 0)
         self.counts = counts[self.seen]
         self.base = table.ravel()
 
     def fit(self, y):
-        """The fitted table for targets y, flattened to length S*A."""
-        wy = y if self.weights is None else self.weights * y
-        sums = np.bincount(self.flat, weights=wy, minlength=len(self.base))
+        sums = np.bincount(self.flat, weights=self.weights * y,
+                           minlength=len(self.base))
         table = self.base.copy()
         table[self.seen] = sums[self.seen] / self.counts
         return table
 
+    def q_function(self, values):
+        return QFunction(table=values.reshape(self.shape))
+
+
+class LinearFit:
+    """The linear fit on fixed rows (xs, aa) with fixed weights W: the w of
+    the weighted ridge normal equations (Phi^T W Phi + ridge I) w = Phi^T W y.
+    The SVD of sqrt(W) Phi is taken once, cut at its numerical rank (the
+    directions below it add nothing in exact arithmetic; solving for them
+    would amplify roundoff by 1/ridge), so a fit is two matrix products."""
+
+    def __init__(self, xs, aa, weights, features, ridge):
+        self.shape = features.phi.shape[:2]
+        self.flat = xs * self.shape[1] + aa
+        self.features = features
+        self.root_w = np.sqrt(weights)
+        design = features.phi[xs, aa] * self.root_w[:, None]
+        u, sv, vt = np.linalg.svd(design, full_matrices=False)
+        keep = sv > sv.max() * max(design.shape) * np.finfo(float).eps
+        if ridge == 0 and np.count_nonzero(keep) < features.k:
+            raise np.linalg.LinAlgError(
+                "singular least-squares problem; use a positive ridge")
+        self.gain = sv[keep] / (sv[keep] ** 2 + ridge)
+        self.u_t, self.v = u[:, keep].T, vt[keep].T
+
+    def fit(self, y):
+        self.w = self.v @ (self.gain * (self.u_t @ (self.root_w * y)))
+        return (self.features.phi @ self.w).ravel()
+
+    def q_function(self, values):
+        return QFunction(weights=self.w, features=self.features)
+
+
+def regression(template, xs, aa, weights=None, ridge=1e-8):
+    """The least-squares fit onto the template's function class on fixed
+    rows (xs, aa) with fixed nonnegative weights (None weighs every row 1):
+    CellMeans if the template is tabular, else LinearFit. fit(y) returns the
+    fitted Q of all S*A cells, flat, with the rows' cells at flat, and
+    q_function(values) the QFunction of the last fit."""
+    weights = (np.ones(len(xs)) if weights is None
+               else np.asarray(weights, dtype=float))
+    if weights.shape != xs.shape or not np.all(weights >= 0):
+        raise ValueError("weights must be nonnegative and aligned with targets")
+    check_ridge(ridge)
+    if template.is_tabular:
+        return CellMeans(xs, aa, weights, template.table)
+    return LinearFit(xs, aa, weights, template.features, ridge)
+
 
 def fit_least_squares(inputs, targets, template, ridge=1e-8, weights=None):
-    """Least-squares regression of targets onto the template's function class.
-
-    inputs: the pair (x_array, a_array).
-    weights: optional nonnegative per-row weights W (for example the sample
-    count of each distinct row); None weighs every row 1.
-    Tabular: each seen (x, a) cell becomes the weighted mean of its targets;
-    unseen cells keep the template's value. Linear: the w of the weighted
-    ridge normal equations (Phi^T W Phi + ridge I) w = Phi^T W y, computed
-    from the SVD of sqrt(W) Phi.
-    """
+    """Least-squares regression of targets onto the template's function
+    class: regression set up on inputs, the pair (x_array, a_array), and
+    fitted once. weights: optional nonnegative per-row weights W (for
+    example the sample count of each distinct row); None weighs rows 1."""
     xs, aa = (np.asarray(v, dtype=np.int64) for v in inputs)
     y = np.asarray(targets, dtype=float)
     if len(xs) != len(y) or len(y) == 0:
         raise ValueError("inputs and targets must be nonempty and aligned")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        check_weights(weights, y.shape)
-
-    if template.is_tabular:
-        table = CellMeans(xs, aa, weights, template.table).fit(y)
-        return QFunction(table=table.reshape(template.table.shape))
-
-    # Directions of sqrt(W) Phi below its numerical rank add nothing in
-    # exact arithmetic; solving for them would amplify roundoff by 1/ridge.
-    feats = template.features
-    root_w = np.ones(len(y)) if weights is None else np.sqrt(weights)
-    design = feats.phi[xs, aa] * root_w[:, None]
-    u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    keep = sv > sv.max() * max(design.shape) * np.finfo(float).eps
-    if ridge == 0 and np.count_nonzero(keep) < feats.k:
-        raise np.linalg.LinAlgError(
-            "singular least-squares problem; use a positive ridge")
-    gain = sv[keep] / (sv[keep] ** 2 + ridge)
-    w = vt[keep].T @ (gain * (u[:, keep].T @ (root_w * y)))
-    return QFunction(weights=w, features=feats)
+    reg = regression(template, xs, aa, weights, ridge)
+    return reg.q_function(reg.fit(y))
 
 
 # Two Q values of a state tie when they differ by at most TIE_TOL times the

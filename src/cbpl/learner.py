@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batchrl import CostSelector, EmpiricalModel, _resolve_gamma, fqe, fqi
-from .dataset import write_csv
+from .dataset import implied_shape, write_csv
 from .funcapprox import QFunction
 from .mdp import DeterministicPolicy
 from .onlineopt import (DualVector, EG_FLAVOR, OGD_FLAVOR, augmented_loss,
@@ -60,10 +60,10 @@ class LearnerConfig:
 
     def __post_init__(self):
         self.tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
-        if self.B <= 0 or self.eta <= 0 or self.omega <= 0:
-            raise ValueError("B, eta, omega must be positive")
-        if np.any(self.tau < 0):
-            raise ValueError("tau entries must be nonnegative")
+        if not all(0 < v < math.inf for v in (self.B, self.eta, self.omega)):
+            raise ValueError("B, eta, omega must be positive and finite")
+        if not np.all((self.tau >= 0) & (self.tau < math.inf)):  # NaN fails
+            raise ValueError("tau entries must be nonnegative and finite")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
         if self.dual_flavor not in (EG_FLAVOR, OGD_FLAVOR):
@@ -253,11 +253,8 @@ def _make_subroutine(dataset, config, mdp_handle):
         return _ExactSub(mdp_handle)
     if dataset is None or len(dataset) == 0:
         raise ValueError("fitted flavors require a nonempty dataset")
-    if mdp_handle is not None:
-        S, A = mdp_handle.num_states, mdp_handle.num_actions
-    else:
-        S = int(max(dataset.x.max(), dataset.x_next.max())) + 1
-        A = int(dataset.a.max()) + 1
+    S, A = (implied_shape(dataset) if mdp_handle is None
+            else (mdp_handle.num_states, mdp_handle.num_actions))
     if config.subroutine_flavor == "fitted":
         return _FittedSub(dataset, mdp_handle, config, S, A, gamma)
     chi = None if mdp_handle is None else mdp_handle.initial_dist

@@ -99,17 +99,32 @@ class StochasticPolicy:
             raise ValueError("policy rows must be probability vectors")
 
 
-def as_stochastic(policy, num_actions):
-    """View any policy as a row-stochastic table."""
+def check_policy(policy, num_states, num_actions):
+    """Raise ValueError unless policy acts on num_states states and
+    num_actions actions: a table of that shape, or one action in
+    [0, num_actions) for each state."""
     if isinstance(policy, StochasticPolicy):
-        return policy.probs
-    actions = policy.actions
-    bad = np.flatnonzero((actions < 0) | (actions >= num_actions))
+        shape, bad = policy.probs.shape, ()
+    else:
+        actions = policy.actions
+        shape = (len(actions), num_actions)
+        bad = np.flatnonzero((actions < 0) | (actions >= num_actions))
+    if shape != (num_states, num_actions):
+        raise ValueError(f"policy table has shape {shape}, "
+                         f"expected ({num_states}, {num_actions})")
     if len(bad):
         raise ValueError(f"action {actions[bad[0]]} at state {bad[0]} is "
                          f"outside [0, {num_actions})")
-    probs = np.zeros((len(actions), num_actions))
-    probs[np.arange(len(actions)), actions] = 1.0
+
+
+def as_stochastic(policy, num_states, num_actions):
+    """View a policy on num_states states and num_actions actions (as
+    check_policy checks) as a row-stochastic table."""
+    check_policy(policy, num_states, num_actions)
+    if isinstance(policy, StochasticPolicy):
+        return policy.probs
+    probs = np.zeros((num_states, num_actions))
+    probs[np.arange(num_states), policy.actions] = 1.0
     return probs
 
 

@@ -25,10 +25,10 @@ class OpeConfig:
     jobs: int = 1
 
 
-def _ratios(dataset, eval_policy, num_actions):
+def _ratios(dataset, eval_policy, num_states, num_actions):
     """The policy's (S, A) table, and each row's flat (x, a) index and ratio
     rho = pi_e(a|x) / pi_D(a|x)."""
-    probs = as_stochastic(eval_policy, num_actions)
+    probs = as_stochastic(eval_policy, num_states, num_actions)
     cell = dataset.x * num_actions + dataset.a
     return probs, cell, probs.take(cell) / dataset.behavior_prob
 
@@ -87,7 +87,7 @@ def _estimates(dataset, eval_policy, gamma, q_hat=None):
         q = np.zeros((len(eval_policy.actions),
                       max(dataset.a.max(), eval_policy.actions.max()) + 1))
     check_indices(dataset, *q.shape)
-    ratios = _ratios(dataset, eval_policy, q.shape[1])
+    ratios = _ratios(dataset, eval_policy, *q.shape)
     return _walk(dataset, ratios, q, slice(None), gamma)
 
 
@@ -125,7 +125,7 @@ def ope_comparison(dataset, eval_policy, mdp, fractions, trials, config=None):
     check_indices(dataset, mdp.num_states, mdp.num_actions)
     exact_c, _ = exact_policy_values(mdp, eval_policy)
     template = QFunction.tabular_zeros(mdp.num_states, mdp.num_actions)
-    ratios = _ratios(dataset, eval_policy, mdp.num_actions)
+    ratios = _ratios(dataset, eval_policy, mdp.num_states, mdp.num_actions)
     model, row_ids = EmpiricalModel.with_row_ids(dataset)
     tasks = [(frac, trial) for frac in fractions for trial in range(trials)]
     seeds = np.random.SeedSequence(config.seed).spawn(len(tasks))

@@ -5,24 +5,21 @@ and a performance-difference identity check."""
 import numpy as np
 
 from .funcapprox import QFunction, greedy_actions
-from .mdp import DeterministicPolicy, as_stochastic
+from .mdp import DeterministicPolicy, as_stochastic, check_policy
 
 
 def _policy_matrices(mdp, policy):
     """P^pi (S, S) and per-channel expected costs (S, 1+m) for a policy."""
     S, A = mdp.num_states, mdp.num_actions
+    check_policy(policy, S, A)
     channels = np.concatenate([mdp.cost_c[:, :, None], mdp.cost_g], axis=2)
     if isinstance(policy, DeterministicPolicy):
         idx = np.arange(S)
         p_pi = mdp.transition[idx, policy.actions]
         cost_pi = channels[idx, policy.actions]
     else:
-        probs = as_stochastic(policy, A)
-        if probs.shape != (S, A):
-            raise ValueError(f"policy table has shape {probs.shape}, "
-                             f"expected ({S}, {A})")
-        p_pi = np.einsum("xa,xay->xy", probs, mdp.transition)
-        cost_pi = np.einsum("xa,xak->xk", probs, channels)
+        p_pi = np.einsum("xa,xay->xy", policy.probs, mdp.transition)
+        cost_pi = np.einsum("xa,xak->xk", policy.probs, channels)
     return p_pi, cost_pi
 
 
@@ -155,7 +152,7 @@ def performance_difference_check(mdp, policy):
     c_star = float(mdp.initial_dist @ v_star)
     c_pi, _ = exact_policy_values(mdp, policy)
     d_pi = occupancy(mdp, policy)
-    probs = as_stochastic(policy, mdp.num_actions)
+    probs = as_stochastic(policy, mdp.num_states, mdp.num_actions)
     q_under_pi = np.einsum("xa,xa->x", probs, q_star)
     advantage = float(d_pi @ (q_under_pi - v_star))
     return abs((c_pi - c_star) - advantage / (1.0 - mdp.gamma))

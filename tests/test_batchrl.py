@@ -295,6 +295,21 @@ class TestLspi:
         with pytest.raises(ValueError):
             lspi(data, CostSelector.primary(), feats, fl8.gamma, eps_stop=0.0)
 
+    # A NaN ridge used to give all-zero weights, and a NaN eps_stop a run
+    # that never converged.
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["ridge", "eps_stop"])
+    def test_non_finite_numbers_raise(self, fl8, arg, value):
+        data = full_coverage_dataset(fl8)
+        feats = one_hot_features(fl8)
+        with pytest.raises(ValueError, match="finite"):
+            lspi(data, CostSelector.primary(), feats, fl8.gamma,
+                 **{arg: value})
+        if arg == "ridge":
+            with pytest.raises(ValueError, match="finite"):
+                lstdq(data, np.zeros(feats.k), CostSelector.primary(), feats,
+                      fl8.gamma, ridge=value)
+
 
 def per_sample_sweeps(data, cost, K, template, gamma, bootstrap):
     """FQE/FQI as one regression over every sample per sweep, the way they
@@ -492,8 +507,9 @@ class TestModelMatchesPerSampleRegression:
 
 def chained_fits(model, cost, K, template, gamma, bootstrap):
     """K fit_least_squares calls on the model's rows weighted by their
-    counts, each with its RMS residual: the sweep loop that the tabular
-    kernel replaces. bootstrap maps the (S, A) values to state values."""
+    counts, each with its RMS residual: the sweep loop with the regression
+    set up anew every sweep. bootstrap maps the (S, A) values to state
+    values."""
     costs = cost.select(model)
     w = model.count
     q = template
@@ -508,8 +524,8 @@ def chained_fits(model, cost, K, template, gamma, bootstrap):
 
 
 class TestTabularKernelMatchesChainedFits:
-    """fqi and fqe on a tabular template equal K chained fit_least_squares
-    calls bit for bit, in Q and in every residual."""
+    """fqi and fqe on a tabular or a linear template equal K chained
+    fit_least_squares calls bit for bit, in Q and in every residual."""
 
     K = 30
 
@@ -526,10 +542,16 @@ class TestTabularKernelMatchesChainedFits:
 
     @staticmethod
     def template(kind, model):
-        """A zero or a random nonzero template, and the cells the model
-        never visits, which must keep the template's values."""
+        """A zero or a random nonzero table, and the cells the model never
+        visits, which must keep the template's values; or random weights on
+        16 random features, and no such cells."""
+        rng = np.random.default_rng(7)
+        if kind == "linear":
+            features = FeatureMap(rng.normal(size=(64, 4, 16)))
+            return QFunction(weights=rng.normal(size=16),
+                             features=features), None
         table = (np.zeros((64, 4)) if kind == "zero"
-                 else np.random.default_rng(7).normal(size=(64, 4)))
+                 else rng.normal(size=(64, 4)))
         unseen = np.ones((64, 4), dtype=bool)
         unseen[model.x, model.a] = False
         assert unseen.any()
@@ -542,9 +564,12 @@ class TestTabularKernelMatchesChainedFits:
         assert got.tobytes() == q.values().tobytes()
         assert (np.array(run.per_iteration_bellman_residuals).tobytes()
                 == np.array(residuals).tobytes())
-        assert np.array_equal(got[unseen], template.table[unseen])
+        if template.is_tabular:
+            assert np.array_equal(got[unseen], template.table[unseen])
+        else:
+            assert run.q_final.weights.tobytes() == q.weights.tobytes()
 
-    @pytest.mark.parametrize("kind", ["zero", "nonzero"])
+    @pytest.mark.parametrize("kind", ["zero", "nonzero", "linear"])
     def test_fqi(self, fl8_dataset, fl8, kind):
         cost = CostSelector.scalarized([3.0])
         for model in self.models(fl8_dataset):
@@ -554,7 +579,7 @@ class TestTabularKernelMatchesChainedFits:
                                   lambda v: v.min(axis=1))
             self.assert_identical(run, expect, template, unseen)
 
-    @pytest.mark.parametrize("kind", ["zero", "nonzero"])
+    @pytest.mark.parametrize("kind", ["zero", "nonzero", "linear"])
     def test_fqe(self, fl8_dataset, fl8, kind):
         rng = np.random.default_rng(4)
         det = DeterministicPolicy(rng.integers(0, 4, size=64))

@@ -393,6 +393,22 @@ class TestErrorExitCodes:
         "ope_compare_mixture_policy": (
             ["ope-compare", "--data", "{data}", "--map", "{map}",
              "--policy", "{mixture}", "--out", "{dir}/r.csv"], None, 1),
+        # Non-finite numbers; none of these may write its output.
+        "learn_eta_nan": (
+            ["learn", "--data", "{data}", "--map", "{map}", "--eta", "nan",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        "learn_tau_inf": (
+            ["learn", "--data", "{data}", "--map", "{map}", "--tau", "inf",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        "lspi_ridge_nan": (
+            ["lspi", "--data", "{data}", "--map", "{map}", "--ridge", "nan",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        "experiment_omega_inf": (
+            ["frozenlake-experiment", "--outdir", "{dir}/new", "--omega",
+             "inf"], None, 1),
+        "lspi_eps_nan": (
+            ["lspi", "--data", "{data}", "--map", "{map}", "--eps", "nan",
+             "--policy-out", "{dir}/new.csv"], None, 1),
         "no_command": ([], None, 1),
         "unknown_flag": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--bogus"],
@@ -453,6 +469,7 @@ class TestErrorExitCodes:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), captured.err
         assert captured.out == ""
+        assert not list(tmp_path.glob("new*"))
 
 
 class TestOpeCompare:

@@ -32,7 +32,7 @@ def empty_dataset(m):
 
 def reference_collect(mdp, behavior, num_trajectories, max_horizon, rng):
     """The per-step rollout collect replaced: three scalar draws per step."""
-    probs = as_stochastic(behavior, mdp.num_actions)
+    probs = as_stochastic(behavior, mdp.num_states, mdp.num_actions)
     cum_behavior = np.cumsum(probs, axis=1)
     cum_transition = np.cumsum(mdp.transition, axis=2)
     cum_initial = np.cumsum(mdp.initial_dist)

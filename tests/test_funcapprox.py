@@ -45,6 +45,15 @@ class TestFitLeastSquares:
         with pytest.raises(np.linalg.LinAlgError, match="ridge"):
             fit_least_squares(([0], [0]), [1.0], template, ridge=0.0)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_non_finite_ridge_raises(self, ridge, linear):
+        feats = FeatureMap(np.ones((1, 1, 2)))
+        template = (QFunction(weights=np.zeros(feats.k), features=feats)
+                    if linear else QFunction.tabular_zeros(1, 1))
+        with pytest.raises(ValueError, match="ridge must be a finite"):
+            fit_least_squares(([0], [0]), [1.0], template, ridge=ridge)
+
     def test_empty_inputs_raise(self):
         template = QFunction.tabular_zeros(1, 1)
         with pytest.raises(ValueError):

@@ -826,6 +826,15 @@ class TestConfigValidation:
             LearnerConfig(B=1.0, eta=1.0, omega=0.1, tau=[0.1],
                           max_rounds=0)
 
+    # NaN used to pass every check: --eta nan played 200 rounds to a NaN gap.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["B", "eta", "omega", "tau"])
+    def test_rejects_non_finite_numbers(self, field, value):
+        given = dict(B=1.0, eta=1.0, omega=0.1, tau=[0.1, 0.2])
+        given[field] = [0.1, value] if field == "tau" else value
+        with pytest.raises(ValueError, match="finite"):
+            LearnerConfig(**given)
+
     def test_exact_flavor_requires_mdp(self):
         config = exact_config()
         with pytest.raises(ValueError):

@@ -199,7 +199,7 @@ class TestMdpValidation:
 class TestPolicies:
     def test_as_stochastic_round_trip(self):
         det = DeterministicPolicy([1, 0, 2])
-        probs = as_stochastic(det, 3)
+        probs = as_stochastic(det, 3, 3)
         assert np.array_equal(probs.argmax(axis=1), det.actions)
         assert np.array_equal(probs.sum(axis=1), np.ones(3))
 
@@ -216,4 +216,4 @@ class TestPolicies:
         policy = DeterministicPolicy([0, action, 1])
         with pytest.raises(ValueError, match=rf"action {action} at state 1 "
                                              r"is outside \[0, 4\)"):
-            as_stochastic(policy, 4)
+            as_stochastic(policy, 3, 4)

@@ -124,7 +124,7 @@ def padded_weighted_sum(dataset, eval_policy, gamma, q_hat=None,
         vals = np.zeros((len(eval_policy.actions),
                          max(dataset.a.max(), eval_policy.actions.max()) + 1))
     check_indices(dataset, *vals.shape)
-    probs = as_stochastic(eval_policy, vals.shape[1])
+    probs = as_stochastic(eval_policy, *vals.shape)
     v = np.einsum("xa,xa->x", probs, vals)
     starts, stops = dataset.trajectory_bounds()
     n, horizon = len(starts), int((stops - starts).max())

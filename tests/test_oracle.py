@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cbpl.batchrl import EmpiricalModel
-from cbpl.dataset import full_coverage_dataset
+from cbpl.batchrl import CostSelector, EmpiricalModel, fqe, lstdq_policy
+from cbpl.dataset import collect, full_coverage_dataset
+from cbpl.funcapprox import QFunction, one_hot_features
 from cbpl.learner import ConvergenceError
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock, build_frozenlake,
@@ -69,7 +70,7 @@ class TestExactPolicyValues:
 
     @pytest.mark.parametrize("shape", [(64, 3), (60, 4)])
     @pytest.mark.parametrize("caller", ["exact_policy_values", "occupancy",
-                                        "ope_comparison"])
+                                        "ope_comparison", "collect"])
     def test_stochastic_table_off_the_map_raises(self, caller, shape, fl8):
         policy = StochasticPolicy(np.full(shape, 1.0 / shape[1]))
         call = {
@@ -77,9 +78,46 @@ class TestExactPolicyValues:
             "occupancy": lambda: occupancy(fl8, policy),
             "ope_comparison": lambda: ope_comparison(
                 full_coverage_dataset(fl8), policy, fl8, [1.0], 1),
+            "collect": lambda: collect(fl8, policy, 1, 5,
+                                       np.random.default_rng(0)),
         }[caller]
         with pytest.raises(ValueError, match=rf"policy table has shape "
                            rf"\({shape[0]}, {shape[1]}\), expected \(64, 4\)"):
+            call()
+
+    # A length of 60 or 70 used to end in an IndexError, and action -1 to
+    # be evaluated as action 3 (ope_comparison's ratios already caught -1).
+    @pytest.mark.parametrize("caller, length, action, message", [
+        (caller, length, action, message)
+        for caller in ("exact_policy_values", "occupancy", "policy_values",
+                       "scalarized_q", "fqe", "lstdq_policy", "ope_comparison")
+        for length, action, message in (
+            (60, 0, r"policy table has shape \(60, 4\), expected \(64, 4\)"),
+            (70, 0, r"policy table has shape \(70, 4\), expected \(64, 4\)"),
+            (64, -1, r"action -1 at state 0 is outside \[0, 4\)"),
+            (64, 4, r"action 4 at state 0 is outside \[0, 4\)"))
+        if (caller, action) != ("ope_comparison", -1)])
+    def test_deterministic_policy_off_the_map_raises(self, caller, length,
+                                                     action, message, fl8):
+        actions = np.zeros(length, dtype=np.int64)
+        actions[0] = action
+        policy = DeterministicPolicy(actions)
+        data = full_coverage_dataset(fl8)
+        primary = CostSelector.primary()
+        call = {
+            "exact_policy_values": lambda: exact_policy_values(fl8, policy),
+            "occupancy": lambda: occupancy(fl8, policy),
+            "policy_values": lambda: ExactSolver(fl8).policy_values(policy),
+            "scalarized_q": lambda: ExactSolver(fl8).scalarized_q(actions,
+                                                                  [1.0]),
+            "fqe": lambda: fqe(data, policy, primary, 5,
+                               QFunction.tabular_zeros(64, 4), mdp=fl8),
+            "lstdq_policy": lambda: lstdq_policy(
+                data, policy, primary, one_hot_features(fl8), fl8.gamma),
+            "ope_comparison": lambda: ope_comparison(data, policy, fl8,
+                                                     [1.0], 1),
+        }[caller]
+        with pytest.raises(ValueError, match=message):
             call()
 
 
