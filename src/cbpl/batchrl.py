@@ -9,7 +9,7 @@ from .dataset import check_indices
 # Not called here: benchmarks/tracer.py wraps fit_least_squares by this name.
 from .funcapprox import (QFunction, check_ridge,  # noqa: F401
                          fit_least_squares, greedy_policy, regression)
-from .mdp import StochasticPolicy, TabularMdp, check_policy
+from .mdp import StochasticPolicy, TabularMdp, check_gamma, check_policy
 
 
 class CostSelector:
@@ -167,11 +167,11 @@ def _as_model(data):
 
 def _resolve_gamma(gamma, mdp):
     """The discount: the map's, which a given gamma must equal, else the
-    given one."""
+    given one, which must lie in (0, 1)."""
     if mdp is None:
         if gamma is None:
             raise ValueError("provide gamma or an mdp handle")
-        return float(gamma)
+        return check_gamma(gamma)
     if gamma is not None and float(gamma) != mdp.gamma:
         raise ValueError(f"gamma {gamma} differs from the map's {mdp.gamma}")
     return mdp.gamma
@@ -270,7 +270,9 @@ def lstdq_policy(dataset, policy, cost, features, gamma, ridge=1e-8):
     """LSTDQ in policy-evaluation form, successor actions a' = pi(x'), on
     the distinct rows of the data weighted by their counts. dataset: a
     Dataset or its EmpiricalModel. Done samples contribute no successor
-    feature."""
+    feature. The policy must be deterministic."""
+    if isinstance(policy, StochasticPolicy):
+        raise ValueError("lstdq_policy needs a deterministic policy")
     check_policy(policy, *features.phi.shape[:2])
     check_ridge(ridge)
     model = _as_model(dataset)
@@ -293,6 +295,8 @@ def lspi(dataset, cost, features, gamma, eps_stop=1e-6, max_iters=50, ridge=1e-8
     until the l2 change drops to eps_stop; returns an LspiResult."""
     if not 0 < eps_stop < np.inf:  # NaN fails too
         raise ValueError("eps_stop must be a finite number > 0")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     model = _as_model(dataset)
     w = np.zeros(features.k)
     for it in range(1, max_iters + 1):

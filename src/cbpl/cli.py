@@ -9,7 +9,6 @@ labels so identical invocations produce byte-identical files.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -97,76 +96,72 @@ def save_mixture(mixture, path):
                   np.tile(np.arange(S), k), actions.ravel()))
 
 
-def _action_table(pairs, num_states, num_actions, path):
-    """Actions indexed by state from (state, action) pairs. Every state of
-    0..num_states-1 must appear exactly once, with an action in
+def _policy_of_rows(states, actions, num_states, num_actions, path):
+    """The deterministic policy of a file's state and action columns. Every
+    state of 0..num_states-1 must appear exactly once, with an action in
     [0, num_actions)."""
-    if not pairs:
-        raise ValidationError(f"policy file {path} lists no states")
-    states = sorted(x for x, _ in pairs)
-    if states != list(range(num_states)):
+    order = np.argsort(states)
+    if not np.array_equal(states[order], np.arange(num_states)):
         raise ValidationError(
             f"policy file {path} lists {len(states)} state rows in "
-            f"{states[0]}..{states[-1]}; expected each of the {num_states} "
-            f"states 0..{num_states - 1} once")
-    actions = np.zeros(num_states, dtype=np.int64)
-    for x, a in pairs:
-        if not 0 <= a < num_actions:
-            raise ValidationError(f"policy file {path}: action {a} at state "
-                                  f"{x} is outside [0, {num_actions})")
-        actions[x] = a
-    return actions
+            f"{states.min()}..{states.max()}; expected each of the "
+            f"{num_states} states 0..{num_states - 1} once")
+    bad = np.flatnonzero((actions < 0) | (actions >= num_actions))
+    if len(bad):
+        raise ValidationError(f"policy file {path}: action {actions[bad[0]]} "
+                              f"at state {states[bad[0]]} is outside "
+                              f"[0, {num_actions})")
+    return DeterministicPolicy(actions[order])
 
 
 def load_policy(path, num_states, num_actions, allow_mixture=True):
     """Load a deterministic policy or, if allow_mixture, a mixture, as the
     header says, checked against num_states states and num_actions
     actions."""
+    def fields(header, path):
+        line = ",".join(header).strip()
+        if line not in ("state,action", "member,weight,state,action"):
+            raise ValidationError(f"unrecognized policy file header: "
+                                  f"{line!r}")
+        if line != "state,action" and not allow_mixture:
+            raise ValidationError(f"policy file {path} holds a mixture; this "
+                                  f"command takes a state,action policy")
+        return [np.float64 if name == "weight" else np.int64
+                for name in header]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+        columns = ds.read_csv(path, fields)
     except OSError as exc:
         raise ValidationError(f"cannot read policy file: {exc}") from None
-    if header not in ("state,action", "member,weight,state,action"):
-        raise ValidationError(f"unrecognized policy file header: {header!r}")
-    if header != "state,action" and not allow_mixture:
-        raise ValidationError(f"policy file {path} holds a mixture; this "
-                              f"command takes a state,action policy")
-    width = len(header.split(","))
-    if any(len(r) != width for r in rows):
-        raise ValidationError(f"policy file {path}: every row needs {width} "
-                              f"fields")
-    if header == "state,action":
-        pairs = [(int(r[0]), int(r[1])) for r in rows]
-        return DeterministicPolicy(
-            _action_table(pairs, num_states, num_actions, path))
-    members = {}
-    weights = {}
-    for r in rows:
-        i, w, x, a = int(r[0]), float(r[1]), int(r[2]), int(r[3])
-        if not 0 < w < np.inf:
-            raise ValidationError(f"policy file {path}: member {i} has "
-                                  f"weight {r[1]}; weights must be finite "
-                                  f"and positive")
-        if weights.setdefault(i, w) != w:
-            raise ValidationError(f"policy file {path}: member {i} has rows "
-                                  f"with weights {weights[i]!r} and {w!r}")
-        members.setdefault(i, []).append((x, a))
-    if not members:
-        raise ValidationError(f"policy file {path} lists no members")
+    if not len(columns[0]):
+        raise ValidationError(f"policy file {path} lists no rows")
+    if len(columns) == 2:
+        return _policy_of_rows(*columns, num_states, num_actions, path)
+    members, weights, states, actions = columns
+    bad = np.flatnonzero(~((0 < weights) & (weights < np.inf)))  # NaN too
+    if len(bad):
+        raise ValidationError(f"policy file {path}: member {members[bad[0]]} "
+                              f"has weight {weights[bad[0]]}; weights must be "
+                              f"finite and positive")
+    _, first, inverse = np.unique(members, return_index=True,
+                                  return_inverse=True)
+    expected = weights[first][inverse]
+    bad = np.flatnonzero(weights != expected)
+    if len(bad):
+        raise ValidationError(f"policy file {path}: member {members[bad[0]]} "
+                              f"has rows with weights {expected[bad[0]]} and "
+                              f"{weights[bad[0]]}")
+    policies = [_policy_of_rows(states[inverse == j], actions[inverse == j],
+                                num_states, num_actions, path)
+                for j in range(len(first))]
     # Divided by the power of two at or above the largest weight, the sum of
     # finite weights stays finite; where the unscaled sum does not overflow,
-    # every count is the one the unscaled weights give.
-    scale = math.frexp(max(weights.values()))[1]
-    weights = {i: math.ldexp(w, -scale) for i, w in weights.items()}
-    total = sum(weights.values())
-    order = sorted(members)
-    policies = [DeterministicPolicy(_action_table(
-        members[i], num_states, num_actions, path)) for i in order]
-    counts = [max(1, round(weights[i] / total * 10 ** 9)) for i in order]
-    return MixturePolicy(policies, counts, [0.0] * len(order),
-                         [np.zeros(0)] * len(order))
+    # every count is the one the unscaled weights give. The sum runs in the
+    # order the members first appear.
+    scaled = np.ldexp(weights[first], -np.frexp(weights.max())[1])
+    total = sum(scaled[np.argsort(first)].tolist())
+    counts = [max(1, round(w / total * 10 ** 9)) for w in scaled.tolist()]
+    return MixturePolicy(policies, counts, [0.0] * len(first),
+                         [np.zeros(0)] * len(first))
 
 
 def _cmd_collect(args):
@@ -273,9 +268,7 @@ def _cmd_oracle(args):
     policy = load_policy(args.policy, mdp.num_states, mdp.num_actions)
     C, G = exact_policy_values(mdp, policy)
     header = "C" + "".join(f",G_{i + 1}" for i in range(mdp.m))
-    values = f"{C:.17g}" + "".join(f",{v:.17g}" for v in G)
-    print(header)
-    print(values)
+    ds.write_csv(sys.stdout, header, [[C], *([v] for v in G)])
     return 0
 
 
@@ -302,14 +295,16 @@ def _cmd_frozenlake_experiment(args):
     config = LearnerConfig(B=args.B, eta=args.eta, omega=args.omega, tau=tau,
                            max_rounds=args.rounds, subroutine_flavor="fitted",
                            gamma=args.gamma)
-    os.makedirs(args.outdir, exist_ok=True)
     mdp = _load_map("8x8", args.gamma)
     behavior = ds.make_frozenlake_behavior(mdp, args.epsilon)
     rng = _stream(args.seed, _STREAM_COLLECT)
     data = ds.collect(mdp, behavior, args.trajs, args.horizon, rng)
-    ds.save(data, os.path.join(args.outdir, "dataset.csv"))
-
+    # The learner runs before any file is written, so a run that raises (on
+    # an empty collection, say) leaves no output behind.
     mixture, trace = run(data, config, mdp_handle=mdp)
+
+    os.makedirs(args.outdir, exist_ok=True)
+    ds.save(data, os.path.join(args.outdir, "dataset.csv"))
     write_trace_csv(trace, os.path.join(args.outdir, "trace.csv"))
     save_mixture(mixture, os.path.join(args.outdir, "mixture.csv"))
     ds.write_csv(os.path.join(args.outdir, "values.csv"),
@@ -324,15 +319,14 @@ def _cmd_frozenlake_experiment(args):
         c_star, opt_mixture = exact_constrained_optimum(
             mdp, tau, args.B, args.eta, args.omega)
         _, g_star = exact_policy_values(mdp, opt_mixture)
-        opt_line = f"exact_constrained_optimum,{c_star:.6g},{g_star[0]:.6g}\n"
+        opt = [f"{c_star:.6g}", f"{g_star[0]:.6g}"]
     except ConvergenceError as exc:
-        opt_line = f"exact_constrained_optimum,failed ({exc}),\n"
-    with open(os.path.join(args.outdir, "report.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("policy,exact_C,exact_G_1\n")
-        fh.write(f"learned_mixture,{c_mix:.6g},{g_mix[0]:.6g}\n")
-        fh.write(f"behavior,{c_behavior:.6g},{g_behavior[0]:.6g}\n")
-        fh.write(opt_line)
+        opt = [f"failed ({exc})", ""]
+    ds.write_csv(os.path.join(args.outdir, "report.csv"),
+                 "policy,exact_C,exact_G_1",
+                 (["learned_mixture", "behavior", "exact_constrained_optimum"],
+                  [f"{c_mix:.6g}", f"{c_behavior:.6g}", opt[0]],
+                  [f"{g_mix[0]:.6g}", f"{g_behavior[0]:.6g}", opt[1]]))
     final_gap = float(trace.gap[-1]) if len(trace.gap) else float("nan")
     print(f"rounds={trace.total_rounds} converged={trace.converged} "
           f"final_gap={final_gap:.6g} exact_C={c_mix:.6g} "

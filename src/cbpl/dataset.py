@@ -3,7 +3,9 @@ and trajectory-level subsampling.
 
 The on-disk format is CSV with header
 ``traj_id,t,x,a,x_next,c,g_1,...,g_m,done,behavior_prob``; reals are printed
-with 17 significant digits so round-trips are exact.
+with 17 significant digits so round-trips are exact. write_csv and read_csv
+are the toolkit's one CSV writer and one CSV reader: datasets here, policy
+and mixture files in cbpl.cli.
 """
 
 import bisect
@@ -312,8 +314,9 @@ def save(dataset, path):
                d.done.astype(np.int64), d.behavior_prob))
 
 
-def _constraint_count(header, path):
-    """m for a header line split at commas; ValueError names line 1."""
+def _dataset_fields(header, path):
+    """The column kinds of a dataset header split at commas; ValueError
+    names line 1."""
     fixed_head = ["traj_id", "t", "x", "a", "x_next", "c"]
     fixed_tail = ["done", "behavior_prob"]
     if header[:6] != fixed_head or header[-2:] != fixed_tail:
@@ -321,26 +324,41 @@ def _constraint_count(header, path):
     gcols = header[6:-2]
     if gcols != [f"g_{i + 1}" for i in range(len(gcols))]:
         raise ValueError(f"{path}: line 1: malformed constraint columns")
-    return len(gcols)
+    floats = [np.float64] * (1 + len(gcols))  # c, g_1..g_m
+    return [np.int64] * 5 + floats + [bool, np.float64]
 
 
 def load(path):
     """Inverse of save; malformed rows raise with the 1-based line number."""
+    columns = read_csv(path, _dataset_fields)
+    n, m = len(columns[0]), len(columns) - 8
+    g = np.array(columns[6:-2], dtype=float).reshape(m, n).T.copy()
+    return Dataset(*columns[:6], g, *columns[-2:])
+
+
+def read_csv(path, fields):
+    """The columns of a CSV file with a header line, as 1-d arrays.
+
+    fields(header, path) gets the header line split at commas, raises for a
+    header it does not take and returns each column's kind: np.int64,
+    np.float64 or bool (a field that must read 0 or 1). Blank lines are
+    skipped; the first malformed row raises a ValueError naming the file
+    and its 1-based line. Integers must fit int64.
+    """
     try:
-        columns = _load_columns(path)
+        return _loadtxt_columns(path, fields)
     except ValueError:
         # Only the per-line parser names the line at fault.
-        columns = _parse_lines(path)
-    return Dataset(*columns)
+        return _parsed_columns(path, fields)
 
 
-def _load_columns(path):
+def _loadtxt_columns(path, fields):
     """The columns parsed by one np.loadtxt. Raises ValueError for a body that
-    loadtxt rejects or might read differently from _parse_lines: one that is
-    not ASCII, holds a line break only str.splitlines knows, or has no rows
-    (loadtxt warns on those)."""
+    loadtxt rejects or might read differently from _parsed_columns: one that
+    is not ASCII, holds a line break only str.splitlines knows, has no rows
+    (loadtxt warns on those) or a flag other than 0 and 1."""
     with open(path, "r", encoding="utf-8") as fh:
-        m = _constraint_count(fh.readline().rstrip("\n").split(","), path)
+        kinds = fields(fh.readline().rstrip("\n").split(","), path)
         blank = True
         for chunk in iter(lambda: fh.read(_SCAN_CHARS), ""):
             if not chunk.isascii() or any(b in chunk for b in _EXTRA_BREAKS):
@@ -348,49 +366,48 @@ def _load_columns(path):
             blank = blank and chunk.isspace()
     if blank:
         raise ValueError("body has no rows")
-    dtype = np.dtype([("traj_id", np.int64), ("t", np.int64), ("x", np.int64),
-                      ("a", np.int64), ("x_next", np.int64),
-                      ("c", np.float64), ("g", np.float64, (m,)),
-                      ("done", np.int64), ("behavior_prob", np.float64)])
-    body = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
-                      skiprows=1, ndmin=1, encoding="utf-8")
-    if not np.isin(body["done"], (0, 1)).all():
-        raise ValueError("done must be 0 or 1")
-    return [np.ascontiguousarray(body[name]) for name in dtype.names]
+    dtype = [("", np.int64 if kind is bool else kind) for kind in kinds]
+    columns = np.loadtxt(path, dtype, delimiter=",", comments=None,
+                         skiprows=1, ndmin=1, encoding="utf-8", unpack=True)
+    if any(kind is bool and not np.isin(col, (0, 1)).all()
+           for col, kind in zip(columns, kinds)):
+        raise ValueError("flag outside 0 and 1")
+    return [np.array(col, dtype=kind) for col, kind in zip(columns, kinds)]
 
 
-def _parse_lines(path):
-    """The columns parsed line by line; the first malformed row raises a
-    ValueError naming its 1-based line. The integer fields must fit int64."""
+def _parsed_columns(path, fields):
+    """The columns parsed line by line, each field with int, float or a 0/1
+    check; the first malformed row raises a ValueError naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: line 1: missing header")
     header = lines[0].split(",")
-    m = _constraint_count(header, path)
-    width = len(header)
-    ints, cs, g, dn, bp = [], [], [], [], []
+    kinds = fields(header, path)
+    columns = [[] for _ in kinds]
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"{path}: line {lineno}: expected {width} fields, "
-                             f"got {len(parts)}")
+        if len(parts) != len(kinds):
+            raise ValueError(f"{path}: line {lineno}: expected {len(kinds)} "
+                             f"fields, got {len(parts)}")
         try:
-            row = [int(v) for v in parts[:5]]
-            if not all(-2 ** 63 <= v < 2 ** 63 for v in row):
-                raise ValueError("integer field outside the int64 range")
-            ints.append(row)
-            cs.append(float(parts[5]))
-            g.append([float(v) for v in parts[6:6 + m]])
-            done_field = int(parts[6 + m])
-            if done_field not in (0, 1):
-                raise ValueError("done must be 0 or 1")
-            dn.append(bool(done_field))
-            bp.append(float(parts[7 + m]))
+            for j, text in enumerate(parts):
+                columns[j].append(_parse_field(text, header[j], kinds[j]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    garr = np.asarray(g, dtype=float).reshape(len(cs), m)
-    return (*np.array(ints, dtype=np.int64).reshape(-1, 5).T, cs, garr, dn, bp)
+    return [np.array(col, dtype=kind) for col, kind in zip(columns, kinds)]
 
+
+def _parse_field(text, name, kind):
+    """The value of one field of column name: a float, or an int that must
+    fit int64 and, for a flag (kind bool), be 0 or 1."""
+    if kind is np.float64:
+        return float(text)
+    value = int(text)
+    if kind is bool and value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1")
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError("integer field outside the int64 range")
+    return value

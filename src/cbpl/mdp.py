@@ -27,7 +27,7 @@ class TabularMdp:
         self.transition = np.asarray(transition, dtype=float)
         self.cost_c = np.asarray(cost_c, dtype=float)
         self.cost_g = np.asarray(cost_g, dtype=float)
-        self.gamma = float(gamma)
+        self.gamma = check_gamma(gamma)
         self.initial_dist = np.asarray(initial_dist, dtype=float)
         self.terminal_states = frozenset(int(s) for s in terminal_states)
         self.metadata = dict(metadata or {})
@@ -39,8 +39,6 @@ class TabularMdp:
             raise ValueError("cost_c must have shape (S, A)")
         if self.cost_g.ndim != 3 or self.cost_g.shape[:2] != (S, A):
             raise ValueError("cost_g must have shape (S, A, m)")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
         if self.initial_dist.shape != (S,):
             raise ValueError("initial_dist must have shape (S,)")
         if np.any(self.cost_g < 0):
@@ -97,6 +95,15 @@ class StochasticPolicy:
         if (not np.all(self.probs >= 0)  # NaN fails too
                 or np.max(np.abs(self.probs.sum(axis=1) - 1.0)) > 1e-12):
             raise ValueError("policy rows must be probability vectors")
+
+
+def check_gamma(gamma):
+    """gamma as a float; ValueError unless it lies in (0, 1), which NaN
+    does not."""
+    gamma = float(gamma)
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+    return gamma
 
 
 def check_policy(policy, num_states, num_actions):

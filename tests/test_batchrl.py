@@ -136,6 +136,18 @@ class TestDiscountRule:
         with pytest.raises(ValueError, match=message):
             fqi(data, CostSelector.primary(), 2, template_for(mdp), **kw)
 
+    # Without a map the given gamma is the discount; it must lie in (0, 1).
+    @pytest.mark.parametrize("gamma", [np.nan, 0.0, 1.0, 1.5, -0.5, np.inf])
+    def test_mapless_discount_outside_unit_interval_raises(self, gamma):
+        mdp = two_state_chain(gamma=0.5)
+        data = full_coverage_dataset(mdp)
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\)"):
+            fqe(data, DeterministicPolicy([0, 0]), CostSelector.primary(), 2,
+                template_for(mdp), gamma=gamma)
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\)"):
+            fqi(data, CostSelector.primary(), 2, template_for(mdp),
+                gamma=gamma)
+
 
 class TestFqi:
     def test_combination_lock_learns_forward_action(self):
@@ -183,6 +195,14 @@ class TestLstdq:
         w = lstdq(data, np.zeros(1), CostSelector.primary(), feats, 0.5,
                   ridge=0.0)
         assert w[0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_stochastic_policy_raises(self, fl8):
+        data = full_coverage_dataset(fl8)
+        feats = one_hot_features(fl8)
+        policy = StochasticPolicy(np.full((64, 4), 0.25))
+        with pytest.raises(ValueError, match="deterministic policy"):
+            lstdq_policy(data, policy, CostSelector.primary(), feats,
+                         fl8.gamma)
 
     def test_zero_costs_give_zero_weights(self, fl8):
         data = full_coverage_dataset(fl8)
@@ -294,6 +314,15 @@ class TestLspi:
         feats = one_hot_features(fl8)
         with pytest.raises(ValueError):
             lspi(data, CostSelector.primary(), feats, fl8.gamma, eps_stop=0.0)
+
+    # max_iters = 0 used to return the all-zero starting weights.
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_iterations_raises(self, fl8, max_iters):
+        data = full_coverage_dataset(fl8)
+        feats = one_hot_features(fl8)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            lspi(data, CostSelector.primary(), feats, fl8.gamma,
+                 max_iters=max_iters)
 
     # A NaN ridge used to give all-zero weights, and a NaN eps_stop a run
     # that never converged.

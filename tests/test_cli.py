@@ -308,6 +308,26 @@ class TestPolicyFileValidation:
         assert str(pol) in err[0] and "weight" in err[0]
         assert captured.out == ""
 
+    # A row whose fields do not parse; each is the file's line 2.
+    MALFORMED_ROWS = {
+        "non_integer_action": "state,action\n0,x\n",
+        "real_valued_state": "state,action\n1.0,0\n",
+        "non_numeric_weight": "member,weight,state,action\n0,abc,0,0\n",
+        "short_row": "state,action\n0\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_ROWS))
+    def test_malformed_row_names_file_and_line(self, name, map_file,
+                                               tmp_path, capsys):
+        pol = tmp_path / "bad.csv"
+        pol.write_text(self.MALFORMED_ROWS[name])
+        assert main(["oracle", "--map", map_file, "--policy", str(pol)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), captured.err
+        assert f"{pol}: line 2: " in err[0]
+        assert captured.out == ""
+
 
 def _raise(exc):
     def raiser(*args, **kwargs):
@@ -409,6 +429,23 @@ class TestErrorExitCodes:
         "lspi_eps_nan": (
             ["lspi", "--data", "{data}", "--map", "{map}", "--eps", "nan",
              "--policy-out", "{dir}/new.csv"], None, 1),
+        # Without --map, --gamma is the discount and must lie in (0, 1).
+        "fqi_gamma_nan": (
+            ["fqi", "--data", "{data}", "--gamma", "nan",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        "fqe_gamma_above_1": (
+            ["fqe", "--data", "{data}", "--policy", "{policy}",
+             "--gamma", "1.5"], None, 1),
+        "learn_gamma_0": (
+            ["learn", "--data", "{data}", "--gamma", "0", "--rounds", "3",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        "lspi_zero_iters": (
+            ["lspi", "--data", "{data}", "--map", "{map}", "--iters", "0",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        # The learner fails on the empty collection before a file is written.
+        "experiment_zero_trajs": (
+            ["frozenlake-experiment", "--outdir", "{dir}/new", "--trajs",
+             "0"], None, 1),
         "no_command": ([], None, 1),
         "unknown_flag": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--bogus"],
