@@ -51,8 +51,10 @@ class CostSelector:
         return dataset.c + dataset.g @ self.lam
 
 
-FittedRun = collections.namedtuple("FittedRun",
-                                   ["q_final", "per_iteration_bellman_residuals", "K"])
+# K is the sweep budget; sweeps is how many ran: K, or up to the first that
+# returned its input values bit for bit (every later one would repeat it).
+FittedRun = collections.namedtuple(
+    "FittedRun", ["q_final", "per_iteration_bellman_residuals", "K", "sweeps"])
 
 LspiResult = collections.namedtuple("LspiResult",
                                     ["weights", "converged", "iterations"])
@@ -81,7 +83,8 @@ class EmpiricalModel:
 
     @classmethod
     def from_dataset(cls, dataset):
-        """Group equal rows with one lexsort and adjacent differences."""
+        """Group equal rows with one lexsort on (packed index key, c, g) and
+        adjacent differences."""
         return cls._grouped(dataset)[0]
 
     @classmethod
@@ -95,8 +98,8 @@ class EmpiricalModel:
 
     @classmethod
     def _grouped(cls, dataset):
-        keys = [dataset.x, dataset.a, dataset.x_next, dataset.done, dataset.c,
-                *dataset.g.T]
+        keys = [_packed_key((dataset.x, dataset.a, dataset.x_next,
+                             dataset.done)), dataset.c, *dataset.g.T]
         order = np.lexsort(keys[::-1])
         new_row = np.zeros(len(order), dtype=bool)
         new_row[:1] = True
@@ -159,6 +162,29 @@ class EmpiricalModel:
                           np.append(chi, 0.0), terminal_states={S})
 
 
+def _packed_key(columns):
+    """One int64 per row that orders the rows as the tuple of their integer
+    columns does: each column offset by its minimum, in mixed radix of the
+    column spans. Built in place in one array (int64 wraparound in the
+    intermediate steps cancels out, since every final key fits). Raises
+    ValueError if the product of the spans does not fit int64."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    if len(key) == 0:
+        return key
+    size = 1
+    for col in columns:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        size *= span
+        if size > np.iinfo(np.int64).max:
+            raise ValueError("the state and action indices span too many "
+                             "values to group the dataset's rows")
+        key *= span
+        key += col
+        key -= lo
+    return key
+
+
 def _as_model(data):
     if isinstance(data, EmpiricalModel):
         return data
@@ -198,10 +224,15 @@ def _state_values(vals, policy):
 
 def _fitted_sweeps(model, cost, K, template, gamma, bootstrap_of):
     """K regressions of y = c + gamma * bootstrap_of(Q values)[x'] (y = c on
-    done rows), each weighted by the row counts. Returns (Q_K, residuals),
-    the residual being the RMS Bellman error over the original samples. The
-    regression is set up once, so a sweep is the targets, one fit and the
-    residual through the rows' flat cells."""
+    done rows), each weighted by the row counts. Returns (Q_K, residuals,
+    sweeps run), the residual being the RMS Bellman error over the original
+    samples. The regression is set up once, so a sweep is the targets, one
+    fit and the residual through the rows' flat cells.
+
+    A sweep is a pure function of the values it starts from, so once one
+    returns them bit for bit (compared as int64, so -0.0 and 0.0 differ and
+    NaN is not a match) every later sweep returns the same values and
+    residual: the loop stops there and repeats the last residual."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if len(model) == 0:
@@ -218,40 +249,50 @@ def _fitted_sweeps(model, cost, K, template, gamma, bootstrap_of):
         fitted = reg.fit(y)
         err = fitted[reg.flat] - y
         residuals.append(float(np.sqrt(np.dot(w, err * err) / total)))
-        vals = fitted.reshape(reg.shape)
-    return reg.q_function(vals), residuals
+        fitted = fitted.reshape(reg.shape)
+        settled = np.array_equal(fitted.view(np.int64), vals.view(np.int64))
+        vals = fitted
+        if settled:
+            break
+    sweeps = len(residuals)
+    residuals += residuals[-1:] * (K - sweeps)
+    return reg.q_function(vals), residuals, sweeps
 
 
 def fqe(dataset, policy, cost, K, template, gamma=None, mdp=None):
     """Fitted Q evaluation of a fixed policy.
 
-    dataset: a Dataset or its EmpiricalModel. K rounds of regression on
-    targets y = c + gamma * V(x') with V(x) = sum_a pi(a|x) Q(x, a)
-    (y = c on done samples); returns (estimate, FittedRun) where the
-    estimate averages V_K over the initial distribution.
+    dataset: a Dataset or its EmpiricalModel. At most K rounds of
+    regression on targets y = c + gamma * V(x') with V(x) = sum_a pi(a|x)
+    Q(x, a) (y = c on done samples), stopping early at a round that returns
+    its input values bit for bit, so the result is that of all K rounds;
+    returns (estimate, FittedRun) where the estimate averages V_K over the
+    initial distribution.
     """
     model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
     check_policy(policy, *template.values().shape)
-    q, residuals = _fitted_sweeps(model, cost, K, template, gamma,
-                                  lambda vals: _state_values(vals, policy))
+    q, residuals, sweeps = _fitted_sweeps(
+        model, cost, K, template, gamma,
+        lambda vals: _state_values(vals, policy))
     v_pi = _state_values(q.values(), policy)
     chi = _initial_distribution(model.starts, mdp, len(v_pi))
-    return float(chi @ v_pi), FittedRun(q, residuals, K)
+    return float(chi @ v_pi), FittedRun(q, residuals, K, sweeps)
 
 
 def fqi(dataset, cost, K, template, gamma=None, mdp=None):
     """Fitted Q iteration toward the optimal scalarized cost-to-go.
 
-    dataset: a Dataset or its EmpiricalModel. Targets
-    y = c + gamma * min_a Q(x', a) (y = c on done samples); returns (greedy
-    policy of Q_K, FittedRun).
+    dataset: a Dataset or its EmpiricalModel. At most K rounds of
+    regression on targets y = c + gamma * min_a Q(x', a) (y = c on done
+    samples), stopping early as fqe does; returns (greedy policy of Q_K,
+    FittedRun).
     """
     model = _as_model(dataset)
     gamma = _resolve_gamma(gamma, mdp)
-    q, residuals = _fitted_sweeps(model, cost, K, template, gamma,
-                                  lambda vals: vals.min(axis=1))
-    return greedy_policy(q), FittedRun(q, residuals, K)
+    q, residuals, sweeps = _fitted_sweeps(model, cost, K, template, gamma,
+                                          lambda vals: vals.min(axis=1))
+    return greedy_policy(q), FittedRun(q, residuals, K, sweeps)
 
 
 def lspi_policy(weights, features):
@@ -276,6 +317,7 @@ def lstdq_policy(dataset, policy, cost, features, gamma, ridge=1e-8):
     check_policy(policy, *features.phi.shape[:2])
     check_ridge(ridge)
     model = _as_model(dataset)
+    check_indices(model, *features.phi.shape[:2])
     phi_all = features.phi
     phi = phi_all[model.x, model.a]
     phi_next = np.where(model.done[:, None], 0.0,

@@ -356,8 +356,10 @@ def build_parser():
     p.add_argument("--B", type=float, default=30.0)
     p.add_argument("--eta", type=float, default=50.0)
     p.add_argument("--omega", type=float, default=0.05)
-    p.add_argument("--iters-fqi", type=int, help="fitted flavor (default 100)")
-    p.add_argument("--iters-fqe", type=int, help="fitted flavor (default 100)")
+    p.add_argument("--iters-fqi", type=int, metavar="K",
+                   help="fitted flavor: at most K FQI sweeps (default 100)")
+    p.add_argument("--iters-fqe", type=int, metavar="K",
+                   help="fitted flavor: at most K FQE sweeps (default 100)")
     p.add_argument("--rounds", type=int, default=200)
     p.add_argument("--dual", choices=["eg", "ogd"], default="eg")
     p.add_argument("--flavor", choices=["fitted", "lspi", "exact"],
@@ -375,7 +377,9 @@ def build_parser():
         p.add_argument("--data", required=True)
         p.add_argument("--map")
         p.add_argument("--cost", default="c")
-        p.add_argument("--iters", type=int, default=100 if name != "lspi" else 50)
+        unit = "iterations" if name == "lspi" else "sweeps"
+        p.add_argument("--iters", type=int, default=50 if name == "lspi" else 100,
+                       metavar="K", help=f"at most K {unit} (default %(default)s)")
         if needs_policy:
             p.add_argument("--policy", required=True)
         else:
@@ -399,7 +403,8 @@ def build_parser():
     p.add_argument("--fractions",
                    default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--iters", type=int, default=100)
+    p.add_argument("--iters", type=int, default=100, metavar="K",
+                   help="at most K FQE sweeps per trial (default 100)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", type=float, default=0.95)

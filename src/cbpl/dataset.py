@@ -342,8 +342,9 @@ def read_csv(path, fields):
     fields(header, path) gets the header line split at commas, raises for a
     header it does not take and returns each column's kind: np.int64,
     np.float64 or bool (a field that must read 0 or 1). Blank lines are
-    skipped; the first malformed row raises a ValueError naming the file
-    and its 1-based line. Integers must fit int64.
+    skipped; the first malformed row, or a byte that is not UTF-8, raises a
+    ValueError naming the file and its 1-based line. Integers must fit
+    int64.
     """
     try:
         return _loadtxt_columns(path, fields)
@@ -377,9 +378,18 @@ def _loadtxt_columns(path, fields):
 
 def _parsed_columns(path, fields):
     """The columns parsed line by line, each field with int, float or a 0/1
-    check; the first malformed row raises a ValueError naming its line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    check; the first malformed row, or the first byte that is not UTF-8,
+    raises a ValueError naming its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; the bad one starts or
+        # continues the last of their lines.
+        lineno = len((raw[:exc.start].decode("utf-8") + "_").splitlines())
+        raise ValueError(f"{path}: line {lineno}: byte "
+                         f"0x{raw[exc.start]:02x} is not UTF-8") from None
     if not lines:
         raise ValueError(f"{path}: line 1: missing header")
     header = lines[0].split(",")

@@ -8,7 +8,8 @@ from cbpl.dataset import (Dataset, collect, draw_trajectories,
 from cbpl.funcapprox import (FeatureMap, QFunction, fit_least_squares,
                              one_hot_features)
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy,
-                      build_combination_lock, build_frozenlake)
+                      build_combination_lock, build_frozenlake,
+                      build_random_mdp)
 from cbpl.oracle import ExactSolver, exact_policy_values, value_iteration
 
 from conftest import FROZENLAKE_4X4, one_state_mdp, two_state_chain
@@ -266,6 +267,25 @@ class TestLstdq:
             w, lstdq(EmpiricalModel.from_dataset(data), w_in, cost, feats,
                      gamma, ridge=ridge))
 
+    # phi[-1] reads the last state, so x = -1 used to give finite weights.
+    @pytest.mark.parametrize("column, value",
+                             [("x", -1), ("a", -1), ("x_next", -1), ("a", 4)])
+    def test_out_of_range_index_raises(self, fl8, column, value):
+        row = {"x": 0, "a": 0, "x_next": 1, column: value}
+        data = Dataset([0], [0], [row["x"]], [row["a"]], [row["x_next"]],
+                       [1.0], np.zeros((1, 1)), [True], [0.25])
+        feats = one_hot_features(fl8)
+        cost = CostSelector.primary()
+        policy = DeterministicPolicy(np.zeros(64, dtype=int))
+        for call in (
+                lambda: lstdq_policy(data, policy, cost, feats, fl8.gamma),
+                lambda: lstdq(data, np.zeros(feats.k), cost, feats,
+                              fl8.gamma),
+                lambda: lspi(data, cost, feats, fl8.gamma)):
+            with pytest.raises(ValueError,
+                               match=f"row 1 has {column} = {value}"):
+                call()
+
     def test_weight_length_mismatch_raises(self, fl8):
         data = full_coverage_dataset(fl8)
         feats = one_hot_features(fl8)
@@ -414,6 +434,105 @@ class TestEmpiricalModel:
         b = EmpiricalModel.from_dataset(shuffled_trajectories(fl8_dataset, 0))
         for col in ("x", "a", "x_next", "done", "c", "g", "count"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
+
+
+def six_key_grouping(dataset):
+    """The grouping as one lexsort over x, a, x_next, done, c, g_1..g_m and
+    adjacent differences of each column: the sample index of each model
+    row's first sample, the row counts and every sample's model row."""
+    keys = [dataset.x, dataset.a, dataset.x_next, dataset.done, dataset.c,
+            *dataset.g.T]
+    order = np.lexsort(keys[::-1])
+    new_row = np.zeros(len(order), dtype=bool)
+    new_row[:1] = True
+    for key in keys:
+        key = key[order]
+        new_row[1:] |= key[1:] != key[:-1]
+    first = np.flatnonzero(new_row)
+    row_ids = np.empty(len(order), dtype=np.int64)
+    row_ids[order] = np.cumsum(new_row) - 1
+    return order[first], np.diff(np.append(first, len(order))), row_ids
+
+
+def one_step_dataset(x, a, x_next, c, g, done):
+    """One one-step trajectory per row, so any columns form a Dataset; g
+    has shape (rows, m)."""
+    n = len(x)
+    return Dataset(np.arange(n), np.zeros(n), x, a, x_next, c, g, done,
+                   np.full(n, 0.5))
+
+
+def repeated_rows_dataset(m, seed, low=0):
+    """600 one-step rows drawn from few values per column, so rows repeat:
+    states in [low, low + 5), signed zeros among the costs."""
+    rng = np.random.default_rng(seed)
+    n = 600
+    pick = lambda values, size=n: rng.choice(np.array(values), size=size)
+    return one_step_dataset(
+        rng.integers(low, low + 5, size=n), rng.integers(0, 2, size=n),
+        rng.integers(low, low + 5, size=n), pick([0.0, -0.0, 1.5]),
+        pick([0.0, -0.0, 2.0], (n, m)), rng.random(n) < 0.3)
+
+
+class TestGroupingMatchesSixKeyLexsort:
+    """from_dataset and with_row_ids, grouped by one packed index key, give
+    the rows, row order, counts and row ids of a lexsort over all six
+    columns."""
+
+    CASES = {
+        "m_0": lambda: repeated_rows_dataset(0, 1),
+        "m_3": lambda: repeated_rows_dataset(3, 2),
+        "negative_states": lambda: repeated_rows_dataset(1, 3, low=-3),
+        "empty": lambda: one_step_dataset([], [], [], [], np.zeros((0, 2)),
+                                          []),
+        # Indices at the int64 ends: x * 2 + a passes 2**63 - 1 before the
+        # offset of a brings it back, and x and x_next offset by -2**63.
+        "int64_max_actions": lambda: one_step_dataset(
+            [1, 0, 1, 0], [2 ** 63 - 1, 2 ** 63 - 2, 2 ** 63 - 2, 2 ** 63 - 1],
+            [0, 0, 0, 0], [0.5] * 4, np.zeros((4, 1)), [False] * 4),
+        "int64_min_states": lambda: one_step_dataset(
+            [1 - 2 ** 63, -2 ** 63, -2 ** 63], [0, 1, 0],
+            [-2 ** 63, 5 - 2 ** 63, -2 ** 63], [0.5] * 3, np.zeros((3, 1)),
+            [True, False, True]),
+    }
+
+    @staticmethod
+    def assert_matches(data):
+        rows, count, row_ids = six_key_grouping(data)
+        model = EmpiricalModel.from_dataset(data)
+        again, got_ids = EmpiricalModel.with_row_ids(data)
+        for built in (model, again):
+            for col in ("x", "a", "x_next", "done", "c", "g"):
+                assert (getattr(built, col).tobytes()
+                        == getattr(data, col)[rows].tobytes()), col
+            assert np.array_equal(built.count, count)
+            assert np.array_equal(built.starts, data.x[data.t == 0])
+        assert np.array_equal(got_ids, row_ids)
+        return model
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_case(self, name):
+        self.assert_matches(self.CASES[name]())
+
+    def test_frozenlake_and_shuffled(self, fl8_dataset):
+        for data in (fl8_dataset, shuffled_trajectories(fl8_dataset, 0)):
+            self.assert_matches(data)
+
+    def test_signed_zeros_merge(self):
+        data = one_step_dataset([0, 0, 0, 0], [1, 1, 1, 1], [2, 2, 2, 2],
+                                [0.0, -0.0, -0.0, 0.0],
+                                [[-0.0], [0.0], [-0.0], [0.0]],
+                                [False] * 4)
+        model = self.assert_matches(data)
+        assert len(model) == 1 and model.count[0] == 4
+
+    def test_spans_beyond_int64_raise(self):
+        data = one_step_dataset([0, 2 ** 40], [0, 2 ** 21], [0, 1],
+                                [0.0, 0.0], np.zeros((2, 0)), [False, True])
+        for group in (EmpiricalModel.from_dataset,
+                      EmpiricalModel.with_row_ids):
+            with pytest.raises(ValueError, match="span"):
+                group(data)
 
 
 class TestEmpiricalMdp:
@@ -625,6 +744,51 @@ class TestTabularKernelMatchesChainedFits:
                     expect = chained_fits(model, cost, self.K, template,
                                           fl8.gamma, bootstrap)
                     self.assert_identical(run, expect, template, unseen)
+
+
+class TestSweepsStopAtBitwiseFixedPoint:
+    """At K = 100, fqi and fqe equal K chained fits bit for bit, in Q, in
+    the weights and in every residual: on FrozenLake, whose deterministic
+    moves bring the sweeps to a bitwise fixed point early, and on a random
+    MDP, whose stochastic cycles never do."""
+
+    K = 100
+
+    @staticmethod
+    def case(name, fl8, fl8_dataset):
+        if name == "frozenlake":
+            return fl8, EmpiricalModel.from_dataset(fl8_dataset)
+        mdp = build_random_mdp(6, 3, 1, seed=0)
+        data = collect(mdp, StochasticPolicy(np.full((6, 3), 1 / 3)), 200, 30,
+                       np.random.default_rng(0))
+        return mdp, EmpiricalModel.from_dataset(data)
+
+    @pytest.mark.parametrize("kind", ["tabular", "linear"])
+    @pytest.mark.parametrize("name", ["frozenlake", "random"])
+    def test_equals_full_loop(self, fl8, fl8_dataset, name, kind):
+        mdp, model = self.case(name, fl8, fl8_dataset)
+        S, A = mdp.num_states, mdp.num_actions
+        template = (QFunction.tabular_zeros(S, A) if kind == "tabular"
+                    else QFunction(weights=np.zeros(S * A),
+                                   features=one_hot_features(mdp)))
+        cost = CostSelector.scalarized([3.0])
+        policy, fqi_run = fqi(model, cost, self.K, template, mdp=mdp)
+        _, fqe_run = fqe(model, policy, cost, self.K, template, mdp=mdp)
+        for run, bootstrap in (
+                (fqi_run, lambda v: v.min(axis=1)),
+                (fqe_run, lambda v: v[np.arange(S), policy.actions])):
+            q, residuals = chained_fits(model, cost, self.K, template,
+                                        mdp.gamma, bootstrap)
+            assert run.K == self.K
+            if name == "frozenlake":
+                assert run.sweeps < self.K
+            else:
+                assert run.sweeps == self.K
+            assert run.q_final.values().tobytes() == q.values().tobytes()
+            assert (np.array(run.per_iteration_bellman_residuals).tobytes()
+                    == np.array(residuals).tobytes())
+            if kind == "linear":
+                assert run.q_final.weights.tobytes() == q.weights.tobytes()
 
 
 class TestFittedInputChecks:

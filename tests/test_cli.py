@@ -314,13 +314,14 @@ class TestPolicyFileValidation:
         "real_valued_state": "state,action\n1.0,0\n",
         "non_numeric_weight": "member,weight,state,action\n0,abc,0,0\n",
         "short_row": "state,action\n0\n",
+        "non_utf8_byte": "state,action\n0,\xff\n",
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_ROWS))
     def test_malformed_row_names_file_and_line(self, name, map_file,
                                                tmp_path, capsys):
         pol = tmp_path / "bad.csv"
-        pol.write_text(self.MALFORMED_ROWS[name])
+        pol.write_bytes(self.MALFORMED_ROWS[name].encode("latin-1"))
         assert main(["oracle", "--map", map_file, "--policy", str(pol)]) == 1
         captured = capsys.readouterr()
         err = captured.err.splitlines()

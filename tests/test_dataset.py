@@ -523,6 +523,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match="line 3: integer field outside"):
             load(path)
 
+    # The error used to be the codec's, naming neither file nor line.
+    @pytest.mark.parametrize("body, line", [
+        (b"0,0,1,0,2,0.5,0.0,1,\xff\n", 2),
+        (GOOD.encode() + b"\r\n0,2,3,0,4,0.5,\xc3(,1,0.25\n", 5),
+    ])
+    def test_non_utf8_byte_names_file_and_line(self, body, line, tmp_path):
+        path = tmp_path / "nu.csv"
+        path.write_bytes(b"traj_id,t,x,a,x_next,c,g_1,done,behavior_prob\n"
+                         + body)
+        with pytest.raises(ValueError,
+                           match=f"nu.csv: line {line}: byte 0x"):
+            load(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,a\n0,1\n")
