@@ -17,8 +17,9 @@ empirical MDP) runs with a single constraint and EG duals, long
 stretches of rounds change nothing but the multiplier; those stretches are
 advanced in closed-form blocks (valid because best-response regions are
 intervals on the 1-d multiplier line, so endpoint checks certify the whole
-block), evaluated only at the rounds the trace keeps and wherever the first
-round with gap <= omega may lie.
+block). A block is evaluated on a grid of every 8,192th round and wherever
+the first round with gap <= omega may lie; its trace rows are computed once,
+when the run ends, at the rounds the final trace stride keeps.
 """
 
 import math
@@ -121,19 +122,25 @@ class _TraceBuffer:
 
     Keeps every stride-th round (stride doubles on overflow) plus the final
     round, so small runs retain full fidelity. Rounds arrive in order from
-    1 with none skipped, so the kept rows are exactly the multiples of the
-    stride up to the last round, and the stride an append needs follows
-    from that count before any row is built. Rounds are stored as int64 and
-    rows as one float matrix of `limit` rows, filled in place.
+    1 with none skipped, so the kept rounds are exactly the multiples of
+    the stride up to the last round, and the stride is a function of the
+    last round alone. Rows given one at a time (append) or materialized
+    (extend) are stored, thinned to the multiples of the stride, in a float
+    matrix of `limit` rows filled in place. A closed-form block instead
+    registers its rounds with a function of the block index that returns
+    their rows (defer); finalize evaluates it once, at the kept rounds of
+    the final stride.
     """
 
     def __init__(self, limit):
         self.limit = limit
         self.stride = 1
+        self.t_last = 0
         self.count = 0
         self.ts = np.empty(self.limit, dtype=np.int64)
-        self.mat = None  # (limit, row width), allocated by the first append
-        self.final = None  # (t, row) of the last round recorded
+        self.mat = None  # (limit, row width), allocated by the first row
+        self.pieces = []  # (t0, t_end, rows_at) of each deferred block
+        self.final = None  # row of t_last, unless a deferred block holds it
 
     def stride_for(self, t_last):
         """The stride once every round up to t_last is recorded: the
@@ -144,6 +151,28 @@ class _TraceBuffer:
             stride *= 2
         return stride
 
+    def _advance(self, t_last):
+        """Move the last round to t_last, thinning the stored rows to the
+        multiples of the stride that round needs."""
+        stride = self.stride_for(t_last)
+        if stride != self.stride and self.count:
+            ts = self.ts[:self.count]
+            keep = ts % stride == 0
+            n = int(np.count_nonzero(keep))
+            self.ts[:n], self.mat[:n] = ts[keep], self.mat[:self.count][keep]
+            self.count = n
+        self.stride, self.t_last = stride, t_last
+
+    def append(self, t, row):
+        if self.mat is None:
+            self.mat = np.empty((self.limit, len(row)))
+        self._advance(t)
+        if t % self.stride == 0:
+            self.ts[self.count] = t
+            self.mat[self.count] = row
+            self.count += 1
+        self.final = row
+
     def extend(self, ts, rows, final):
         """Record the rounds after the last one up to final[0]. ts (int64,
         ascending) and rows hold at least those of them that are multiples
@@ -151,28 +180,49 @@ class _TraceBuffer:
         whether or not it is kept."""
         if self.mat is None:
             self.mat = np.empty((self.limit, rows.shape[1]))
-        stride = self.stride_for(final[0])
-        if stride != self.stride:
-            r = stride // self.stride  # the rows are multiples of self.stride
-            n = self.count // r
-            self.ts[:n] = self.ts[r - 1:self.count:r]
-            self.mat[:n] = self.mat[r - 1:self.count:r]
-            self.count, self.stride = n, stride
-        keep = ts % stride == 0
+        self._advance(final[0])
+        keep = ts % self.stride == 0
         n = int(np.count_nonzero(keep))
         self.ts[self.count:self.count + n] = ts[keep]
         self.mat[self.count:self.count + n] = rows[keep]
         self.count += n
-        self.final = final
+        self.final = final[1]
 
-    def append(self, t, row):
-        self.extend(np.array([t], dtype=np.int64), row[None, :], (t, row))
+    def defer(self, t0, t_end, rows_at):
+        """Record the rounds t0+1..t_end of a block whose rows, at an array
+        of block indices j (round t0+1+j), are rows_at(j)."""
+        self._advance(t_end)
+        self.pieces.append((t0, t_end, rows_at))
+        self.final = None
 
     def finalize(self):
-        ts, mat = self.ts[:self.count], self.mat[:self.count]
-        if self.count and ts[-1] == self.final[0]:
-            return ts.copy(), mat.copy()
-        return np.append(ts, self.final[0]), np.vstack([mat, self.final[1]])
+        """(rounds, rows) of the kept rounds: the multiples of the final
+        stride, then the last round."""
+        stride, t_last = self.stride, self.t_last
+        ts = np.arange(stride, t_last + 1, stride, dtype=np.int64)
+        if t_last % stride:
+            ts = np.append(ts, t_last)
+        out = None
+
+        def place(at, rows):
+            nonlocal out
+            if out is None:
+                out = np.empty((len(ts), np.shape(rows)[-1]))
+            out[at] = rows
+
+        if self.count:
+            place(self.ts[:self.count] // stride - 1, self.mat[:self.count])
+        for t0, t_end, rows_at in self.pieces:
+            first = t0 // stride + 1  # the first kept round is first * stride
+            j = np.arange(first * stride - t0 - 1, t_end - t0, stride,
+                          dtype=float)
+            if t_end == t_last and t_last % stride:
+                j = np.append(j, t_end - t0 - 1.0)
+            if len(j):
+                place(slice(first - 1, first - 1 + len(j)), rows_at(j))
+        if self.final is not None and t_last % stride:
+            place(-1, self.final)
+        return ts, out
 
 
 class _ExactSub:
@@ -285,6 +335,9 @@ def default_max_rounds(B, g_bar, omega, m):
 # 3e-14 of math.fsum); beyond it they are summed until the multiplier is 0 or B.
 _EM_MAX_STEP = 1e-2
 _TRACE_LIMIT = 200_000  # trace rows kept before _TraceBuffer thins them
+# Rounds between the points of a block's grid: 128 intervals per 2^20-round
+# block, so a flagged interval is evaluated in at most 8,192 rounds.
+_GRID_SPACING = 1 << 13
 
 
 def _lambda_at(B, d0, de, j):
@@ -385,7 +438,7 @@ def run(dataset, config, mdp_handle=None):
     converged = False
     prev_sig = None
     steady_streak = 0
-    # A failed block advance evaluates a block's kept rounds before its
+    # A failed block advance evaluates a block's grid before its
     # certificates reject it, so each failure doubles the streak of repeated
     # signatures the next attempt waits for.
     min_streak = 2
@@ -471,11 +524,13 @@ def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
     Returns (next_lam, converged), or (None, False) when the endpoint
     stability checks fail (caller falls back to a generic round).
 
-    Per-round values are closed forms in the block index j, evaluated at
-    the rounds the trace keeps and the block's ends. Between those the gap
-    is bounded below, and only where the bound reaches omega is it evaluated
-    round by round. Nothing reaches state or the trace until the
-    certificates pass.
+    Per-round values are closed forms in the block index j, evaluated on a
+    grid: the block's ends and the rounds that are multiples of
+    _GRID_SPACING. Between grid points the gap is bounded below, and only
+    where the bound reaches omega is it evaluated round by round. Nothing
+    reaches state or the trace until the certificates pass; the trace then
+    gets the block's row function, which it evaluates at the rounds it keeps
+    once the run ends.
     """
     B, eta, omega, tau = config.B, config.eta, config.omega, config.tau[0]
     pi_bytes, til_bytes = prev_sig[0], prev_sig[1]
@@ -510,15 +565,13 @@ def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
         l_min = lam_hat * w_til + c_til
         return lam_j, lam_hat, c_mix, g_mix, l_max, l_min, l_max - l_min
 
-    def kept(t_last):
-        """Block indices of the rounds the trace keeps up to t_last."""
-        stride = trace_buf.stride_for(t_last)
-        first = (t0 // stride + 1) * stride
-        return np.arange(first - t0 - 1, t_last - t0, stride, dtype=float)
-
-    js = np.unique(np.concatenate([[-1.0, 0.0], kept(t0 + J), [J - 1.0]]))
-    grid = at(js)
-    lam_g, hat_g, c_g, g_g, lx_g, ln_g, _ = grid
+    # The grid: the round before the block, the block's ends, and the
+    # rounds that are multiples of _GRID_SPACING.
+    first = (t0 // _GRID_SPACING + 1) * _GRID_SPACING
+    js = np.unique(np.concatenate([
+        [-1.0, 0.0], np.arange(first - t0 - 1, J, _GRID_SPACING, dtype=float),
+        [J - 1.0]]))
+    lam_g, hat_g, c_g, g_g, lx_g, ln_g, _ = at(js)
 
     # Gap bound over the rounds (js[k], js[k + 1]]: C_mix, G_mix and lam are
     # monotone; lam-hat moves from its value at js[k] toward those lams.
@@ -535,9 +588,11 @@ def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
     stop, converged = J, False
     for k in np.flatnonzero(l_max_lo - l_min_hi - margin <= omega):
         j = np.arange(js[k] + 1, js[k + 1] + 1)
-        hits = np.flatnonzero(at(j)[6] <= omega)
+        lam_j, *_, gap_j = at(j)
+        hits = np.flatnonzero(gap_j <= omega)
         if len(hits):
             stop, converged = int(j[hits[0]]) + 1, True
+            lam_stop = lam_j[hits[0]]
             break
 
     # Stability certificates: best responses constant over the multiplier
@@ -553,27 +608,23 @@ def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
         if sub.best_response(np.array([v])).actions.tobytes() != want:
             return None, False
 
-    # Trace rows: those the buffer keeps, and the last round. A block that
-    # runs to its end keeps the stride its grid was built with.
-    t_end = t0 + stop
-    if converged:
-        j = np.unique(np.append(kept(t_end), stop - 1.0))
+    def rows_at(j):
+        """The trace rows of rounds t0+1+j."""
         lam_r, hat_r, c_r, g_r, lx_r, ln_r, gap_r = at(j)
-    else:
-        j = js[1:]
-        lam_r, hat_r, c_r, g_r, lx_r, ln_r, gap_r = (v[1:] for v in grid)
-    rows = np.column_stack([
-        lam_r, B - lam_r, np.full(len(j), c_t), np.full(len(j), g_t[0]),
-        c_r, g_r, lx_r, ln_r, c_r + hat_r * (g_r - tau), gap_r])
-    trace_buf.extend((j + (t0 + 1)).astype(np.int64), rows, (t_end, rows[-1]))
+        return np.column_stack([
+            lam_r, B - lam_r, np.full(len(j), c_t), np.full(len(j), g_t[0]),
+            c_r, g_r, lx_r, ln_r, c_r + hat_r * (g_r - tau), gap_r])
+
+    t_end = t0 + stop
+    trace_buf.defer(t0, t_end, rows_at)
     cum = float(lam_sum(np.array([float(stop)]))[0])
     state.add_member(pi_t, c_t, g_t, repeat=stop)
     state.sum_lam[0] += cum
     state.sum_lam[1] += stop * B - cum
     dn = d0 + stop * de  # the logit entering round t_end + 1
     ezn = math.exp(-abs(dn))
-    v0 = lam_r[-1] if converged else B * (ezn / (1.0 + ezn) if dn >= 0
-                                          else 1.0 / (1.0 + ezn))
+    v0 = lam_stop if converged else B * (ezn / (1.0 + ezn) if dn >= 0
+                                         else 1.0 / (1.0 + ezn))
     return DualVector(np.maximum([v0, B - v0], 1e-300), B, EG_FLAVOR), converged
 
 

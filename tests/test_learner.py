@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cbpl.learner as learner_mod
 from cbpl.batchrl import (CostSelector, EmpiricalModel, fqi, lspi,
@@ -464,19 +466,61 @@ class TestClosedFormBlocks:
         "tuned_four_blocks": dict(eta=TUNED_ETA, max_rounds=4 * 2 ** 20 + 2),
     }
 
-    @pytest.mark.parametrize("name", sorted(RUNS))
-    def test_matches_reference_block_advance(self, name, fl8, monkeypatch):
-        config = exact_config(**self.RUNS[name])
-        out = run(None, config, mdp_handle=fl8)
+    @staticmethod
+    def assert_matches_reference(name, mdp, monkeypatch,
+                                 wrap=lambda advance: advance):
+        """Run RUNS[name] with the closed-form block advance and with
+        reference_block_advance, each passed through wrap; the runs must
+        agree. Returns the closed-form run's trace."""
+        config = exact_config(**TestClosedFormBlocks.RUNS[name])
         monkeypatch.setattr(learner_mod, "_block_advance",
-                            reference_block_advance)
-        expected = run(None, config, mdp_handle=fl8)
+                            wrap(learner_mod._block_advance))
+        out = run(None, config, mdp_handle=mdp)
+        monkeypatch.setattr(learner_mod, "_block_advance",
+                            wrap(reference_block_advance))
+        expected = run(None, config, mdp_handle=mdp)
         assert out[1].block_rounds > 0
         assert_same_run(out, expected)
+        return out[1]
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_matches_reference_block_advance(self, name, fl8, monkeypatch):
+        trace = self.assert_matches_reference(name, fl8, monkeypatch)
         if name == "converges_inside_the_block":
-            assert out[1].converged and out[1].total_rounds == 83_193
+            assert trace.converged and trace.total_rounds == 83_193
         if name == "tuned_four_blocks":
-            assert out[1].block_rounds == 4 * 2 ** 20 and out[1].stride > 1
+            assert trace.block_rounds == 4 * 2 ** 20 and trace.stride > 1
+
+    # Under a 1,000-row trace the stride doubles inside blocks and across
+    # them; the first run converges mid-block at stride 128.
+    @pytest.mark.parametrize("name", ["converges_inside_the_block",
+                                      "stops_mid_block_at_max_rounds",
+                                      "tuned_four_blocks"])
+    def test_matches_reference_under_a_thinned_trace(self, name, fl8,
+                                                      monkeypatch):
+        monkeypatch.setattr(learner_mod, "_TRACE_LIMIT", 1_000)
+        trace = self.assert_matches_reference(name, fl8, monkeypatch)
+        assert trace.stride >= 64
+
+    def test_generic_rounds_between_blocks_match_reference(self, fl8,
+                                                           monkeypatch):
+        # Refusing the third and fourth block attempts plays generic rounds
+        # between the second block and the third; unrefused, the run plays
+        # only its first 2 rounds generically.
+        monkeypatch.setattr(learner_mod, "_TRACE_LIMIT", 1_000)
+
+        def refusing(advance):
+            calls = []
+
+            def wrapped(*args):
+                calls.append(1)
+                return (None, False) if len(calls) in (3, 4) else advance(*args)
+            return wrapped
+
+        trace = self.assert_matches_reference("tuned_four_blocks", fl8,
+                                              monkeypatch, refusing)
+        assert trace.generic_rounds > 2 and trace.stride > 1
+        assert 2 * 2 ** 20 < trace.block_rounds < 4 * 2 ** 20
 
     @staticmethod
     def fixed_block(advance, lam0, lam_hat0, g_t, omega, asked):
@@ -530,8 +574,8 @@ class TestClosedFormBlocks:
     def test_finds_a_gap_dip_between_kept_rounds(self, advance):
         # lam rises from 1 while lam-hat starts at 5 above it: lam-hat, and
         # with it the gap 3 + lam-hat / 10, falls until lam crosses it and
-        # then rises. omega is met only near the bottom, between the kept
-        # rounds 0 and 2^14 of a 64-row trace.
+        # then rises. omega is met only near the bottom, first at block
+        # index 1,456, between the grid points 0 and 8,189.
         _, _, _, lam_hat = self.fixed_block(advance, 1.0, 5.0, 0.2, 1e-9, [])
         gap = 3.0 + lam_hat / 10
         omega = (gap.min() + min(gap[0], gap[2 ** 14 - 1])) / 2
@@ -583,6 +627,75 @@ class TestClosedFormBlocks:
         for field in TRACE_ARRAYS:
             assert np.array_equal(getattr(small, field),
                                   getattr(full, field)[keep]), field
+
+
+def trace_rows(t):
+    """The rows [t, t / 3] of rounds t in the _TraceBuffer tests."""
+    t = np.asarray(t, dtype=float)
+    return np.column_stack([t, t / 3])
+
+
+def fill_trace(limit, segments):
+    """A _TraceBuffer of `limit` rows fed runs of rounds in order: each
+    (kind, n) appends n rows one at a time, extends by n materialized rows
+    or defers n rounds as a block. Returns the buffer and the last round."""
+    buf, t = learner_mod._TraceBuffer(limit), 0
+    for kind, n in segments:
+        if kind == "append":
+            for t in range(t + 1, t + n + 1):
+                buf.append(t, trace_rows(t)[0])
+        elif kind == "extend":
+            ts = np.arange(t + 1, t + n + 1, dtype=np.int64)
+            rows = trace_rows(ts)
+            buf.extend(ts, rows, (t + n, rows[-1]))
+            t += n
+        else:
+            buf.defer(t, t + n, lambda j, t0=t: trace_rows(j + (t0 + 1)))
+            t += n
+    return buf, t
+
+
+class TestTraceBuffer:
+    @staticmethod
+    def assert_matches_naive(limit, segments):
+        """finalize equals every round's row kept at the multiples of the
+        smallest power-of-two stride with at most `limit` of them, plus the
+        last round; returns (stride, last round)."""
+        buf, total = fill_trace(limit, segments)
+        stride = 1
+        while total // stride > limit:
+            stride *= 2
+        ts = np.arange(1, total + 1, dtype=np.int64)
+        ts = ts[(ts % stride == 0) | (ts == total)]
+        rounds, rows = buf.finalize()
+        assert buf.stride == stride
+        assert rounds.dtype == np.int64 and np.array_equal(rounds, ts)
+        assert rows.tobytes() == trace_rows(ts).tobytes()
+        return stride, total
+
+    @pytest.mark.parametrize("segments, last_kept", [
+        ([("append", 3), ("defer", 13)], True),  # round 16 at stride 4
+        ([("append", 3), ("defer", 14)], False),  # round 17 at stride 4
+        ([("append", 2), ("defer", 9), ("append", 4), ("defer", 4)], False),
+        ([("append", 2), ("defer", 9), ("append", 5)], True),
+    ])
+    def test_last_round_on_and_off_the_stride(self, segments, last_kept):
+        stride, total = self.assert_matches_naive(4, segments)
+        assert stride == 4 and (total % stride == 0) == last_kept
+
+    @pytest.mark.parametrize("kind", ["append", "extend", "defer"])
+    @pytest.mark.parametrize("total", [1, 5, 37, 64, 1000, 1027])
+    def test_one_kind_of_rounds_only(self, kind, total):
+        # Generic rounds only, materialized rows only, or one block only.
+        self.assert_matches_naive(5, [(kind, total)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 64),
+           st.lists(st.tuples(st.sampled_from(["append", "extend", "defer"]),
+                              st.integers(1, 300)),
+                    min_size=1, max_size=12))
+    def test_random_sequences_match_naive_reference(self, limit, segments):
+        self.assert_matches_naive(limit, segments)
 
 
 @pytest.fixture(scope="module")
