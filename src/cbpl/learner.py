@@ -117,6 +117,12 @@ class RunTrace:
     generic_rounds: int = 0
 
 
+def _holds_multiple(piece, stride):
+    """Whether a deferred block's rounds t0+1..t_end hold a multiple of stride."""
+    t0, t_end, _ = piece
+    return t_end // stride != t0 // stride
+
+
 class _TraceBuffer:
     """Per-round records with automatic decimation beyond a record cap.
 
@@ -124,12 +130,13 @@ class _TraceBuffer:
     round, so small runs retain full fidelity. Rounds arrive in order from
     1 with none skipped, so the kept rounds are exactly the multiples of
     the stride up to the last round, and the stride is a function of the
-    last round alone. Rows given one at a time (append) or materialized
-    (extend) are stored, thinned to the multiples of the stride, in a float
-    matrix of `limit` rows filled in place. A closed-form block instead
-    registers its rounds with a function of the block index that returns
-    their rows (defer); finalize evaluates it once, at the kept rounds of
-    the final stride.
+    last round alone. Rows given one at a time (append) are stored, thinned
+    to the multiples of the stride, in a float matrix of `limit` rows filled
+    in place. A closed-form block instead registers its rounds with a
+    function of the block index that returns their rows (defer); finalize
+    evaluates it once, at the kept rounds of the final stride. A block that
+    holds no multiple of the stride and not the last round is dropped, so at
+    most limit + 1 blocks are held.
     """
 
     def __init__(self, limit):
@@ -155,12 +162,15 @@ class _TraceBuffer:
         """Move the last round to t_last, thinning the stored rows to the
         multiples of the stride that round needs."""
         stride = self.stride_for(t_last)
-        if stride != self.stride and self.count:
-            ts = self.ts[:self.count]
-            keep = ts % stride == 0
-            n = int(np.count_nonzero(keep))
-            self.ts[:n], self.mat[:n] = ts[keep], self.mat[:self.count][keep]
-            self.count = n
+        if stride != self.stride:
+            if self.count:
+                ts = self.ts[:self.count]
+                keep = ts % stride == 0
+                n = int(np.count_nonzero(keep))
+                self.ts[:n] = ts[keep]
+                self.mat[:n] = self.mat[:self.count][keep]
+                self.count = n
+            self.pieces = [p for p in self.pieces if _holds_multiple(p, stride)]
         self.stride, self.t_last = stride, t_last
 
     def append(self, t, row):
@@ -173,25 +183,12 @@ class _TraceBuffer:
             self.count += 1
         self.final = row
 
-    def extend(self, ts, rows, final):
-        """Record the rounds after the last one up to final[0]. ts (int64,
-        ascending) and rows hold at least those of them that are multiples
-        of stride_for(final[0]); final is the (t, row) of the last round
-        whether or not it is kept."""
-        if self.mat is None:
-            self.mat = np.empty((self.limit, rows.shape[1]))
-        self._advance(final[0])
-        keep = ts % self.stride == 0
-        n = int(np.count_nonzero(keep))
-        self.ts[self.count:self.count + n] = ts[keep]
-        self.mat[self.count:self.count + n] = rows[keep]
-        self.count += n
-        self.final = final[1]
-
     def defer(self, t0, t_end, rows_at):
         """Record the rounds t0+1..t_end of a block whose rows, at an array
         of block indices j (round t0+1+j), are rows_at(j)."""
         self._advance(t_end)
+        if self.pieces and not _holds_multiple(self.pieces[-1], self.stride):
+            self.pieces.pop()  # it no longer holds the last round either
         self.pieces.append((t0, t_end, rows_at))
         self.final = None
 
