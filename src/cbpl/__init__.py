@@ -18,8 +18,9 @@ from .dataset import (Dataset, check_indices, collect, full_coverage_dataset,
 from .funcapprox import (FeatureMap, QFunction, fit_least_squares,
                          greedy_policy, one_hot_features)
 from .learner import (ConvergenceError, LearnerConfig, MixturePolicy,
-                      RunTrace, derandomize, lagrangian_max,
-                      regularization_grid, run, write_trace_csv)
+                      RunTrace, derandomize, exact_constrained_optimum,
+                      lagrangian_max, regularization_grid, run,
+                      write_trace_csv)
 from .mdp import (DeterministicPolicy, FROZENLAKE_8X8, StochasticPolicy,
                   TabularMdp, build_combination_lock, build_frozenlake,
                   build_random_mdp)
@@ -27,8 +28,7 @@ from .onlineopt import (DualVector, augmented_loss, eg_init, eg_regret_bound,
                         eg_update, ogd_init, ogd_update)
 from .ope import (OpeConfig, doubly_robust, ope_comparison, pdis,
                   weighted_doubly_robust, write_ope_report)
-from .oracle import (ExactSolver, exact_constrained_optimum,
-                     exact_policy_values, occupancy,
+from .oracle import (ExactSolver, exact_policy_values, occupancy,
                      performance_difference_check, value_iteration)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,11 +17,12 @@ from . import dataset as ds
 from .batchrl import CostSelector, fqe, fqi, lspi, lspi_policy
 from .funcapprox import QFunction, one_hot_features
 from .learner import (ConvergenceError, LearnerConfig, MixturePolicy,
-                      derandomize, run, write_trace_csv)
+                      derandomize, exact_constrained_optimum, run,
+                      write_trace_csv)
 from .mdp import DeterministicPolicy, build_frozenlake, FROZENLAKE_8X8
 from .onlineopt import EG_FLAVOR, OGD_FLAVOR
 from .ope import OpeConfig, ope_comparison, write_ope_report
-from .oracle import exact_constrained_optimum, exact_policy_values
+from .oracle import exact_policy_values
 
 # Fixed labels for deriving independent seed streams from the single --seed.
 _STREAM_COLLECT = 1
@@ -201,6 +202,14 @@ def _resolve_learn_config(args):
         subroutine_flavor=args.flavor, gamma=args.gamma)
 
 
+def _finish(trace, extra=""):
+    """Print the run's summary line, then extra; the exit code is 0 if the
+    run converged and 2 if not."""
+    print(f"rounds={trace.total_rounds} converged={trace.converged} "
+          f"final_gap={trace.gap[-1]:.6g}{extra}")
+    return 0 if trace.converged else 2
+
+
 def _cmd_learn(args):
     config = _resolve_learn_config(args)
     mdp = _load_map(args.map, args.gamma) if args.map else None
@@ -218,10 +227,7 @@ def _cmd_learn(args):
             save_policy(policy, args.policy_out)
         else:
             save_mixture(mixture, args.policy_out)
-    final_gap = float(trace.gap[-1]) if len(trace.gap) else float("nan")
-    print(f"rounds={trace.total_rounds} converged={trace.converged} "
-          f"final_gap={final_gap:.6g}")
-    return 0 if trace.converged else 2
+    return _finish(trace)
 
 
 def _fitted_common(args):
@@ -327,11 +333,7 @@ def _cmd_frozenlake_experiment(args):
                  (["learned_mixture", "behavior", "exact_constrained_optimum"],
                   [f"{c_mix:.6g}", f"{c_behavior:.6g}", opt[0]],
                   [f"{g_mix[0]:.6g}", f"{g_behavior[0]:.6g}", opt[1]]))
-    final_gap = float(trace.gap[-1]) if len(trace.gap) else float("nan")
-    print(f"rounds={trace.total_rounds} converged={trace.converged} "
-          f"final_gap={final_gap:.6g} exact_C={c_mix:.6g} "
-          f"exact_G={g_mix[0]:.6g}")
-    return 0 if trace.converged else 2
+    return _finish(trace, f" exact_C={c_mix:.6g} exact_G={g_mix[0]:.6g}")
 
 
 def build_parser():

@@ -9,7 +9,6 @@ and mixture files in cbpl.cli.
 """
 
 import bisect
-import collections
 import itertools
 import os
 
@@ -163,11 +162,14 @@ def _sentinel_cumsum(table):
 
 
 def make_frozenlake_behavior(mdp, epsilon_random):
-    """Mixture of uniform-random and BFS shortest-path-to-goal actions.
+    """Mixture of uniform-random and shortest-path-to-goal actions.
 
     pi(a|x) = epsilon/|A| + (1 - epsilon) * 1[a = shortest_path_action(x)].
     Shortest paths avoid holes; ties go to the lowest action index; states
-    with no hole-free path to a goal get a uniform row.
+    with no hole-free path to a goal get a uniform row. The path lengths are
+    the fixed point of dist(x) = 1 + min_a dist(succ(x, a)) over the states
+    that move (neither terminal nor holes), with goals at 0, found by
+    relaxing every state at once until nothing changes.
     """
     if not 0.0 <= epsilon_random <= 1.0:
         raise ValueError("epsilon_random must lie in [0, 1]")
@@ -176,38 +178,22 @@ def make_frozenlake_behavior(mdp, epsilon_random):
     if goals is None:
         raise ValueError("mdp does not carry gridworld metadata")
     S, A = mdp.num_states, mdp.num_actions
-    next_state = np.argmax(mdp.transition, axis=2)  # deterministic moves
+    succ = np.argmax(mdp.transition, axis=2)  # deterministic moves
+    moving = ~mdp.terminal_mask
+    moving[list(holes)] = False
+    dist = np.full(S, np.inf)
+    dist[list(goals)] = 0.0
+    while True:
+        relaxed = np.where(moving, dist[succ].min(axis=1) + 1.0, dist)
+        if np.array_equal(relaxed, dist):
+            break
+        dist = relaxed
 
-    # Multi-source BFS from the goals over reversed edges, never through holes.
-    dist = np.full(S, -1, dtype=np.int64)
-    queue = collections.deque()
-    for gstate in sorted(goals):
-        dist[gstate] = 0
-        queue.append(gstate)
-    predecessors = collections.defaultdict(list)
-    for x in range(S):
-        if mdp.terminal_mask[x]:
-            continue
-        for a in range(A):
-            predecessors[int(next_state[x, a])].append(x)
-    while queue:
-        y = queue.popleft()
-        for x in predecessors[y]:
-            if dist[x] < 0 and x not in holes:
-                dist[x] = dist[y] + 1
-                queue.append(x)
-
+    rows = np.flatnonzero(moving & (dist < np.inf))
+    first = dist[succ[rows]].argmin(axis=1)
     probs = np.full((S, A), 1.0 / A)
-    for x in range(S):
-        if mdp.terminal_mask[x] or dist[x] < 0:
-            continue
-        for a in range(A):
-            nx = int(next_state[x, a])
-            if nx not in holes and dist[nx] == dist[x] - 1:
-                row = np.full(A, epsilon_random / A)
-                row[a] += 1.0 - epsilon_random
-                probs[x] = row
-                break
+    probs[rows] = epsilon_random / A
+    probs[rows, first] += 1.0 - epsilon_random
     return StochasticPolicy(probs)
 
 
@@ -265,11 +251,9 @@ def full_coverage_dataset(mdp):
     """
     S, A = mdp.num_states, mdp.num_actions
     next_state = np.argmax(mdp.transition, axis=2)
-    rows = [(x, a) for x in range(S) if not mdp.terminal_mask[x] for a in range(A)]
-    xs = np.array([r[0] for r in rows], dtype=np.int64)
-    aa = np.array([r[1] for r in rows], dtype=np.int64)
+    xs, aa = np.nonzero(np.repeat(~mdp.terminal_mask[:, None], A, axis=1))
     nx = next_state[xs, aa]
-    n = len(rows)
+    n = len(xs)
     return Dataset(np.arange(n), np.zeros(n), xs, aa, nx,
                    mdp.cost_c[xs, aa], mdp.cost_g[xs, aa],
                    mdp.terminal_mask[nx], np.full(n, 1.0 / A))

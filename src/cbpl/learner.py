@@ -33,7 +33,7 @@ from .funcapprox import QFunction
 from .mdp import DeterministicPolicy
 from .onlineopt import (DualVector, EG_FLAVOR, OGD_FLAVOR, augmented_loss,
                         eg_init, eg_update, ogd_init, ogd_update)
-from .oracle import ExactSolver
+from .oracle import ExactSolver, exact_policy_values
 
 
 class ConvergenceError(RuntimeError):
@@ -54,6 +54,8 @@ class LearnerConfig:
     K_fqi: int = 100
     K_fqe: int = 100
     max_rounds: int = None
+    # Not read: the learner draws no random numbers. Kept for the callers
+    # that pass it, the benchmark's workloads among them.
     seed: int = 0
     dual_flavor: str = EG_FLAVOR
     subroutine_flavor: str = "fitted"
@@ -419,8 +421,10 @@ class _RunState:
 def run(dataset, config, mdp_handle=None):
     """Run the primal-dual game loop; returns (MixturePolicy, RunTrace)."""
     m = len(config.tau)
-    if dataset is not None and len(dataset) and dataset.m != m:
-        raise ValueError("dataset constraint count does not match tau")
+    solved, name = ((mdp_handle, "map") if config.subroutine_flavor == "exact"
+                    else (dataset, "dataset"))
+    if solved is not None and solved.m != m:
+        raise ValueError(f"{name} constraint count does not match tau")
     sub = _make_subroutine(dataset, config, mdp_handle)
     g_bar = _default_g_bar(dataset, mdp_handle, config)
     max_rounds = (config.max_rounds if config.max_rounds is not None
@@ -637,6 +641,22 @@ def regularization_grid(dataset, lams, config, mdp_handle=None):
         c_hat, g_hat = sub.evaluate(policy)
         out.append((lam, policy, c_hat, g_hat))
     return out
+
+
+def exact_constrained_optimum(mdp, tau, B, eta, omega, max_rounds=None):
+    """Constrained optimum via the primal-dual loop with exact subroutines.
+
+    Returns (C*, mixture). Raises ConvergenceError (with the partial mixture
+    attached) if the duality gap does not reach omega within the round cap.
+    """
+    config = LearnerConfig(B=B, eta=eta, omega=omega, tau=tau,
+                           subroutine_flavor="exact", max_rounds=max_rounds)
+    mixture, trace = run(None, config, mdp_handle=mdp)
+    if not trace.converged:
+        raise ConvergenceError("duality gap did not reach omega within the "
+                               "round cap", mixture=mixture, trace=trace)
+    c_star, _ = exact_policy_values(mdp, mixture)
+    return c_star, mixture
 
 
 def derandomize(mixture, tau):

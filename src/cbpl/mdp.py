@@ -166,42 +166,32 @@ def build_frozenlake(layout, gamma=0.95):
     """
     rows = _parse_layout(layout)
     R, C = len(rows), len(rows[0])
-    S = R * C
-    A = 4
-    holes = frozenset(r * C + c for r in range(R) for c in range(C) if rows[r][c] == "H")
-    goals = frozenset(r * C + c for r in range(R) for c in range(C) if rows[r][c] == "G")
-    start = next(r * C + c for r in range(R) for c in range(C) if rows[r][c] == "S")
-    terminal = holes | goals
+    joined = "".join(rows)
+    cells = np.array(list(joined))
+    S, x = len(cells), np.arange(len(cells))
+    moving = (cells != "G") & (cells != "H")
+    # Row and column offsets of the moves, in ACTION_* order.
+    dr, dc = np.array([(-1, 0), (1, 0), (0, 1), (0, -1)]).T
+    r, c = np.divmod(x, C)
+    nr, nc = r[:, None] + dr, c[:, None] + dc
+    stays = ~moving[:, None] | (nr < 0) | (nr >= R) | (nc < 0) | (nc >= C)
+    succ = np.where(stays, x[:, None], nr * C + nc)
 
-    transition = np.zeros((S, A, S))
-    cost_c = np.zeros((S, A))
-    cost_g = np.zeros((S, A, 1))
-    moves = {ACTION_NORTH: (-1, 0), ACTION_SOUTH: (1, 0),
-             ACTION_EAST: (0, 1), ACTION_WEST: (0, -1)}
-    for r in range(R):
-        for c in range(C):
-            x = r * C + c
-            if x in terminal:
-                transition[x, :, x] = 1.0
-                continue
-            for a, (dr, dc) in moves.items():
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < R and 0 <= nc < C:
-                    nx = nr * C + nc
-                else:
-                    nx = x
-                transition[x, a, nx] = 1.0
-                if nx in goals:
-                    cost_c[x, a] = -1.0
-                if nx in holes:
-                    cost_g[x, a, 0] = 1.0
-
-    initial = np.zeros(S)
-    initial[start] = 1.0
-    metadata = {"layout": tuple(rows), "grid_shape": (R, C), "start": start,
-                "goals": goals, "holes": holes}
-    return TabularMdp(transition, cost_c, cost_g, gamma, initial,
-                      terminal_states=terminal, metadata=metadata)
+    transition = np.zeros(succ.shape + (S,))
+    np.put_along_axis(transition, succ[:, :, None], 1.0, axis=2)
+    # The letter of the cell each move enters; a terminal cell's self-loop
+    # enters none and costs nothing.
+    entered = np.where(moving[:, None], cells[succ], "F")
+    cost_c = np.where(entered == "G", -1.0, 0.0)
+    cost_g = (entered == "H")[:, :, None].astype(float)
+    holes = frozenset(np.flatnonzero(cells == "H").tolist())
+    goals = frozenset(np.flatnonzero(cells == "G").tolist())
+    metadata = {"layout": tuple(rows), "grid_shape": (R, C),
+                "start": joined.index("S"), "goals": goals,
+                "holes": holes}
+    return TabularMdp(transition, cost_c, cost_g, gamma,
+                      (cells == "S").astype(float),
+                      terminal_states=holes | goals, metadata=metadata)
 
 
 # Standard 8x8 layout.

@@ -157,22 +157,3 @@ def performance_difference_check(mdp, policy):
     advantage = float(d_pi @ (q_under_pi - v_star))
     return abs((c_pi - c_star) - advantage / (1.0 - mdp.gamma))
 
-
-def exact_constrained_optimum(mdp, tau, B, eta, omega, max_rounds=None):
-    """Constrained optimum via the primal-dual loop with exact subroutines.
-
-    Returns (C*, mixture). Raises ConvergenceError (with the partial mixture
-    attached) if the duality gap does not reach omega within the round cap.
-    """
-    from .learner import LearnerConfig, run
-
-    config = LearnerConfig(B=B, eta=eta, omega=omega,
-                           tau=np.atleast_1d(np.asarray(tau, dtype=float)),
-                           subroutine_flavor="exact", max_rounds=max_rounds)
-    mixture, trace = run(None, config, mdp_handle=mdp)
-    if not trace.converged:
-        from .learner import ConvergenceError
-        raise ConvergenceError("duality gap did not reach omega within the "
-                               "round cap", mixture=mixture, trace=trace)
-    c_star, _ = exact_policy_values(mdp, mixture)
-    return c_star, mixture

@@ -12,15 +12,16 @@ import pytest
 from cbpl.batchrl import CostSelector, fqe, fqi, lspi, lspi_policy, lstdq
 from cbpl.dataset import collect, full_coverage_dataset, make_frozenlake_behavior
 from cbpl.funcapprox import QFunction, one_hot_features
-from cbpl.learner import LearnerConfig, derandomize, regularization_grid, run
+from cbpl.learner import (LearnerConfig, derandomize,
+                          exact_constrained_optimum, regularization_grid,
+                          run)
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy,
                       build_combination_lock, build_frozenlake,
                       build_random_mdp)
 from cbpl.onlineopt import eg_init, eg_regret_bound, eg_update
 from cbpl.ope import (OpeConfig, doubly_robust, ope_comparison, pdis)
-from cbpl.oracle import (ExactSolver, exact_constrained_optimum,
-                         exact_policy_values, performance_difference_check,
-                         value_iteration)
+from cbpl.oracle import (ExactSolver, exact_policy_values,
+                         performance_difference_check, value_iteration)
 
 from conftest import FROZENLAKE_4X4
 

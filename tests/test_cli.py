@@ -477,6 +477,10 @@ class TestErrorExitCodes:
         "data_is_a_directory": (
             ["fqe", "--data", "{dir}", "--map", "{map}",
              "--policy", "{policy}"], None, 1),
+        "learn_exact_tau_longer_than_map": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--tau",
+             "0.1,0.2", "--rounds", "3", "--policy-out", "{dir}/new.csv"],
+            None, 1),
         "zero_rounds": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "0"],
             None, 1),
@@ -508,6 +512,13 @@ class TestErrorExitCodes:
         assert len(err) == 1 and err[0].startswith("error:"), captured.err
         assert captured.out == ""
         assert not list(tmp_path.glob("new*"))
+
+    def test_tau_longer_than_map_names_the_constraint_count(self, map_file,
+                                                            capsys):
+        assert main(["learn", "--map", map_file, "--flavor", "exact",
+                     "--tau", "0.1,0.2", "--rounds", "3"]) == 1
+        assert capsys.readouterr().err == ("error: map constraint count does "
+                                           "not match tau\n")
 
 
 class TestOpeCompare:

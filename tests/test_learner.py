@@ -12,14 +12,14 @@ from cbpl.dataset import (collect, full_coverage_dataset,
                           make_frozenlake_behavior)
 from cbpl.funcapprox import FeatureMap, QFunction
 from cbpl.learner import (ConvergenceError, LearnerConfig, MixturePolicy,
-                          RunTrace, derandomize, lagrangian_max,
-                          regularization_grid, run, write_trace_csv)
+                          RunTrace, derandomize, exact_constrained_optimum,
+                          lagrangian_max, regularization_grid, run,
+                          write_trace_csv)
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock, build_random_mdp)
 from cbpl.onlineopt import (DualVector, EG_FLAVOR, OGD_FLAVOR,
                             augmented_loss, eg_init)
-from cbpl.oracle import (ExactSolver, exact_constrained_optimum,
-                         exact_policy_values)
+from cbpl.oracle import ExactSolver, exact_policy_values
 
 from conftest import collect_fl8
 
@@ -199,6 +199,22 @@ class TestRun:
         config = exact_config(tau=[0.1, 0.2])
         with pytest.raises(ValueError):
             run(fl8_dataset, config, mdp_handle=fl8)
+
+    # The exact flavor solves the map, the others the data; without data,
+    # a two-entry tau on the one-constraint map once reached a matmul.
+    @pytest.mark.parametrize("flavor,data,name", [
+        ("exact", False, "map"), ("fitted", True, "dataset"),
+        ("lspi", True, "dataset")])
+    def test_constraint_count_checked_against_what_is_solved(
+            self, fl8, fl8_dataset, flavor, data, name):
+        config = exact_config(tau=[0.1, 0.2], subroutine_flavor=flavor,
+                              max_rounds=3)
+        with pytest.raises(ValueError, match=f"^{name} constraint count "
+                                             f"does not match tau$"):
+            run(fl8_dataset if data else None, config, mdp_handle=fl8)
+        with pytest.raises(ValueError, match="map constraint count"):
+            exact_constrained_optimum(fl8, [0.1, 0.2], 30.0, 50.0, 0.05,
+                                      max_rounds=3)
 
     @staticmethod
     def assert_blocks_match_generic_loop(data, config, mdp, monkeypatch):

@@ -4,13 +4,12 @@ import pytest
 from cbpl.batchrl import CostSelector, EmpiricalModel, fqe, lstdq_policy
 from cbpl.dataset import collect, full_coverage_dataset
 from cbpl.funcapprox import QFunction, one_hot_features
-from cbpl.learner import ConvergenceError
+from cbpl.learner import ConvergenceError, exact_constrained_optimum
 from cbpl.mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
                       build_combination_lock, build_frozenlake,
                       build_random_mdp)
 from cbpl.ope import ope_comparison
-from cbpl.oracle import (ExactSolver, exact_constrained_optimum,
-                         exact_policy_values, occupancy,
+from cbpl.oracle import (ExactSolver, exact_policy_values, occupancy,
                          performance_difference_check, value_iteration)
 
 from conftest import mc_policy_values, one_state_mdp, two_state_chain
