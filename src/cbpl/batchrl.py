@@ -310,13 +310,15 @@ def lstdq(dataset, w, cost, features, gamma, ridge=1e-8):
 def lstdq_policy(dataset, policy, cost, features, gamma, ridge=1e-8):
     """LSTDQ in policy-evaluation form, successor actions a' = pi(x'), on
     the distinct rows of the data weighted by their counts. dataset: a
-    Dataset or its EmpiricalModel. Done samples contribute no successor
-    feature. The policy must be deterministic."""
+    nonempty Dataset or its EmpiricalModel. Done samples contribute no
+    successor feature. The policy must be deterministic."""
     if isinstance(policy, StochasticPolicy):
         raise ValueError("lstdq_policy needs a deterministic policy")
     check_policy(policy, *features.phi.shape[:2])
     check_ridge(ridge)
     model = _as_model(dataset)
+    if len(model) == 0:
+        raise ValueError("dataset is empty")
     check_indices(model, *features.phi.shape[:2])
     phi_all = features.phi
     phi = phi_all[model.x, model.a]

@@ -75,7 +75,10 @@ def _parse_cost(text):
     if text == "c":
         return CostSelector.primary()
     if text.startswith("g:"):
-        return CostSelector.constraint(int(text[2:]) - 1)
+        i = int(text[2:])
+        if i < 1:
+            raise ValidationError("cost g:<i> numbers constraints from 1")
+        return CostSelector.constraint(i - 1)
     if text.startswith("scalarized:"):
         lam = np.array([float(v) for v in text[len("scalarized:"):].split(",")])
         return CostSelector.scalarized(lam)

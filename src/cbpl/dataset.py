@@ -212,6 +212,8 @@ def check_indices(data, num_states, num_actions):
 def implied_shape(data):
     """The (S, A) of data read without a map: one past its largest state
     (x or x_next) and one past its largest action."""
+    if len(data) == 0:
+        raise ValueError("dataset is empty")
     return (int(max(data.x.max(), data.x_next.max())) + 1,
             int(data.a.max()) + 1)
 

@@ -132,24 +132,26 @@ class _TraceBuffer:
     round, so small runs retain full fidelity. Rounds arrive in order from
     1 with none skipped, so the kept rounds are exactly the multiples of
     the stride up to the last round, and the stride is a function of the
-    last round alone. Rows given one at a time (append) are stored, thinned
-    to the multiples of the stride, in a float matrix of `limit` rows filled
-    in place. A closed-form block instead registers its rounds with a
-    function of the block index that returns their rows (defer); finalize
-    evaluates it once, at the kept rounds of the final stride. A block that
-    holds no multiple of the stride and not the last round is dropped, so at
-    most limit + 1 blocks are held.
+    last round alone. Rows live in one float matrix of limit + 1 slots:
+    slot k holds the latest round recorded in (k stride, (k + 1) stride],
+    so a multiple of the stride is the last round to write its slot, and the
+    slot after the last multiple holds the last round. A row given one at a
+    time (append) is written to its slot; when the stride grows f-fold, slot
+    k takes old slot (k + 1) f - 1, for the slots up to the last appended
+    round. A closed-form block instead registers its rounds with a function
+    of the block index that returns their rows (defer); finalize evaluates
+    it once, into the slots of the final stride's kept rounds, and cuts the
+    matrix to those slots. A block that holds no multiple of the stride and
+    not the last round is dropped, so at most limit + 1 blocks are held.
     """
 
     def __init__(self, limit):
         self.limit = limit
         self.stride = 1
         self.t_last = 0
-        self.count = 0
-        self.ts = np.empty(self.limit, dtype=np.int64)
-        self.mat = None  # (limit, row width), allocated by the first row
+        self.t_appended = 0  # the last round given to append
+        self.mat = None  # (limit + 1, row width), allocated by the first row
         self.pieces = []  # (t0, t_end, rows_at) of each deferred block
-        self.final = None  # row of t_last, unless a deferred block holds it
 
     def stride_for(self, t_last):
         """The stride once every round up to t_last is recorded: the
@@ -161,29 +163,22 @@ class _TraceBuffer:
         return stride
 
     def _advance(self, t_last):
-        """Move the last round to t_last, thinning the stored rows to the
-        multiples of the stride that round needs."""
+        """Move the last round to t_last, carrying the appended rows to the
+        slots of the stride that round needs."""
         stride = self.stride_for(t_last)
         if stride != self.stride:
-            if self.count:
-                ts = self.ts[:self.count]
-                keep = ts % stride == 0
-                n = int(np.count_nonzero(keep))
-                self.ts[:n] = ts[keep]
-                self.mat[:n] = self.mat[:self.count][keep]
-                self.count = n
+            f, n = stride // self.stride, self.t_appended // stride
+            if n:
+                self.mat[:n] = self.mat[f - 1:n * f:f]
             self.pieces = [p for p in self.pieces if _holds_multiple(p, stride)]
         self.stride, self.t_last = stride, t_last
 
     def append(self, t, row):
         if self.mat is None:
-            self.mat = np.empty((self.limit, len(row)))
+            self.mat = np.empty((self.limit + 1, len(row)))
         self._advance(t)
-        if t % self.stride == 0:
-            self.ts[self.count] = t
-            self.mat[self.count] = row
-            self.count += 1
-        self.final = row
+        self.mat[(t - 1) // self.stride] = row
+        self.t_appended = t
 
     def defer(self, t0, t_end, rows_at):
         """Record the rounds t0+1..t_end of a block whose rows, at an array
@@ -192,36 +187,28 @@ class _TraceBuffer:
         if self.pieces and not _holds_multiple(self.pieces[-1], self.stride):
             self.pieces.pop()  # it no longer holds the last round either
         self.pieces.append((t0, t_end, rows_at))
-        self.final = None
 
     def finalize(self):
         """(rounds, rows) of the kept rounds: the multiples of the final
-        stride, then the last round."""
+        stride, then the last round. The rows are the matrix, cut in place
+        to them, so a kept trace holds no unused slot."""
         stride, t_last = self.stride, self.t_last
         ts = np.arange(stride, t_last + 1, stride, dtype=np.int64)
         if t_last % stride:
             ts = np.append(ts, t_last)
-        out = None
-
-        def place(at, rows):
-            nonlocal out
-            if out is None:
-                out = np.empty((len(ts), np.shape(rows)[-1]))
-            out[at] = rows
-
-        if self.count:
-            place(self.ts[:self.count] // stride - 1, self.mat[:self.count])
         for t0, t_end, rows_at in self.pieces:
-            first = t0 // stride + 1  # the first kept round is first * stride
-            j = np.arange(first * stride - t0 - 1, t_end - t0, stride,
+            k = t0 // stride  # the slot of the first kept round
+            j = np.arange((k + 1) * stride - t0 - 1, t_end - t0, stride,
                           dtype=float)
             if t_end == t_last and t_last % stride:
                 j = np.append(j, t_end - t0 - 1.0)
             if len(j):
-                place(slice(first - 1, first - 1 + len(j)), rows_at(j))
-        if self.final is not None and t_last % stride:
-            place(-1, self.final)
-        return ts, out
+                rows = rows_at(j)
+                if self.mat is None:
+                    self.mat = np.empty((self.limit + 1, rows.shape[1]))
+                self.mat[k:k + len(j)] = rows
+        self.mat.resize((len(ts), self.mat.shape[1]))
+        return ts, self.mat
 
 
 class _ExactSub:
@@ -445,11 +432,6 @@ def run(dataset, config, mdp_handle=None):
     min_streak = 2
     block_rounds = generic_rounds = 0
 
-    def record(t, lam_coords, c_t, g_t, c_mix, g_mix, l_max, l_min, l_mid):
-        row = np.concatenate([lam_coords, [c_t], g_t, [c_mix], g_mix,
-                              [l_max, l_min, l_mid, l_max - l_min]])
-        trace_buf.append(t, row)
-
     while state.t < max_rounds:
         # Closed-form block advance for steady EG/m=1 stretches of a
         # subroutine that solves its MDP exactly (the exact and lspi flavors).
@@ -483,7 +465,8 @@ def run(dataset, config, mdp_handle=None):
         l_min = c_til + float(lam_hat[:m] @ (g_til - tau))
         l_mid = c_mix + float(lam_hat[:m] @ (g_mix - tau))
         gap = l_max - l_min
-        record(t, lam.coords, c_t, g_t, c_mix, g_mix, l_max, l_min, l_mid)
+        trace_buf.append(t, np.concatenate([lam.coords, [c_t], g_t, [c_mix],
+                                            g_mix, [l_max, l_min, l_mid, gap]]))
         if gap <= omega:
             converged = True
             break

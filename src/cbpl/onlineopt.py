@@ -2,6 +2,7 @@
 online gradient descent with nonnegativity clip and l2-ball projection."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -23,7 +24,11 @@ class DualVector:
         if flavor not in (EG_FLAVOR, OGD_FLAVOR):
             raise ValueError(f"unknown dual flavor {flavor!r}")
         if flavor == EG_FLAVOR:
-            if np.any(self.coords <= 0) or abs(self.coords.sum() - self.budget) > 1e-9:
+            # The sum rounds at a scale that grows with the budget and the
+            # coordinate count; 1e-9 is the floor.
+            tol = max(1e-9, 8 * len(self.coords) * sys.float_info.epsilon
+                      * self.budget)
+            if np.any(self.coords <= 0) or abs(self.coords.sum() - self.budget) > tol:
                 raise ValueError("EG dual must be positive and sum to the budget")
         else:
             if np.any(self.coords < 0) or np.linalg.norm(self.coords) > self.budget + 1e-9:

@@ -3,6 +3,7 @@ import pytest
 
 from cbpl import (FROZENLAKE_8X8, build_frozenlake, collect,
                   make_frozenlake_behavior)
+from cbpl.dataset import Dataset
 from cbpl.learner import LearnerConfig, run
 from cbpl.mdp import TabularMdp
 
@@ -40,6 +41,12 @@ def assert_same_dataset(d1, d2):
                  "behavior_prob"):
         np.testing.assert_array_equal(getattr(d1, name), getattr(d2, name),
                                       err_msg=name)
+
+
+def empty_dataset(m):
+    """A dataset of zero rows and m constraint channels."""
+    z = np.zeros(0)
+    return Dataset(z, z, z, z, z, z, np.zeros((0, m)), z, z)
 
 
 def mc_policy_values(mdp, policy_probs, num_traj, horizon, rng):

@@ -12,7 +12,8 @@ from cbpl.mdp import (DeterministicPolicy, StochasticPolicy,
                       build_random_mdp)
 from cbpl.oracle import ExactSolver, exact_policy_values, value_iteration
 
-from conftest import FROZENLAKE_4X4, one_state_mdp, two_state_chain
+from conftest import (FROZENLAKE_4X4, empty_dataset, one_state_mdp,
+                      two_state_chain)
 
 
 def template_for(mdp):
@@ -802,6 +803,23 @@ class TestFittedInputChecks:
         with pytest.raises(ValueError, match="weights"):
             fqe(model, DeterministicPolicy([0, 1]), CostSelector.primary(),
                 5, template, gamma=0.9)
+
+    @pytest.mark.parametrize("as_model", [False, True])
+    def test_empty_dataset_raises(self, fl8, as_model):
+        # Without rows LSTDQ's system is ridge * I w = 0, which LSPI would
+        # report as converged at w = 0.
+        data = empty_dataset(1)
+        if as_model:
+            data = EmpiricalModel.from_dataset(data)
+        feats, cost = one_hot_features(fl8), CostSelector.primary()
+        policy = DeterministicPolicy(np.zeros(64, dtype=np.int64))
+        for solve in (
+                lambda: lstdq_policy(data, policy, cost, feats, fl8.gamma),
+                lambda: lstdq(data, np.zeros(feats.k), cost, feats, fl8.gamma),
+                lambda: lspi(data, cost, feats, fl8.gamma),
+                lambda: fqi(data, cost, 5, template_for(fl8), gamma=0.9)):
+            with pytest.raises(ValueError, match="^dataset is empty$"):
+                solve()
 
 
 class TestFqiTieBreaking:

@@ -356,6 +356,8 @@ class TestErrorExitCodes:
         # Not a dataset: a two-member mixture over the 16 states.
         "mixture": "member,weight,state,action\n" + "".join(
             f"{i},0.5,{x},{i}\n" for i in (0, 1) for x in range(16)),
+        # What `collect --trajs 0` writes.
+        "empty": _data_rows().splitlines()[0] + "\n",
     }
     # name: (argv with {map}, {data}, {policy}, {dir} and DATA_FILES
     #        placeholders, (attribute to replace, exception it raises) or
@@ -440,6 +442,16 @@ class TestErrorExitCodes:
         "learn_gamma_0": (
             ["learn", "--data", "{data}", "--gamma", "0", "--rounds", "3",
              "--policy-out", "{dir}/new.csv"], None, 1),
+        # LSTDQ would solve ridge * I w = 0; the shape guess has no row.
+        "lspi_empty_data": (
+            ["lspi", "--data", "{empty}", "--map", "{map}",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        "fqi_empty_data_without_map": (
+            ["fqi", "--data", "{empty}", "--policy-out", "{dir}/new.csv"],
+            None, 1),
+        "fqi_cost_g0": (
+            ["fqi", "--data", "{data}", "--map", "{map}", "--cost", "g:0",
+             "--policy-out", "{dir}/new.csv"], None, 1),
         "lspi_zero_iters": (
             ["lspi", "--data", "{data}", "--map", "{map}", "--iters", "0",
              "--policy-out", "{dir}/new.csv"], None, 1),
@@ -492,6 +504,12 @@ class TestErrorExitCodes:
             ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5"],
             ("cbpl.cli.run", ConvergenceError("gap did not reach omega")), 2),
     }
+    # The whole error line of the cases that name their fault.
+    ERROR_LINES = {
+        "lspi_empty_data": "error: dataset is empty",
+        "fqi_empty_data_without_map": "error: dataset is empty",
+        "fqi_cost_g0": "error: cost g:<i> numbers constraints from 1",
+    }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_exits_with_one_error_line(self, name, map_file, dataset_file,
@@ -510,6 +528,7 @@ class TestErrorExitCodes:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), captured.err
+        assert err[0] == self.ERROR_LINES.get(name, err[0])
         assert captured.out == ""
         assert not list(tmp_path.glob("new*"))
 

@@ -6,15 +6,17 @@ import pytest
 
 from cbpl.batchrl import CostSelector, fqe, fqi
 from cbpl.dataset import (Dataset, _sentinel_cumsum, check_indices, collect,
-                          draw_trajectories, full_coverage_dataset, load,
-                          make_frozenlake_behavior, save, subsample)
+                          draw_trajectories, full_coverage_dataset,
+                          implied_shape, load, make_frozenlake_behavior, save,
+                          subsample)
 from cbpl.funcapprox import QFunction
 from cbpl.mdp import (ACTION_EAST, DeterministicPolicy, StochasticPolicy,
                       as_stochastic, build_combination_lock, build_frozenlake,
                       build_random_mdp)
 from cbpl.ope import ope_comparison, pdis
 
-from conftest import FROZENLAKE_4X4, assert_same_dataset, one_state_mdp
+from conftest import (FROZENLAKE_4X4, assert_same_dataset, empty_dataset,
+                      one_state_mdp)
 
 
 def chain_dataset(traj_id, t, x, x_next):
@@ -22,12 +24,6 @@ def chain_dataset(traj_id, t, x, x_next):
     n = len(traj_id)
     return Dataset(traj_id, t, x, np.zeros(n), x_next, np.zeros(n),
                    np.zeros((n, 1)), np.zeros(n, dtype=bool), np.ones(n))
-
-
-def empty_dataset(m):
-    """A dataset of zero rows and m constraint channels."""
-    z = np.zeros(0)
-    return Dataset(z, z, z, z, z, z, np.zeros((0, m)), z, z)
 
 
 def reference_collect(mdp, behavior, num_trajectories, max_horizon, rng):
@@ -597,3 +593,9 @@ class TestCheckIndices:
         with pytest.raises(ValueError, match="a = 7"):
             fqi(self.two_steps(a=7, x_next=5), CostSelector.primary(), 10,
                 QFunction.tabular_zeros(16, 4), gamma=0.9)
+
+    def test_implied_shape(self):
+        assert implied_shape(self.two_steps(a=3, x_next=15)) == (16, 4)
+        # No row to take a largest index from.
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            implied_shape(empty_dataset(1))

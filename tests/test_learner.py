@@ -162,6 +162,13 @@ class TestRun:
         _, g = exact_policy_values(fl8, mixture)
         assert g[0] <= 0.1 + 1e-9
 
+    @pytest.mark.parametrize("B", [1e7, 1e12])
+    def test_large_dual_budget_keeps_the_eg_invariant(self, fl8, B):
+        # The EG coordinates sum to B only up to the rounding at B's scale.
+        _, trace = run(None, exact_config(B=B, max_rounds=50), mdp_handle=fl8)
+        assert trace.total_rounds == 50 and not trace.converged
+        np.testing.assert_allclose(trace.lambdas.sum(axis=1), B, rtol=1e-15)
+
     def test_sandwich_property_every_round(self, fl8):
         config = exact_config()
         _, trace = run(None, config, mdp_handle=fl8)

@@ -18,6 +18,19 @@ class TestDualVector:
         with pytest.raises(ValueError):
             DualVector([0.0, 3.0], 3.0, EG_FLAVOR)  # nonpositive coordinate
 
+    @pytest.mark.parametrize("B", [30.0, 1e7, 1e12])
+    def test_eg_sum_tolerance_scales_with_the_budget(self, B):
+        # One unit in the last place of B exceeds 1e-9 from B = 1e7 on; a
+        # relative error of 5e-7 still fails at every budget.
+        DualVector([B / 2, B / 2 + np.spacing(B)], B, EG_FLAVOR)
+        with pytest.raises(ValueError):
+            DualVector([B / 2, B / 2 * (1 + 1e-6)], B, EG_FLAVOR)
+
+    def test_eg_sum_tolerance_is_1e9_at_the_default_budget(self):
+        DualVector([15.0, 15.0 + 0.9e-9], 30.0, EG_FLAVOR)
+        with pytest.raises(ValueError):
+            DualVector([15.0, 15.0 + 1.1e-9], 30.0, EG_FLAVOR)
+
     def test_ogd_invariant_validation(self):
         DualVector([3.0, 4.0], 5.0, OGD_FLAVOR)
         with pytest.raises(ValueError):
