@@ -24,8 +24,10 @@ class CostSelector:
         if mode == "constraint" and (index is None or index < 0):
             raise ValueError("constraint mode needs a nonnegative index")
         if mode == "scalarized":
-            if self.lam is None or np.any(self.lam < 0):
-                raise ValueError("scalarized mode needs a nonnegative lam vector")
+            if self.lam is None or not np.all(
+                    (self.lam >= 0) & (self.lam < np.inf)):  # NaN fails
+                raise ValueError("scalarized mode needs a nonnegative, finite "
+                                 "lam vector")
 
     @classmethod
     def primary(cls):

@@ -154,9 +154,12 @@ def load_policy(path, num_states, num_actions, allow_mixture=True):
         raise ValidationError(f"policy file {path}: member {members[bad[0]]} "
                               f"has rows with weights {expected[bad[0]]} and "
                               f"{weights[bad[0]]}")
-    policies = [_policy_of_rows(states[inverse == j], actions[inverse == j],
-                                num_states, num_actions, path)
-                for j in range(len(first))]
+    # Each member's rows, in file order: one stable sort by member.
+    order = np.argsort(inverse, kind="stable")
+    ends = np.cumsum(np.bincount(inverse))[:-1]
+    policies = [_policy_of_rows(s, a, num_states, num_actions, path)
+                for s, a in zip(np.split(states[order], ends),
+                                np.split(actions[order], ends))]
     # Divided by the power of two at or above the largest weight, the sum of
     # finite weights stays finite; where the unscaled sum does not overflow,
     # every count is the one the unscaled weights give. The sum runs in the

@@ -78,9 +78,9 @@ class LearnerConfig:
 class MixturePolicy:
     """Uniform mixture over best-response policies.
 
-    Stored run-length encoded: unique consecutive policies with counts.
-    weights are counts / total rounds; member value estimates align with
-    members.
+    One member per distinct policy, in the order the policies first
+    appear, with the number of rounds that played it as its count. weights
+    are counts / total rounds; member value estimates align with members.
     """
 
     def __init__(self, members, counts, member_c_hat, member_g_hat):
@@ -386,20 +386,14 @@ class _RunState:
         self.sum_c = 0.0
         self.sum_g = np.zeros(m)
         self.sum_lam = np.zeros(dim)
-        self.members = []
-        self.counts = []
-        self.member_c = []
-        self.member_g = []
+        # A policy's action bytes -> [policy, count, C_hat, G_hat], in the
+        # order the policies first appear.
+        self.members = {}
 
     def add_member(self, policy, c_hat, g_hat, repeat=1):
-        key = policy.actions.tobytes()
-        if self.members and self.members[-1].actions.tobytes() == key:
-            self.counts[-1] += repeat
-        else:
-            self.members.append(policy)
-            self.counts.append(repeat)
-            self.member_c.append(c_hat)
-            self.member_g.append(g_hat)
+        member = self.members.setdefault(policy.actions.tobytes(),
+                                         [policy, 0, c_hat, g_hat])
+        member[1] += repeat
         self.t += repeat
         self.sum_c += repeat * c_hat
         self.sum_g += repeat * g_hat
@@ -483,22 +477,18 @@ def run(dataset, config, mdp_handle=None):
             lam = ogd_update(lam, g_t - tau, eta)
 
     ts, mat = trace_buf.finalize()
-    lam_cols = mat[:, :dim]
-    c_member = mat[:, dim]
-    g_member = mat[:, dim + 1:dim + 1 + m]
-    c_mix_col = mat[:, dim + 1 + m]
-    g_mix_col = mat[:, dim + 2 + m:dim + 2 + 2 * m]
-    tail = mat[:, dim + 2 + 2 * m:]
+    # The row layout: lambda, C_t, G_t, C_mix, G_mix, L_max, L_min, L_mid, gap.
+    lams, c_t, g_t, c_mix, g_mix, l_max, l_min, l_mid, gap = np.split(
+        mat, np.cumsum([dim, 1, m, 1, m, 1, 1, 1]), axis=1)
     trace = RunTrace(
-        rounds=ts, lambdas=lam_cols, c_hat_member=c_member,
-        g_hat_member=g_member, c_hat_mix=c_mix_col, g_hat_mix=g_mix_col,
-        l_max=tail[:, 0], l_min=tail[:, 1], l_mid=tail[:, 2], gap=tail[:, 3],
+        rounds=ts, lambdas=lams, c_hat_member=c_t[:, 0], g_hat_member=g_t,
+        c_hat_mix=c_mix[:, 0], g_hat_mix=g_mix, l_max=l_max[:, 0],
+        l_min=l_min[:, 0], l_mid=l_mid[:, 0], gap=gap[:, 0],
         converged=converged,
         termination_reason="gap <= omega" if converged else "max_rounds reached",
         total_rounds=state.t, stride=trace_buf.stride,
         block_rounds=block_rounds, generic_rounds=generic_rounds)
-    mixture = MixturePolicy(state.members, state.counts,
-                            state.member_c, state.member_g)
+    mixture = MixturePolicy(*zip(*state.members.values()))
     return mixture, trace
 
 
@@ -521,7 +511,7 @@ def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
     # The certified pi~ has til_bytes, and exact evaluations are cached by
     # policy, so its values are the ones the signature recorded.
     c_til, w_til = prev_sig[4], prev_sig[5][0] - tau
-    pi_t = state.members[-1]
+    pi_t = state.members[pi_bytes][0]
     c_t, g_t = sub.evaluate(pi_t)
     exponent = eta * augmented_loss(g_t, config.tau)  # per-round log-multiplier
 

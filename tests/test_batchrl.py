@@ -52,6 +52,12 @@ class TestCostSelector:
         with pytest.raises(ValueError):
             CostSelector.scalarized([-1.0])
 
+    @pytest.mark.parametrize("lam", [[np.nan], [np.inf], [0.5, np.nan],
+                                     [-np.inf]])
+    def test_scalarized_weights_must_be_finite(self, lam):
+        with pytest.raises(ValueError, match="nonnegative, finite lam"):
+            CostSelector.scalarized(lam)
+
 
 class TestFqe:
     def test_two_state_chain_geometric_value(self):

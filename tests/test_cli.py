@@ -452,6 +452,12 @@ class TestErrorExitCodes:
         "fqi_cost_g0": (
             ["fqi", "--data", "{data}", "--map", "{map}", "--cost", "g:0",
              "--policy-out", "{dir}/new.csv"], None, 1),
+        "fqi_cost_scalarized_nan": (
+            ["fqi", "--data", "{data}", "--map", "{map}", "--cost",
+             "scalarized:nan", "--policy-out", "{dir}/new.csv"], None, 1),
+        "fqe_cost_scalarized_inf": (
+            ["fqe", "--data", "{data}", "--map", "{map}", "--policy",
+             "{policy}", "--cost", "scalarized:inf"], None, 1),
         "lspi_zero_iters": (
             ["lspi", "--data", "{data}", "--map", "{map}", "--iters", "0",
              "--policy-out", "{dir}/new.csv"], None, 1),
@@ -509,6 +515,10 @@ class TestErrorExitCodes:
         "lspi_empty_data": "error: dataset is empty",
         "fqi_empty_data_without_map": "error: dataset is empty",
         "fqi_cost_g0": "error: cost g:<i> numbers constraints from 1",
+        "fqi_cost_scalarized_nan": ("error: scalarized mode needs a "
+                                    "nonnegative, finite lam vector"),
+        "fqe_cost_scalarized_inf": ("error: scalarized mode needs a "
+                                    "nonnegative, finite lam vector"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -667,6 +677,37 @@ class TestPolicyFileRoundTrips:
         save_mixture(thirds, path)
         assert path.read_bytes() == reference_mixture_text(thirds).encode()
         assert "0,0.66666666666666663,0,0\n" in path.read_text()
+
+    def test_interleaved_member_rows_load_as_contiguous(self, tmp_path):
+        # Members 5, 2 and 9 over four states, their rows one member after
+        # another and then shuffled.
+        rows = [f"{i},{w},{x},{(i + x) % 4}\n"
+                for i, w in ((5, 0.5), (2, 0.25), (9, 0.25)) for x in range(4)]
+        shuffled = [rows[k] for k in np.random.default_rng(0).permutation(12)]
+        loaded = []
+        for name, body in (("c.csv", rows), ("s.csv", shuffled)):
+            path = tmp_path / name
+            path.write_text("member,weight,state,action\n" + "".join(body))
+            loaded.append(load_policy(str(path), 4, 4))
+        contiguous, interleaved = loaded
+        assert contiguous.counts.tolist() == [250000000, 500000000, 250000000]
+        assert interleaved.counts.tolist() == contiguous.counts.tolist()
+        for a, b, i in zip(contiguous.members, interleaved.members, (2, 5, 9)):
+            assert a.actions.tolist() == b.actions.tolist()
+            assert a.actions.tolist() == [(i + x) % 4 for x in range(4)]
+
+    def test_many_member_mixture(self, tmp_path):
+        rng = np.random.default_rng(0)
+        actions = rng.integers(0, 4, (2000, 64))
+        counts = rng.integers(1, 50, 2000)
+        mixture = MixturePolicy([DeterministicPolicy(a) for a in actions],
+                                counts, [0.0] * 2000, [np.zeros(1)] * 2000)
+        path = tmp_path / "m.csv"
+        save_mixture(mixture, path)
+        loaded = load_policy(str(path), 64, 4)
+        assert np.array_equal([p.actions for p in loaded.members], actions)
+        np.testing.assert_allclose(loaded.weights, mixture.weights,
+                                   rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("weights,counts", [
         # 1e308 + 1e308 overflows; unscaled, all three loaded as 1/3.

@@ -310,6 +310,69 @@ class TestRun:
             assert np.array_equal(a.actions, b.actions)
 
 
+class RunLengthState(learner_mod._RunState):
+    """The member layout the per-policy records replaced: one record per run
+    of equal consecutive policies, so a policy that returns after another
+    gets a record of its own again."""
+
+    def add_member(self, policy, c_hat, g_hat, repeat=1):
+        last = self.members.get(len(self.members) - 1)
+        if last is not None and np.array_equal(last[0].actions,
+                                               policy.actions):
+            last[1] += repeat
+        else:
+            self.members[len(self.members)] = [policy, repeat, c_hat, g_hat]
+        self.t += repeat
+        self.sum_c += repeat * c_hat
+        self.sum_g += repeat * g_hat
+
+
+class TestMixtureRecords:
+    # OGD with two constraints on a random MDP: the best responses keep
+    # alternating among 10 policies, in 2,524 runs over these 3,000 rounds.
+    CONFIG = dict(B=5.0, eta=0.05, omega=1e-9, tau=[0.3, 0.3],
+                  dual_flavor="ogd", max_rounds=3000)
+
+    @pytest.fixture(scope="class")
+    def alternating(self):
+        mdp = build_random_mdp(8, 3, 2, 3)
+        return mdp, run(None, exact_config(**self.CONFIG), mdp_handle=mdp)
+
+    def test_one_member_per_policy(self, alternating):
+        _, (mixture, trace) = alternating
+        keys = [p.actions.tobytes() for p in mixture.members]
+        assert len(set(keys)) == len(keys) == 10
+        assert not trace.converged and trace.total_rounds == 3000
+        assert mixture.counts.sum() == trace.total_rounds
+
+    def test_members_group_the_run_length_records(self, alternating,
+                                                  monkeypatch):
+        mdp, (mixture, trace) = alternating
+        monkeypatch.setattr(learner_mod, "_RunState", RunLengthState)
+        runs, runs_trace = run(None, exact_config(**self.CONFIG),
+                               mdp_handle=mdp)
+        assert len(runs.members) == 2524
+        for name in TRACE_ARRAYS:
+            assert np.array_equal(getattr(trace, name),
+                                  getattr(runs_trace, name)), name
+        grouped = {}
+        for policy, count, c, g in zip(runs.members, runs.counts,
+                                       runs.member_c_hat, runs.member_g_hat):
+            record = grouped.setdefault(policy.actions.tobytes(), [0, c, g])
+            record[0] += count
+            assert record[1] == c and np.array_equal(record[2], g)
+        assert list(grouped) == [p.actions.tobytes() for p in mixture.members]
+        for policy, count, c, g in zip(mixture.members, mixture.counts,
+                                       mixture.member_c_hat,
+                                       mixture.member_g_hat):
+            want_count, want_c, want_g = grouped[policy.actions.tobytes()]
+            assert count == want_count and c == want_c
+            assert np.array_equal(g, want_g)
+        tau = self.CONFIG["tau"]
+        assert np.array_equal(derandomize(mixture, tau)[0].actions,
+                              derandomize(runs, tau)[0].actions)
+
+
 # The chunk length of reference_block_advance; its results do not depend on it.
 REFERENCE_CHUNK = 1 << 15
 
@@ -325,7 +388,7 @@ def reference_block_advance(state, sub, lam, prev_sig, config, trace_buf,
     # The certified pi~ has til_bytes, and exact evaluations are cached by
     # policy, so its values are the ones the signature recorded.
     c_til, g_til0 = prev_sig[4], prev_sig[5][0]
-    pi_t = state.members[-1]
+    pi_t = state.members[pi_bytes][0]
     c_t, g_t = sub.evaluate(pi_t)
     z = augmented_loss(g_t, tau)
     exponent = eta * z  # per-round log-multiplier
