@@ -85,36 +85,31 @@ class EmpiricalModel:
 
     @classmethod
     def from_dataset(cls, dataset):
-        """Group equal rows with one lexsort on (packed index key, c, g) and
-        adjacent differences."""
+        """Group equal rows: rank the packed index key densely through a
+        table over its span, and keep that grouping when c and g are
+        constant under each key. A cost that varies under one key (a NaN
+        among them) or a key span beyond the sample count falls back to one
+        lexsort on (packed key, c, g) and adjacent differences. Both give
+        the rows, order and counts of a lexsort over all columns."""
         return cls._grouped(dataset)[0]
 
     @classmethod
     def with_row_ids(cls, dataset):
         """from_dataset's model and, for every sample, the index of the
         model row it falls in."""
-        model, order, new_row = cls._grouped(dataset)
-        row_ids = np.empty(len(order), dtype=np.int64)
-        row_ids[order] = np.cumsum(new_row) - 1
-        return model, row_ids
+        return cls._grouped(dataset)
 
     @classmethod
     def _grouped(cls, dataset):
-        keys = [_packed_key((dataset.x, dataset.a, dataset.x_next,
-                             dataset.done)), dataset.c, *dataset.g.T]
-        order = np.lexsort(keys[::-1])
-        new_row = np.zeros(len(order), dtype=bool)
-        new_row[:1] = True
-        for key in keys:
-            key = key[order]
-            new_row[1:] |= key[1:] != key[:-1]
-        first = np.flatnonzero(new_row)
-        count = np.diff(np.append(first, len(order)))
-        rows = order[first]
+        key, span = _packed_key((dataset.x, dataset.a, dataset.x_next,
+                                 dataset.done))
+        costs = (dataset.c, *dataset.g.T)
+        rows, count, row_ids = (_dense_grouping(key, span, costs)
+                                or _lexsort_grouping([key, *costs]))
         model = cls(dataset.x[rows], dataset.a[rows], dataset.x_next[rows],
                     dataset.done[rows], dataset.c[rows], dataset.g[rows],
                     count, dataset.x[dataset.t == 0])
-        return model, order, new_row
+        return model, row_ids
 
     def restrict(self, row_ids, starts):
         """The model of the samples whose model rows are row_ids, with t = 0
@@ -166,14 +161,15 @@ class EmpiricalModel:
 
 def _packed_key(columns):
     """One int64 per row that orders the rows as the tuple of their integer
-    columns does: each column offset by its minimum, in mixed radix of the
-    column spans. Built in place in one array (int64 wraparound in the
+    columns does, and the span of those keys: each column offset by its
+    minimum, in mixed radix of the column spans, so every key lies in
+    [0, span). Built in place in one array (int64 wraparound in the
     intermediate steps cancels out, since every final key fits). Raises
     ValueError if the product of the spans does not fit int64."""
     key = np.zeros(len(columns[0]), dtype=np.int64)
-    if len(key) == 0:
-        return key
     size = 1
+    if len(key) == 0:
+        return key, size
     for col in columns:
         lo = int(col.min())
         span = int(col.max()) - lo + 1
@@ -184,7 +180,47 @@ def _packed_key(columns):
         key *= span
         key += col
         key -= lo
-    return key
+    return key, size
+
+
+def _dense_grouping(key, span, costs):
+    """(rows, counts, row ids) of the samples grouped by key alone, or None
+    where that is not the grouping of a lexsort on (key, costs): some cost
+    column differs from its group's first sample (a NaN never equals), or
+    the span of the keys exceeds the sample count. The rank table has span
+    entries, so it is never larger than one sample column. Rows are each
+    group's first sample, in key order, as the stable lexsort picks them."""
+    n = len(key)
+    if span > n:
+        return None
+    table = np.zeros(span, dtype=np.int64)
+    table[key] = 1
+    np.cumsum(table, out=table)
+    row_ids = table[key]
+    row_ids -= 1
+    groups = int(table[-1])
+    rows = np.full(groups, n)
+    np.minimum.at(rows, row_ids, np.arange(n))
+    for col in costs:
+        if not np.array_equal(col, col[rows][row_ids]):
+            return None
+    return rows, np.bincount(row_ids, minlength=groups), row_ids
+
+
+def _lexsort_grouping(keys):
+    """(rows, counts, row ids) of one lexsort on keys, the first primary,
+    and adjacent differences: rows are each group's first sample in sorted
+    order."""
+    order = np.lexsort(keys[::-1])
+    new_row = np.zeros(len(order), dtype=bool)
+    new_row[:1] = True
+    for key in keys:
+        key = key[order]
+        new_row[1:] |= key[1:] != key[:-1]
+    first = np.flatnonzero(new_row)
+    row_ids = np.empty(len(order), dtype=np.int64)
+    row_ids[order] = np.cumsum(new_row) - 1
+    return order[first], np.diff(np.append(first, len(order))), row_ids
 
 
 def _as_model(data):

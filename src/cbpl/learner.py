@@ -23,6 +23,7 @@ when the run ends, at the rounds the final trace stride keeps.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,7 +208,10 @@ class _TraceBuffer:
                 if self.mat is None:
                     self.mat = np.empty((self.limit + 1, rows.shape[1]))
                 self.mat[k:k + len(j)] = rows
-        self.mat.resize((len(ts), self.mat.shape[1]))
+        # No view of mat outlives _advance (its slices are temporaries), so
+        # nothing else sees the cut. refcheck=False: under a trace or profile
+        # hook (cProfile, debuggers, coverage) the reference count is higher.
+        self.mat.resize((len(ts), self.mat.shape[1]), refcheck=False)
         return ts, self.mat
 
 
@@ -310,11 +314,12 @@ def _default_g_bar(dataset, mdp_handle, config):
 
 
 def default_max_rounds(B, g_bar, omega, m):
-    """Round cap 16 B^2 Gbar^2 log(m+1) / omega^2 from the convergence bound."""
+    """Round cap 16 B^2 Gbar^2 log(m+1) / omega^2 from the convergence bound;
+    inf where that overflows."""
     if m < 1 or g_bar <= 0:
         return 1000
-    return int(math.ceil(16.0 * B * B * g_bar * g_bar * math.log(m + 1)
-                         / (omega * omega)))
+    cap = 16.0 * B * B * g_bar * g_bar * math.log(m + 1) / (omega * omega)
+    return int(math.ceil(cap)) if cap < math.inf else math.inf
 
 
 # Up to this |logit step| multiplier sums come from Euler-Maclaurin (within
@@ -411,6 +416,11 @@ def run(dataset, config, mdp_handle=None):
     max_rounds = (config.max_rounds if config.max_rounds is not None
                   else default_max_rounds(config.B, g_bar, config.omega, m))
     B, eta, omega, tau = config.B, config.eta, config.omega, config.tau
+    # The multiplier sums add up to max_rounds multipliers of at most B each
+    # (an int and a float compare exactly, so a huge cap cannot overflow).
+    if max_rounds > sys.float_info.max / B:
+        raise ValueError(f"B = {B:g} times the round cap {max_rounds} is not "
+                         f"a finite number")
     is_eg = config.dual_flavor == EG_FLAVOR
     lam = eg_init(m, B) if is_eg else ogd_init(m, B)
     dim = len(lam.coords)

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cbpl.batchrl as batchrl
 
 from cbpl.batchrl import (CostSelector, EmpiricalModel, fqe, fqi, lspi,
                           lspi_policy, lstdq, lstdq_policy)
@@ -481,10 +485,28 @@ def repeated_rows_dataset(m, seed, low=0):
         pick([0.0, -0.0, 2.0], (n, m)), rng.random(n) < 0.3)
 
 
+def key_determined_dataset(n, seed, bump=None):
+    """n one-step rows over 5 states and 2 actions whose costs are functions
+    of (x, a), signed zeros among them: every key's samples share their
+    costs, and the key span (100) is below n, so grouping sorts nothing.
+    The c of sample bump, if given, is raised by 1."""
+    rng = np.random.default_rng(seed)
+    x, a = rng.integers(0, 5, size=n), rng.integers(0, 2, size=n)
+    c = np.array([0.0, -0.0, 1.5, 0.0, 2.0])[x] * (1 - a)
+    if bump is not None:
+        c[bump] += 1.0
+    g = np.column_stack([np.where(x == 1, -0.0, 0.0), a * 2.0])
+    return one_step_dataset(x, a, (x + a) % 5, c, g, x == 4)
+
+
+COSTS = st.sampled_from([0.0, -0.0, 1.5, np.nan])
+
+
 class TestGroupingMatchesSixKeyLexsort:
-    """from_dataset and with_row_ids, grouped by one packed index key, give
-    the rows, row order, counts and row ids of a lexsort over all six
-    columns."""
+    """from_dataset and with_row_ids, grouped by dense ranks of one packed
+    index key or, where the costs vary under a key or the key span exceeds
+    the sample count, by one lexsort, give the rows, row order, counts and
+    row ids of a lexsort over all six columns."""
 
     CASES = {
         "m_0": lambda: repeated_rows_dataset(0, 1),
@@ -501,7 +523,33 @@ class TestGroupingMatchesSixKeyLexsort:
             [1 - 2 ** 63, -2 ** 63, -2 ** 63], [0, 1, 0],
             [-2 ** 63, 5 - 2 ** 63, -2 ** 63], [0.5] * 3, np.zeros((3, 1)),
             [True, False, True]),
+        "key_determined_costs": lambda: key_determined_dataset(400, 4),
+        # One sample's c differs under its key, in a dataset that passes
+        # the span bound: the dense ranks are found and then given up.
+        "varying_cost_under_one_key": lambda: key_determined_dataset(
+            400, 5, bump=7),
+        # NaN equals nothing, itself included: each NaN sample is a row.
+        "nan_costs": lambda: one_step_dataset(
+            [0] * 6, [1] * 6, [2] * 6, [np.nan, 1.0, np.nan, 1.0, 1.0, 1.0],
+            [[0.0], [0.0], [0.0], [np.nan], [np.nan], [0.0]], [False] * 6),
+        "nan_beside_a_number_under_one_key": lambda: one_step_dataset(
+            [0, 1, 1, 0], [0, 0, 0, 0], [1, 0, 0, 1], [0.5, 1.0, 1.0, 0.5],
+            [[0.0], [np.nan], [0.0], [0.0]], [False] * 4),
+        "nan_in_a_group_of_one": lambda: one_step_dataset(
+            [0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 1, 1], [0.5, 1.0, 0.5, 0.5],
+            [[0.0], [np.nan], [0.0], [0.0]], [False] * 4),
+        # States 0 and 10^9: a key span far beyond the 3 samples.
+        "span_beyond_samples": lambda: one_step_dataset(
+            [10 ** 9, 0, 10 ** 9], [0, 0, 0], [0, 10 ** 9, 0],
+            [1.0, 2.0, 1.0], np.zeros((3, 1)), [False, False, False]),
     }
+    # Whether each case falls back to the lexsort.
+    LEXSORTED = {"m_0": True, "m_3": True, "negative_states": True,
+                 "empty": True, "int64_max_actions": False,
+                 "int64_min_states": True, "key_determined_costs": False,
+                 "varying_cost_under_one_key": True, "nan_costs": True,
+                 "nan_beside_a_number_under_one_key": True,
+                 "nan_in_a_group_of_one": True, "span_beyond_samples": True}
 
     @staticmethod
     def assert_matches(data):
@@ -512,14 +560,23 @@ class TestGroupingMatchesSixKeyLexsort:
             for col in ("x", "a", "x_next", "done", "c", "g"):
                 assert (getattr(built, col).tobytes()
                         == getattr(data, col)[rows].tobytes()), col
-            assert np.array_equal(built.count, count)
+            assert built.count.tobytes() == count.astype(float).tobytes()
             assert np.array_equal(built.starts, data.x[data.t == 0])
-        assert np.array_equal(got_ids, row_ids)
+        assert got_ids.dtype == np.int64
+        assert got_ids.tobytes() == row_ids.tobytes()
         return model
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_case(self, name):
-        self.assert_matches(self.CASES[name]())
+    def test_case(self, name, monkeypatch):
+        calls = []
+        lexsort = batchrl._lexsort_grouping
+        monkeypatch.setattr(batchrl, "_lexsort_grouping",
+                            lambda keys: calls.append(1) or lexsort(keys))
+        model = self.assert_matches(self.CASES[name]())
+        assert bool(calls) == self.LEXSORTED[name]
+        if name == "nan_costs":
+            # Rows 0 and 2 (NaN c), 3 and 4 (NaN g) stay apart; 1 and 5 merge.
+            assert list(model.count) == [2, 1, 1, 1, 1]
 
     def test_frozenlake_and_shuffled(self, fl8_dataset):
         for data in (fl8_dataset, shuffled_trajectories(fl8_dataset, 0)):
@@ -540,6 +597,29 @@ class TestGroupingMatchesSixKeyLexsort:
                       EmpiricalModel.with_row_ids):
             with pytest.raises(ValueError, match="span"):
                 group(data)
+
+    # Up to 40 rows over up to 60 states, so the key span falls on both
+    # sides of the sample count; half the draws give every key one set of
+    # costs, so both paths are taken.
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_datasets(self, data):
+        m = data.draw(st.integers(0, 2), label="m")
+        states = data.draw(st.integers(1, 3) | st.integers(4, 60),
+                           label="states")
+        index = st.integers(0, states - 1)
+        rows = data.draw(st.lists(
+            st.tuples(index, st.integers(0, 1), index, st.booleans(), COSTS,
+                      st.tuples(*[COSTS] * m)), max_size=40), label="rows")
+        if data.draw(st.booleans(), label="costs_by_key"):
+            first = {}
+            rows = [r[:4] + first.setdefault(r[:4], r[4:]) for r in rows]
+        cols = list(zip(*rows)) or [()] * 6
+        g = np.array(cols[5], dtype=float).reshape(len(rows), m)
+        self.assert_matches(one_step_dataset(
+            np.array(cols[0], dtype=np.int64), np.array(cols[1], dtype=np.int64),
+            np.array(cols[2], dtype=np.int64), np.array(cols[4], dtype=float),
+            g, np.array(cols[3], dtype=bool)))
 
 
 class TestEmpiricalMdp:

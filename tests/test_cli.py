@@ -1,4 +1,5 @@
 import filecmp
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +500,11 @@ class TestErrorExitCodes:
             ["learn", "--map", "{map}", "--flavor", "exact", "--tau",
              "0.1,0.2", "--rounds", "3", "--policy-out", "{dir}/new.csv"],
             None, 1),
+        # 50 rounds of multipliers up to 1e308 would overflow their sum.
+        "dual_budget_overflows": (
+            ["learn", "--map", "{map}", "--flavor", "exact", "--tau", "0.1",
+             "--rounds", "50", "--B", "1e308", "--policy-out",
+             "{dir}/new.csv"], None, 1),
         "zero_rounds": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "0"],
             None, 1),
@@ -519,6 +525,8 @@ class TestErrorExitCodes:
                                     "nonnegative, finite lam vector"),
         "fqe_cost_scalarized_inf": ("error: scalarized mode needs a "
                                     "nonnegative, finite lam vector"),
+        "dual_budget_overflows": ("error: B = 1e+308 times the round cap 50 "
+                                  "is not a finite number"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -541,6 +549,19 @@ class TestErrorExitCodes:
         assert err[0] == self.ERROR_LINES.get(name, err[0])
         assert captured.out == ""
         assert not list(tmp_path.glob("new*"))
+
+    # It once played its rounds to an overflow warning and exit 2; a budget
+    # of 1e7 still plays them.
+    @pytest.mark.parametrize("B, code", [("1e308", 1), ("1e7", 2)])
+    def test_dual_budget_is_checked_before_any_round(self, B, code, map_file,
+                                                     capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["learn", "--map", map_file, "--flavor", "exact",
+                         "--tau", "0.1", "--rounds", "50", "--B", B]) == code
+        err = capsys.readouterr().err
+        assert (err.startswith("error: B = 1e+308") if code == 1
+                else err == "")
 
     def test_tau_longer_than_map_names_the_constraint_count(self, map_file,
                                                             capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -748,6 +749,43 @@ def fill_trace(limit, segments):
     return buf, t
 
 
+class TestUnderHooks:
+    """Under a trace or profile hook (debuggers, coverage, cProfile),
+    ndarray.resize counts one more reference to the arrays a frame holds; a
+    run under one must return the run without it."""
+
+    @pytest.mark.parametrize("hook", ["trace", "profile"])
+    @pytest.mark.parametrize("flavor", ["exact", "fitted"])
+    def test_hooked_run_matches_unhooked(self, hook, flavor, fl8,
+                                         small_fitted):
+        if flavor == "exact":  # one closed-form block, converging at 83,193
+            data, config = None, exact_config(eta=0.005, max_rounds=100_000)
+        else:
+            data, config = small_fitted[:2]
+        ref_mixture, ref = run(data, config, mdp_handle=fl8)
+        get, set_hook = (sys.gettrace, sys.settrace) if hook == "trace" else (
+            sys.getprofile, sys.setprofile)
+        before = get()
+        set_hook(lambda frame, event, arg: None)
+        try:
+            mixture, trace = run(data, config, mdp_handle=fl8)
+        finally:
+            set_hook(before)
+        assert (ref.block_rounds > 0) == (flavor == "exact")
+        for field in TRACE_ARRAYS:
+            assert (getattr(trace, field).tobytes()
+                    == getattr(ref, field).tobytes()), field
+        for field in ("converged", "termination_reason", "total_rounds",
+                      "stride", "block_rounds", "generic_rounds"):
+            assert getattr(trace, field) == getattr(ref, field), field
+        assert mixture.counts.tobytes() == ref_mixture.counts.tobytes()
+        assert mixture.member_c_hat == ref_mixture.member_c_hat
+        for got, want in zip(mixture.member_g_hat, ref_mixture.member_g_hat):
+            assert np.array_equal(got, want)
+        assert ([p.actions.tobytes() for p in mixture.members]
+                == [p.actions.tobytes() for p in ref_mixture.members])
+
+
 class TestTraceBuffer:
     @staticmethod
     def assert_matches_naive(limit, segments):
@@ -1049,6 +1087,15 @@ class TestConfigValidation:
         given[field] = [0.1, value] if field == "tau" else value
         with pytest.raises(ValueError, match="finite"):
             LearnerConfig(**given)
+
+    # B times the round cap bounds the multiplier sums, given or default.
+    @pytest.mark.parametrize("B, max_rounds", [(1e308, 50), (1e200, None),
+                                               (1.0, 10 ** 400)])
+    def test_rejects_a_dual_budget_whose_sums_overflow(self, fl8, B,
+                                                       max_rounds):
+        config = exact_config(B=B, max_rounds=max_rounds)
+        with pytest.raises(ValueError, match="round cap .* not a finite"):
+            run(None, config, mdp_handle=fl8)
 
     def test_exact_flavor_requires_mdp(self):
         config = exact_config()
