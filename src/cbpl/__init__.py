@@ -4,11 +4,12 @@ A primal-dual game between a best-response policy player (fitted Q
 iteration, LSPI, or exact tabular planning) and a no-regret dual player
 (exponentiated gradient or projected gradient), with fitted Q evaluation
 for constraint certification, exact tabular oracles, and importance-
-sampling off-policy evaluation baselines. The learner's LSPI flavor is
-policy iteration on the dataset's empirical MDP, which differs from
-iterative tabular LSPI only at the ridge's scale. FQI, LSPI and the exact
+sampling off-policy evaluation baselines. Tabular LSPI (the learner's lspi
+flavor and `cbpl lspi`) is policy iteration on the dataset's empirical MDP;
+iterative ridge LSPI (batchrl.lspi) stays for general linear features, as
+its ridge can split an exact value tie. FQI, tabular LSPI and the exact
 oracle share one tie rule (funcapprox.greedy_actions), so exact value ties
-go to the lowest action in every solver.
+go to the lowest action in every one of them.
 """
 
 from .batchrl import (CostSelector, EmpiricalModel, FittedRun, LspiResult,

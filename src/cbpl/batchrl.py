@@ -1,5 +1,11 @@
 """Fitted batch solvers: Q evaluation (FQE), Q iteration (FQI), and the
-least-squares policy-iteration pair LSTDQ/LSPI."""
+least-squares policy-iteration pair LSTDQ/LSPI for general linear features.
+
+With one-hot features LSTDQ and LSPI are policy evaluation and policy
+iteration on the data's empirical MDP (EmpiricalModel.to_mdp) up to their
+ridge. The learner's lspi flavor and `cbpl lspi` solve that MDP exactly;
+the tests keep lstdq, lstdq_policy, lspi and lspi_policy as their
+reference."""
 
 import collections
 
@@ -136,6 +142,8 @@ class EmpiricalModel:
         where tabular FQI and ridge LSTDQ leave it 0. The initial
         distribution is initial_dist, else the data's t = 0 distribution.
         """
+        if len(self) == 0:
+            raise ValueError("dataset is empty")
         S, A = num_states, num_actions
         try:
             check_indices(self, S, A)
@@ -334,13 +342,15 @@ def fqi(dataset, cost, K, template, gamma=None, mdp=None):
 
 
 def lspi_policy(weights, features):
-    """Greedy policy of a linear Q given by LSTDQ/LSPI weights."""
+    """Greedy policy of a linear Q given by LSTDQ/LSPI weights (general
+    linear features; see the module docstring)."""
     return greedy_policy(QFunction(weights=weights, features=features))
 
 
 def lstdq(dataset, w, cost, features, gamma, ridge=1e-8):
     """One LSTDQ solve with successor actions greedy under the given w:
-    a' = argmin_a w.phi(x', a), tied as in lspi_policy."""
+    a' = argmin_a w.phi(x', a), tied as in lspi_policy. For general linear
+    features; see the module docstring."""
     return lstdq_policy(dataset, lspi_policy(w, features), cost, features,
                         gamma, ridge)
 
@@ -349,7 +359,8 @@ def lstdq_policy(dataset, policy, cost, features, gamma, ridge=1e-8):
     """LSTDQ in policy-evaluation form, successor actions a' = pi(x'), on
     the distinct rows of the data weighted by their counts. dataset: a
     nonempty Dataset or its EmpiricalModel. Done samples contribute no
-    successor feature. The policy must be deterministic."""
+    successor feature. The policy must be deterministic. For general
+    linear features; see the module docstring."""
     if isinstance(policy, StochasticPolicy):
         raise ValueError("lstdq_policy needs a deterministic policy")
     check_policy(policy, *features.phi.shape[:2])
@@ -374,7 +385,12 @@ def lstdq_policy(dataset, policy, cost, features, gamma, ridge=1e-8):
 
 def lspi(dataset, cost, features, gamma, eps_stop=1e-6, max_iters=50, ridge=1e-8):
     """Least-squares policy iteration: iterate w <- lstdq(w) from w = 0
-    until the l2 change drops to eps_stop; returns an LspiResult."""
+    until the l2 change drops to eps_stop; returns an LspiResult.
+
+    For general linear features. With one-hot features the ridge can move
+    exactly tied values further apart than greedy_actions' tolerance, so
+    the tabular case runs ExactSolver on EmpiricalModel.to_mdp instead
+    and keeps this as its reference."""
     if not 0 < eps_stop < np.inf:  # NaN fails too
         raise ValueError("eps_stop must be a finite number > 0")
     if max_iters < 1:

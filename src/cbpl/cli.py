@@ -14,15 +14,14 @@ import sys
 import numpy as np
 
 from . import dataset as ds
-from .batchrl import CostSelector, fqe, fqi, lspi, lspi_policy
-from .funcapprox import QFunction, one_hot_features
+from .batchrl import CostSelector, EmpiricalModel, fqe, fqi
+from .funcapprox import QFunction
 from .learner import (ConvergenceError, LearnerConfig, MixturePolicy,
                       derandomize, exact_constrained_optimum, run,
                       write_trace_csv)
 from .mdp import DeterministicPolicy, build_frozenlake, FROZENLAKE_8X8
-from .onlineopt import EG_FLAVOR, OGD_FLAVOR
 from .ope import OpeConfig, ope_comparison, write_ope_report
-from .oracle import exact_policy_values
+from .oracle import ExactSolver, exact_policy_values
 
 # Fixed labels for deriving independent seed streams from the single --seed.
 _STREAM_COLLECT = 1
@@ -204,7 +203,7 @@ def _resolve_learn_config(args):
         tau=np.array([float(v) for v in args.tau.split(",")]),
         **given,
         max_rounds=args.rounds,
-        dual_flavor={"eg": EG_FLAVOR, "ogd": OGD_FLAVOR}[args.dual],
+        dual_flavor=args.dual,
         subroutine_flavor=args.flavor, gamma=args.gamma)
 
 
@@ -264,15 +263,19 @@ def _cmd_fqi(args):
 
 
 def _cmd_lspi(args):
-    data, mdp, _ = _fitted_common(args)
-    if mdp is None:
-        raise ValidationError("lspi needs --map to build one-hot features")
-    features = one_hot_features(mdp)
-    result = lspi(data, _parse_cost(args.cost), features, args.gamma,
-                  eps_stop=args.eps, max_iters=args.iters, ridge=args.ridge)
-    policy = lspi_policy(result.weights, features)
-    save_policy(policy, args.policy_out)
-    return 0 if result.converged else 2
+    """LSPI with one-hot features is policy iteration on the data's
+    empirical MDP, so this runs the learner's lspi flavor's solver with the
+    --cost selection as the model's only cost channel."""
+    data, _, template = _fitted_common(args)
+    model = EmpiricalModel.from_dataset(data)
+    model.c, model.g = _parse_cost(args.cost).select(model), model.g[:, :0]
+    S, A = template.table.shape
+    # A best response does not read the initial distribution.
+    empirical = model.to_mdp(S, A, args.gamma, np.full(S, 1.0 / S))
+    actions = ExactSolver(empirical).best_response([]).actions
+    # The sink, the last state, is not one of the policy's states.
+    save_policy(DeterministicPolicy(actions[:-1]), args.policy_out)
+    return 0
 
 
 def _cmd_oracle(args):
@@ -311,9 +314,18 @@ def _cmd_frozenlake_experiment(args):
     behavior = ds.make_frozenlake_behavior(mdp, args.epsilon)
     rng = _stream(args.seed, _STREAM_COLLECT)
     data = ds.collect(mdp, behavior, args.trajs, args.horizon, rng)
-    # The learner runs before any file is written, so a run that raises (on
-    # an empty collection, say) leaves no output behind.
+    # Everything is computed before any file is written, so a run that
+    # raises (on an empty collection, say) leaves no output behind.
     mixture, trace = run(data, config, mdp_handle=mdp)
+    c_mix, g_mix = exact_policy_values(mdp, mixture)
+    c_behavior, g_behavior = exact_policy_values(mdp, behavior)
+    try:
+        c_star, opt_mixture = exact_constrained_optimum(
+            mdp, tau, args.B, args.eta, args.omega)
+        _, g_star = exact_policy_values(mdp, opt_mixture)
+        opt = [f"{c_star:.6g}", f"{g_star[0]:.6g}"]
+    except ConvergenceError as exc:
+        opt = [f"failed ({exc})", ""]
 
     os.makedirs(args.outdir, exist_ok=True)
     ds.save(data, os.path.join(args.outdir, "dataset.csv"))
@@ -324,16 +336,6 @@ def _cmd_frozenlake_experiment(args):
                  (np.arange(len(mixture.members)), mixture.weights,
                   mixture.member_c_hat,
                   [g[0] for g in mixture.member_g_hat]))
-
-    c_mix, g_mix = exact_policy_values(mdp, mixture)
-    c_behavior, g_behavior = exact_policy_values(mdp, behavior)
-    try:
-        c_star, opt_mixture = exact_constrained_optimum(
-            mdp, tau, args.B, args.eta, args.omega)
-        _, g_star = exact_policy_values(mdp, opt_mixture)
-        opt = [f"{c_star:.6g}", f"{g_star[0]:.6g}"]
-    except ConvergenceError as exc:
-        opt = [f"failed ({exc})", ""]
     ds.write_csv(os.path.join(args.outdir, "report.csv"),
                  "policy,exact_C,exact_G_1",
                  (["learned_mixture", "behavior", "exact_constrained_optimum"],
@@ -385,16 +387,13 @@ def build_parser():
         p.add_argument("--data", required=True)
         p.add_argument("--map")
         p.add_argument("--cost", default="c")
-        unit = "iterations" if name == "lspi" else "sweeps"
-        p.add_argument("--iters", type=int, default=50 if name == "lspi" else 100,
-                       metavar="K", help=f"at most K {unit} (default %(default)s)")
+        if name != "lspi":
+            p.add_argument("--iters", type=int, default=100, metavar="K",
+                           help="at most K sweeps (default %(default)s)")
         if needs_policy:
             p.add_argument("--policy", required=True)
         else:
             p.add_argument("--policy-out")
-        if name == "lspi":
-            p.add_argument("--eps", type=float, default=1e-6)
-            p.add_argument("--ridge", type=float, default=1e-8)
         p.add_argument("--gamma", type=float, default=0.95)
         p.set_defaults(func=func)
 

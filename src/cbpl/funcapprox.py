@@ -7,7 +7,8 @@ from .mdp import DeterministicPolicy
 
 
 class FeatureMap:
-    """Fixed-dimension feature vectors for every (state, action) pair.
+    """Fixed-dimension feature vectors for every (state, action) pair, the
+    linear template of LSTDQ/LSPI and of linear fits.
 
     phi is stored densely with shape (S, A, k).
     """
@@ -25,7 +26,9 @@ class FeatureMap:
 
 
 def one_hot_features(mdp):
-    """Indicator features: k = S*A, one coordinate per (x, a) cell."""
+    """Indicator features: k = S*A, one coordinate per (x, a) cell. On
+    them LSTDQ/LSPI are the reference for the exact solver on the data's
+    empirical MDP (the learner's lspi flavor and `cbpl lspi`)."""
     S, A = mdp.num_states, mdp.num_actions
     phi = np.eye(S * A).reshape(S, A, S * A)
     return FeatureMap(phi)

@@ -4,13 +4,13 @@ policy player and a no-regret dual player, with duality-gap termination.
 Subroutine flavors: fitted (FQI best response + FQE certification), lspi
 and exact. The lspi flavor is policy iteration and exact policy evaluation
 on the dataset's empirical MDP (EmpiricalModel.to_mdp), which is what
-tabular LSPI and LSTDQ with one-hot features compute; it can differ from
-iterative LSPI only at the scale of the ridge. Every tabular solver breaks
-value ties by the one rule of funcapprox.greedy_actions, so exact ties go
-to the same action in all flavors. The exact flavor runs the same tabular
-oracles on the true MDP. Member policies repeat across rounds extremely
-often, so mixtures store unique policies with multiplicities and every
-evaluation is cached by policy.
+tabular LSPI and LSTDQ with one-hot features compute without a ridge;
+`cbpl lspi` runs the same solver. Every tabular solver breaks value ties
+by the one rule of funcapprox.greedy_actions, so exact ties go to the same
+action in all flavors; iterative ridge LSPI (batchrl.lspi) can split them.
+The exact flavor runs the same tabular oracles on the true MDP. Member
+policies repeat across rounds extremely often, so mixtures store unique
+policies with multiplicities and every evaluation is cached by policy.
 
 When the exact or lspi flavor (an exact solver, of the true or the
 empirical MDP) runs with a single constraint and EG duals, long
@@ -314,12 +314,16 @@ def _default_g_bar(dataset, mdp_handle, config):
 
 
 def default_max_rounds(B, g_bar, omega, m):
-    """Round cap 16 B^2 Gbar^2 log(m+1) / omega^2 from the convergence bound;
-    inf where that overflows."""
+    """Round cap 16 B^2 Gbar^2 log(m+1) / omega^2 from the convergence bound.
+    Raises ValueError where that is not a finite number."""
     if m < 1 or g_bar <= 0:
         return 1000
     cap = 16.0 * B * B * g_bar * g_bar * math.log(m + 1) / (omega * omega)
-    return int(math.ceil(cap)) if cap < math.inf else math.inf
+    if not cap < math.inf:
+        raise ValueError(f"the default round cap 16 B^2 Gbar^2 log(m+1) / "
+                         f"omega^2 at B = {B:g} and omega = {omega:g} is not "
+                         f"a finite number")
+    return int(math.ceil(cap))
 
 
 # Up to this |logit step| multiplier sums come from Euler-Maclaurin (within
@@ -527,8 +531,6 @@ def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
 
     t0 = state.t
     J = min(1 << 20, max_rounds - t0)
-    if J < 1:
-        return None, False
 
     # Single-column closed form for the two-coordinate simplex: the first
     # coordinate after j updates is B * sigmoid(-(d0 + j*de)) with logit gap

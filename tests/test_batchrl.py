@@ -903,7 +903,8 @@ class TestFittedInputChecks:
                 lambda: lstdq_policy(data, policy, cost, feats, fl8.gamma),
                 lambda: lstdq(data, np.zeros(feats.k), cost, feats, fl8.gamma),
                 lambda: lspi(data, cost, feats, fl8.gamma),
-                lambda: fqi(data, cost, 5, template_for(fl8), gamma=0.9)):
+                lambda: fqi(data, cost, 5, template_for(fl8), gamma=0.9),
+                lambda: batchrl._as_model(data).to_mdp(64, 4, 0.9)):
             with pytest.raises(ValueError, match="^dataset is empty$"):
                 solve()
 

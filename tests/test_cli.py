@@ -29,6 +29,14 @@ def dataset_file(tmp_path_factory, map_file):
 
 
 @pytest.fixture(scope="module")
+def seed1_file(tmp_path_factory):
+    """What `cbpl collect --seed 1` writes: 141,408 rows on the 8x8 map."""
+    path = tmp_path_factory.mktemp("seed1") / "d.csv"
+    assert main(["collect", "--seed", "1", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def policy_file(tmp_path_factory, dataset_file, map_file):
     path = tmp_path_factory.mktemp("pol") / "greedy.csv"
     code = main(["fqi", "--data", dataset_file, "--map", map_file,
@@ -218,9 +226,35 @@ class TestFittedSubcommands:
         assert code == 0
         assert load_policy(str(pol), 16, 4).actions.shape == (16,)
 
-    def test_lspi_without_map_exits_1(self, dataset_file, capsys):
-        code = main(["lspi", "--data", dataset_file])
-        assert code == 1
+    # Actions 1 and 2 tie exactly at states 36 and 37 under costs c and
+    # scalarized:0.5; a ridge of 1e-8 split them past the tie tolerance.
+    @pytest.mark.parametrize("cost", ["c", "g:1", "scalarized:0.5",
+                                      "scalarized:30"])
+    @pytest.mark.parametrize("map_args", [["--map", "8x8"], []],
+                             ids=["map", "no_map"])
+    def test_lspi_writes_fqi_policy(self, cost, map_args, seed1_file,
+                                    tmp_path):
+        lspi, fqi = _lspi_and_fqi_policies(
+            tmp_path, ["--data", seed1_file, *map_args, "--cost", cost])
+        assert lspi == fqi
+
+    # Without a map the data give the states; FQI needs no t = 0 sample.
+    def test_lspi_without_map_or_t0_samples_writes_fqi_policy(
+            self, tmp_path):
+        data = tmp_path / "t3.csv"
+        data.write_text(TestErrorExitCodes.DATA_FILES["starts_at_t3"])
+        lspi, fqi = _lspi_and_fqi_policies(tmp_path, ["--data", str(data)])
+        assert lspi == fqi
+
+
+def _lspi_and_fqi_policies(tmp_path, args):
+    """The bytes of the policy files `cbpl lspi` and `cbpl fqi` write."""
+    out = []
+    for name in ("lspi", "fqi"):
+        path = tmp_path / f"{name}.csv"
+        assert main([name, *args, "--policy-out", str(path)]) == 0
+        out.append(path.read_bytes())
+    return out
 
 
 class TestOracle:
@@ -359,6 +393,14 @@ class TestErrorExitCodes:
             f"{i},0.5,{x},{i}\n" for i in (0, 1) for x in range(16)),
         # What `collect --trajs 0` writes.
         "empty": _data_rows().splitlines()[0] + "\n",
+        "blank": "",
+        "g_2_without_g_1": _data_rows().replace("g_1", "g_2"),
+        # One trajectory that starts at t = 3 and reaches state 15.
+        "starts_at_t3": _data_rows().splitlines()[0] + "\n"
+                        "0,3,0,3,15,0,0,0,0.25\n",
+        # Not policy files: an unknown header, and a header without rows.
+        "foo_bar": "foo,bar\n0,1\n",
+        "header_only": "state,action\n",
     }
     # name: (argv with {map}, {data}, {policy}, {dir} and DATA_FILES
     #        placeholders, (attribute to replace, exception it raises) or
@@ -424,15 +466,9 @@ class TestErrorExitCodes:
         "learn_tau_inf": (
             ["learn", "--data", "{data}", "--map", "{map}", "--tau", "inf",
              "--policy-out", "{dir}/new.csv"], None, 1),
-        "lspi_ridge_nan": (
-            ["lspi", "--data", "{data}", "--map", "{map}", "--ridge", "nan",
-             "--policy-out", "{dir}/new.csv"], None, 1),
         "experiment_omega_inf": (
             ["frozenlake-experiment", "--outdir", "{dir}/new", "--omega",
              "inf"], None, 1),
-        "lspi_eps_nan": (
-            ["lspi", "--data", "{data}", "--map", "{map}", "--eps", "nan",
-             "--policy-out", "{dir}/new.csv"], None, 1),
         # Without --map, --gamma is the discount and must lie in (0, 1).
         "fqi_gamma_nan": (
             ["fqi", "--data", "{data}", "--gamma", "nan",
@@ -459,13 +495,35 @@ class TestErrorExitCodes:
         "fqe_cost_scalarized_inf": (
             ["fqe", "--data", "{data}", "--map", "{map}", "--policy",
              "{policy}", "--cost", "scalarized:inf"], None, 1),
-        "lspi_zero_iters": (
-            ["lspi", "--data", "{data}", "--map", "{map}", "--iters", "0",
-             "--policy-out", "{dir}/new.csv"], None, 1),
         # The learner fails on the empty collection before a file is written.
         "experiment_zero_trajs": (
             ["frozenlake-experiment", "--outdir", "{dir}/new", "--trajs",
              "0"], None, 1),
+        # The exact optimum's default round cap overflows at this omega.
+        "experiment_omega_underflows_the_cap": (
+            ["frozenlake-experiment", "--outdir", "{dir}/new", "--trajs", "50",
+             "--horizon", "50", "--rounds", "3", "--omega", "1e-160"],
+            None, 1),
+        "fqe_cost_g2_on_one_constraint": (
+            ["fqe", "--data", "{data}", "--map", "{map}", "--policy",
+             "{policy}", "--cost", "g:2"], None, 1),
+        "fqi_scalarization_too_long": (
+            ["fqi", "--data", "{data}", "--map", "{map}", "--cost",
+             "scalarized:1,2", "--policy-out", "{dir}/new.csv"], None, 1),
+        "policy_header_foo_bar": (
+            ["oracle", "--map", "{map}", "--policy", "{foo_bar}"], None, 1),
+        "policy_without_rows": (
+            ["oracle", "--map", "{map}", "--policy", "{header_only}"], None, 1),
+        "blank_data_file": (
+            ["fqi", "--data", "{blank}", "--policy-out", "{dir}/new.csv"],
+            None, 1),
+        "data_g_2_without_g_1": (
+            ["fqi", "--data", "{g_2_without_g_1}", "--policy-out",
+             "{dir}/new.csv"], None, 1),
+        # Without a map FQE reads the initial distribution from the data.
+        "fqe_without_map_or_t0_samples": (
+            ["fqe", "--data", "{starts_at_t3}", "--policy", "{policy}"],
+            None, 1),
         "no_command": ([], None, 1),
         "unknown_flag": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--bogus"],
@@ -487,6 +545,17 @@ class TestErrorExitCodes:
         "collect_gamma": (
             ["collect", "--map", "{map}", "--gamma", "0.9",
              "--out", "{dir}/d.csv"], None, 1),
+        # LSPI solves the empirical MDP exactly: no ridge, tolerance or
+        # iteration cap.
+        "lspi_ridge_nan": (
+            ["lspi", "--data", "{data}", "--map", "{map}", "--ridge", "nan",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        "lspi_eps_nan": (
+            ["lspi", "--data", "{data}", "--map", "{map}", "--eps", "nan",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        "lspi_zero_iters": (
+            ["lspi", "--data", "{data}", "--map", "{map}", "--iters", "0",
+             "--policy-out", "{dir}/new.csv"], None, 1),
         "trace_out_is_a_directory": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--rounds", "5",
              "--trace-out", "{dir}"], None, 1),
@@ -527,6 +596,25 @@ class TestErrorExitCodes:
                                     "nonnegative, finite lam vector"),
         "dual_budget_overflows": ("error: B = 1e+308 times the round cap 50 "
                                   "is not a finite number"),
+        "lspi_ridge_nan": "error: cbpl: unrecognized arguments: --ridge nan",
+        "lspi_eps_nan": "error: cbpl: unrecognized arguments: --eps nan",
+        "lspi_zero_iters": "error: cbpl: unrecognized arguments: --iters 0",
+        "experiment_omega_underflows_the_cap": (
+            "error: the default round cap 16 B^2 Gbar^2 log(m+1) / omega^2 "
+            "at B = 30 and omega = 1e-160 is not a finite number"),
+        "fqe_cost_g2_on_one_constraint": (
+            "error: constraint index out of range"),
+        "fqi_scalarization_too_long": (
+            "error: scalarization length must equal the dataset's m"),
+        "policy_header_foo_bar": (
+            "error: unrecognized policy file header: 'foo,bar'"),
+        "policy_without_rows": "error: policy file {header_only} lists no rows",
+        "blank_data_file": "error: {blank}: line 1: missing header",
+        "data_g_2_without_g_1": ("error: {g_2_without_g_1}: line 1: malformed "
+                                 "constraint columns"),
+        "fqe_without_map_or_t0_samples": (
+            "error: dataset has no t=0 samples to infer the initial "
+            "distribution from"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -546,7 +634,8 @@ class TestErrorExitCodes:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), captured.err
-        assert err[0] == self.ERROR_LINES.get(name, err[0])
+        if name in self.ERROR_LINES:
+            assert err[0] == self.ERROR_LINES[name].format(**fill)
         assert captured.out == ""
         assert not list(tmp_path.glob("new*"))
 
@@ -647,10 +736,11 @@ class TestFrozenlakeExperiment:
         monkeypatch.setattr(
             "cbpl.cli.exact_constrained_optimum",
             _raise(RuntimeError("policy iteration failed to converge")))
-        assert main(self.EXPERIMENT + [str(tmp_path)]) == 2
+        outdir = tmp_path / "exp"
+        assert main(self.EXPERIMENT + [str(outdir)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: policy iteration failed to converge"]
-        assert not (tmp_path / "report.csv").exists()
+        assert not outdir.exists()
 
 
 class TestPolicyFileRoundTrips:

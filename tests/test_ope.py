@@ -15,7 +15,7 @@ from cbpl.ope import (OpeConfig, doubly_robust, ope_comparison, pdis,
                       weighted_doubly_robust, write_ope_report)
 from cbpl.oracle import ExactSolver, exact_policy_values
 
-from conftest import FROZENLAKE_4X4
+from conftest import FROZENLAKE_4X4, empty_dataset
 
 
 def random_terminating_mdp(seed, num_states=4, num_actions=2, gamma=0.9):
@@ -379,6 +379,11 @@ class TestPdis:
         data = collect(mdp, always_forward, 10, 10, np.random.default_rng(0))
         always_reset = DeterministicPolicy(np.zeros(4, dtype=np.int64))
         assert pdis(data, always_reset, mdp.gamma) == 0.0
+
+    def test_empty_dataset_raises(self):
+        policy = DeterministicPolicy(np.zeros(16, dtype=np.int64))
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            pdis(empty_dataset(1), policy, 0.9)
 
     def test_off_policy_matches_exact_within_clt_band(self):
         mdp = two_action_chain()
