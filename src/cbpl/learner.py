@@ -17,9 +17,12 @@ empirical MDP) runs with a single constraint and EG duals, long
 stretches of rounds change nothing but the multiplier; those stretches are
 advanced in closed-form blocks (valid because best-response regions are
 intervals on the 1-d multiplier line, so endpoint checks certify the whole
-block). A block is evaluated on a grid of every 8,192th round and wherever
-the first round with gap <= omega may lie; its trace rows are computed once,
-when the run ends, at the rounds the final trace stride keeps.
+block). Block lengths follow the certified stretch: a run's first block
+tries 2^20 rounds, each certified block doubles the length up to 2^25, and
+a failed certificate halves it, down to one round. A block is evaluated on
+a grid of every 8,192th round and wherever the first round with
+gap <= omega may lie; its trace rows are computed once, when the run ends,
+at the rounds the final trace stride keeps.
 """
 
 import math
@@ -146,6 +149,8 @@ class _TraceBuffer:
     not the last round is dropped, so at most limit + 1 blocks are held.
     """
 
+    CHUNK = 1 << 12  # the rows finalize asks of a deferred block at once
+
     def __init__(self, limit):
         self.limit = limit
         self.stride = 1
@@ -203,11 +208,12 @@ class _TraceBuffer:
                           dtype=float)
             if t_end == t_last and t_last % stride:
                 j = np.append(j, t_end - t0 - 1.0)
-            if len(j):
-                rows = rows_at(j)
+            # In chunks, so a long block's temporaries stay small.
+            for lo in range(0, len(j), self.CHUNK):
+                rows = rows_at(j[lo:lo + self.CHUNK])
                 if self.mat is None:
                     self.mat = np.empty((self.limit + 1, rows.shape[1]))
-                self.mat[k:k + len(j)] = rows
+                self.mat[k + lo:k + lo + len(rows)] = rows
         # No view of mat outlives _advance (its slices are temporaries), so
         # nothing else sees the cut. refcheck=False: under a trace or profile
         # hook (cProfile, debuggers, coverage) the reference count is higher.
@@ -330,7 +336,10 @@ def default_max_rounds(B, g_bar, omega, m):
 # 3e-14 of math.fsum); beyond it they are summed until the multiplier is 0 or B.
 _EM_MAX_STEP = 1e-2
 _TRACE_LIMIT = 200_000  # trace rows kept before _TraceBuffer thins them
-# Rounds between the points of a block's grid: 128 intervals per 2^20-round
+# A run's first closed-form block is _BLOCK_START rounds long; each certified
+# block doubles the length, up to _BLOCK_CAP.
+_BLOCK_START, _BLOCK_CAP = 1 << 20, 1 << 25
+# Rounds between the points of a block's grid: at most 4,096 intervals per
 # block, so a flagged interval is evaluated in at most 8,192 rounds.
 _GRID_SPACING = 1 << 13
 
@@ -395,6 +404,7 @@ class _RunState:
         self.sum_c = 0.0
         self.sum_g = np.zeros(m)
         self.sum_lam = np.zeros(dim)
+        self.block_len = _BLOCK_START  # the next block advance's first try
         # A policy's action bytes -> [policy, count, C_hat, G_hat], in the
         # order the policies first appear.
         self.members = {}
@@ -434,9 +444,9 @@ def run(dataset, config, mdp_handle=None):
     converged = False
     prev_sig = None
     steady_streak = 0
-    # A failed block advance evaluates a block's grid before its
-    # certificates reject it, so each failure doubles the streak of repeated
-    # signatures the next attempt waits for.
+    # A failed block advance evaluated a block of every length down to one
+    # round before the certificates rejected them all, so each failure
+    # doubles the streak of repeated signatures the next advance waits for.
     min_streak = 2
     block_rounds = generic_rounds = 0
 
@@ -507,10 +517,30 @@ def run(dataset, config, mdp_handle=None):
 
 
 def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
-    """Advance a steady stretch of up to 2^20 EG rounds in closed form.
+    """Advance a steady stretch of EG rounds in one closed-form block.
 
-    Returns (next_lam, converged), or (None, False) when the endpoint
-    stability checks fail (caller falls back to a generic round).
+    The block tries state.block_len rounds (fewer at max_rounds) and halves
+    its length on each failed certificate, down to one round. A certified
+    block doubles state.block_len, up to _BLOCK_CAP. Returns (next_lam,
+    converged), or (None, False) when a block of every length fails (caller
+    falls back to a generic round).
+    """
+    J = min(state.block_len, max_rounds - state.t)
+    while J:
+        out = _closed_form_block(state, sub, lam, prev_sig, config,
+                                 trace_buf, J)
+        if out is not None:
+            state.block_len = min(2 * J, _BLOCK_CAP)
+            return out
+        J //= 2
+    return None, False
+
+
+def _closed_form_block(state, sub, lam, prev_sig, config, trace_buf, J):
+    """Advance at most J steady EG rounds in closed form.
+
+    Returns (next_lam, converged), or None when the endpoint stability
+    checks fail over the rounds the block would advance.
 
     Per-round values are closed forms in the block index j, evaluated on a
     grid: the block's ends and the rounds that are multiples of
@@ -530,7 +560,6 @@ def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
     exponent = eta * augmented_loss(g_t, config.tau)  # per-round log-multiplier
 
     t0 = state.t
-    J = min(1 << 20, max_rounds - t0)
 
     # Single-column closed form for the two-coordinate simplex: the first
     # coordinate after j updates is B * sigmoid(-(d0 + j*de)) with logit gap
@@ -582,9 +611,12 @@ def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
             break
 
     # Stability certificates: best responses constant over the multiplier
-    # ranges of the whole block (regions are intervals, so endpoints
-    # suffice). lam is monotone; lam-hat turns at most once, where lam
-    # crosses it, so the rounds around that crossing join its range.
+    # ranges of the rounds the block advances (regions are intervals, so
+    # endpoints suffice). lam is monotone; lam-hat turns at most once, where
+    # lam crosses it, so the rounds around that crossing join its range.
+    if stop < J:  # the grid up to the last round advanced
+        js = np.append(js[js < stop - 1], stop - 1.0)
+        lam_g, hat_g = at(js)[:2]
     hats = hat_g[1:]
     above = lam_g[1:] >= hats
     for k in np.flatnonzero(above[1:] != above[:-1])[:1] + 1:
@@ -592,7 +624,7 @@ def _block_advance(state, sub, lam, prev_sig, config, trace_buf, max_rounds):
     for v, want in ((lam_g[1], pi_bytes), (lam_g[-1], pi_bytes),
                     (hats.min(), til_bytes), (hats.max(), til_bytes)):
         if sub.best_response(np.array([v])).actions.tobytes() != want:
-            return None, False
+            return None
 
     def rows_at(j):
         """The trace rows of rounds t0+1+j."""

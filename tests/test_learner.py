@@ -284,31 +284,63 @@ class TestRun:
         assert c == pytest.approx(-0.51334, abs=1e-5) and g[0] == 0.0
 
     def test_failed_block_advances_back_off(self, monkeypatch):
-        # Here no steady stretch survives its certificates; without a
-        # backoff every repeated signature retried the block, about 500
-        # failed attempts of up to 2^20 rounds each.
+        # Here steady stretches last only a few dozen rounds: blocks halve
+        # from 2^20 rounds down to them, and an advance that fails at every
+        # length doubles the streak of repeats the next one waits for.
+        # Without that backoff every repeated signature retried the block,
+        # about 500 failed advances.
         mdp = build_random_mdp(8, 3, 1, seed=2)
         tau = [0.5 * mdp.cost_g.mean() / (1.0 - mdp.gamma)]
         config = exact_config(B=10.0, eta=0.05, omega=0.01, tau=tau)
-        block = learner_mod._block_advance
-        failures = []
+        advance = learner_mod._block_advance
+        block = learner_mod._closed_form_block
+        failures, lengths = [], []
 
         def counted(*args, **kwargs):
-            out = block(*args, **kwargs)
+            lengths.append([])
+            out = advance(*args, **kwargs)
             failures.append(out[0] is None)
             return out
 
+        def tried(*args):
+            lengths[-1].append(args[-1])
+            return block(*args)
+
         monkeypatch.setattr(learner_mod, "_block_advance", counted)
+        monkeypatch.setattr(learner_mod, "_closed_form_block", tried)
         mixture, trace = run(None, config, mdp_handle=mdp)
         monkeypatch.setattr(learner_mod, "_block_advance",
                             lambda *a, **k: (None, False))
         generic, generic_trace = run(None, config, mdp_handle=mdp)
-        assert trace.converged and sum(failures) > 0
+        assert trace.converged and 0 < sum(failures) < len(failures)
         assert sum(failures) <= math.ceil(math.log2(trace.total_rounds))
+        assert 0 < trace.block_rounds < 2 ** 10
+        assert lengths[0][0] == 2 ** 20
+        for tried_lengths, failed in zip(lengths, failures):
+            # Each advance halves from its first length; a failed one goes
+            # down to one round.
+            first = tried_lengths[0]
+            assert tried_lengths == [first >> k
+                                     for k in range(len(tried_lengths))]
+            if failed:
+                assert tried_lengths[-1] == 1
         assert trace.total_rounds == generic_trace.total_rounds
         assert np.array_equal(mixture.counts, generic.counts)
         for a, b in zip(mixture.members, generic.members):
             assert np.array_equal(a.actions, b.actions)
+
+    @pytest.mark.parametrize("seed, rounds, counts", [
+        (1, 333_221, [1392, 331_829]), (3, 334_695, [2017, 332_678])])
+    def test_blocks_follow_short_steady_stretches(self, seed, rounds, counts):
+        # The best response changes once, after a stretch shorter than the
+        # first block: halving finds the stretch, where a fixed 2^20-round
+        # block and the backoff played 8,581 and 57,209 generic rounds.
+        mdp = build_random_mdp(10, 3, 1, seed)
+        mixture, trace = run(None, exact_config(B=5.0, eta=1e-3, omega=0.01,
+                                                tau=[0.5]), mdp_handle=mdp)
+        assert trace.converged and trace.total_rounds == rounds
+        assert trace.generic_rounds <= 100
+        assert mixture.counts.tolist() == counts
 
 
 class RunLengthState(learner_mod._RunState):
@@ -378,12 +410,12 @@ class TestMixtureRecords:
 REFERENCE_CHUNK = 1 << 15
 
 
-def reference_block_advance(state, sub, lam, prev_sig, config, trace_buf,
-                            max_rounds):
-    """The chunked block advance the closed-form one replaced: every round
-    of the block computed elementwise, in chunks of REFERENCE_CHUNK rounds
-    with the running lambda sum carried from chunk to chunk. Same contract
-    as learner._block_advance."""
+def reference_block_advance(state, sub, lam, prev_sig, config, trace_buf, J):
+    """The chunked block the closed-form one replaced: every round of the
+    block computed elementwise, in chunks of REFERENCE_CHUNK rounds with the
+    running lambda sum carried from chunk to chunk. Same contract as
+    learner._closed_form_block, so learner._block_advance sizes both
+    alike."""
     B, eta, omega, tau = config.B, config.eta, config.omega, config.tau
     pi_bytes, til_bytes = prev_sig[0], prev_sig[1]
     # The certified pi~ has til_bytes, and exact evaluations are cached by
@@ -395,9 +427,6 @@ def reference_block_advance(state, sub, lam, prev_sig, config, trace_buf,
     exponent = eta * z  # per-round log-multiplier
 
     t0 = state.t
-    J = min(1 << 20, max_rounds - t0)
-    if J < 1:
-        return None, False
 
     # Single-column closed form for the two-coordinate simplex: the first
     # coordinate after j updates is B * sigmoid(-(d0 + j*de)) with logit gap
@@ -423,7 +452,6 @@ def reference_block_advance(state, sub, lam, prev_sig, config, trace_buf,
     lam_lo = hat_lo = math.inf
     lam_hi = hat_hi = -math.inf
     carry = 0.0
-    stop = None  # rounds the block advances, known once the gap work ends
     converged = False
     pend_ts, pend_rows, pend_stride = [], [], trace_buf.stride
     for lo in range(0, J, size):
@@ -452,10 +480,6 @@ def reference_block_advance(state, sub, lam, prev_sig, config, trace_buf,
         carry = cv[-1]
         np.add(cv, state.sum_lam[0], out=hv)
         np.divide(hv, tv, out=hv)
-        lam_lo, lam_hi = min(lam_lo, lv.min()), max(lam_hi, lv.max())
-        hat_lo, hat_hi = min(hat_lo, hv.min()), max(hat_hi, hv.max())
-        if stop is not None:
-            continue  # past the first gap hit only the certificates need it
 
         cm, gm, lx, ln, gp, wk = (c_mix[:n], g_mix[:n], l_max[:n],
                                   l_min[:n], gap[:n], work[:n])
@@ -476,6 +500,8 @@ def reference_block_advance(state, sub, lam, prev_sig, config, trace_buf,
         hits = np.less_equal(gp, omega, out=flags[:n])
         converged = bool(hits.any())
         m = int(np.argmax(hits)) + 1 if converged else n
+        lam_lo, lam_hi = min(lam_lo, lv[:m].min()), max(lam_hi, lv[:m].max())
+        hat_lo, hat_hi = min(hat_lo, hv[:m].min()), max(hat_hi, hv[:m].max())
 
         # Trace rows of the kept rounds, at the stride the buffer will have
         # once these rounds are in.
@@ -494,15 +520,17 @@ def reference_block_advance(state, sub, lam, prev_sig, config, trace_buf,
             stop = lo + m
             final = (t_end, rows_at(slice(m - 1, m))[0])
             cum_stop, lam_stop = cv[m - 1], lv[m - 1]
+            break
 
     # Stability certificates: best responses constant over the 1-d multiplier
-    # ranges covered by the block (regions are intervals, so endpoints suffice).
+    # ranges of the rounds the block advances (regions are intervals, so
+    # endpoints suffice).
     for v in (lam_lo, lam_hi):
         if sub.best_response(np.array([v])).actions.tobytes() != pi_bytes:
-            return None, False
+            return None
     for v in (hat_lo, hat_hi):
         if sub.best_response(np.array([v])).actions.tobytes() != til_bytes:
-            return None, False
+            return None
 
     # The final stride's kept rounds in the block are among the materialized
     # ones and the block's last round.
@@ -559,21 +587,23 @@ class TestClosedFormBlocks:
         "stops_mid_block_at_max_rounds": dict(eta=0.001, omega=1e-6,
                                               max_rounds=50_000),
         "fast_forward": dict(eta=0.01, omega=0.3, max_rounds=20_000),
-        # Four full blocks of test_01's run, with a thinned trace.
+        # The first 4 * 2^20 rounds of test_01's run after its 2 generic
+        # ones: blocks of 2^20 and 2^21 rounds, then one cut to 2^20 by
+        # max_rounds.
         "tuned_four_blocks": dict(eta=TUNED_ETA, max_rounds=4 * 2 ** 20 + 2),
     }
 
     @staticmethod
     def assert_matches_reference(name, mdp, monkeypatch,
-                                 wrap=lambda advance: advance):
-        """Run RUNS[name] with the closed-form block advance and with
+                                 wrap=lambda block: block):
+        """Run RUNS[name] with the closed-form block and with
         reference_block_advance, each passed through wrap; the runs must
         agree. Returns the closed-form run's trace."""
         config = exact_config(**TestClosedFormBlocks.RUNS[name])
-        monkeypatch.setattr(learner_mod, "_block_advance",
-                            wrap(learner_mod._block_advance))
+        monkeypatch.setattr(learner_mod, "_closed_form_block",
+                            wrap(learner_mod._closed_form_block))
         out = run(None, config, mdp_handle=mdp)
-        monkeypatch.setattr(learner_mod, "_block_advance",
+        monkeypatch.setattr(learner_mod, "_closed_form_block",
                             wrap(reference_block_advance))
         expected = run(None, config, mdp_handle=mdp)
         assert out[1].block_rounds > 0
@@ -601,30 +631,59 @@ class TestClosedFormBlocks:
 
     def test_generic_rounds_between_blocks_match_reference(self, fl8,
                                                            monkeypatch):
-        # Refusing the third and fourth block attempts plays generic rounds
-        # between the second block and the third; unrefused, the run plays
-        # only its first 2 rounds generically.
+        # Refusing every length tried at the end of the second block plays
+        # generic rounds between it and the third; refusing the first length
+        # of the third makes it halve. Unrefused, the run plays only its
+        # first 2 rounds generically.
         monkeypatch.setattr(learner_mod, "_TRACE_LIMIT", 1_000)
+        lengths = {}
 
-        def refusing(advance):
-            calls = []
+        def refusing(block):
+            starts = []
 
-            def wrapped(*args):
-                calls.append(1)
-                return (None, False) if len(calls) in (3, 4) else advance(*args)
+            def wrapped(state, *args):
+                starts.append(state.t)
+                k = len(set(starts))  # the block starts so far, this one's too
+                if k == 3 or (k == 4 and starts.count(state.t) == 1):
+                    return None
+                lengths.setdefault(block, []).append(args[-1])
+                return block(state, *args)
             return wrapped
 
         trace = self.assert_matches_reference("tuned_four_blocks", fl8,
                                               monkeypatch, refusing)
-        assert trace.generic_rounds > 2 and trace.stride > 1
-        assert 2 * 2 ** 20 < trace.block_rounds < 4 * 2 ** 20
+        assert trace.generic_rounds == 4 and trace.stride > 1
+        assert trace.block_rounds == 4 * 2 ** 20 - 2
+        # Both runs tried the same lengths. After 2 generic rounds the third
+        # block was refused 2^20 - 2 rounds and took half; the fourth took
+        # what max_rounds left.
+        closed, reference = lengths.values()
+        assert closed == reference
+        assert closed == [2 ** 20, 2 ** 21, 2 ** 19 - 1, 2 ** 19 - 1]
+
+    def test_tuned_run_takes_few_blocks(self, fl8, monkeypatch):
+        # test_01's run: blocks grow from 2^20 rounds to 2^25, so its
+        # 399,252,792 rounds take 16 blocks where fixed 2^20-round ones took
+        # 381.
+        advance, calls = learner_mod._block_advance, []
+
+        def counted(*args):
+            calls.append(1)
+            return advance(*args)
+
+        monkeypatch.setattr(learner_mod, "_block_advance", counted)
+        cap = math.ceil(16 * 30.0 ** 2 * 20.0 ** 2 * math.log(2) / 0.05 ** 2)
+        _, trace = run(None, exact_config(eta=self.TUNED_ETA, max_rounds=cap),
+                       mdp_handle=fl8)
+        assert trace.converged and trace.total_rounds == 399_252_792
+        assert trace.generic_rounds == 2 and len(calls) <= 20
 
     @staticmethod
     def fixed_block(advance, lam0, lam_hat0, g_t, omega, asked):
-        """One block from round 2 of a stub game whose best response is
-        always the same policy, with C 1 and G g_t, and whose pi~ has C 1
-        and G 0; tau is 0.1. Returns (the block's result, the state, lam
-        and lam-hat over the 2^20 rounds of the block)."""
+        """One block of 2^20 rounds from round 2 of a stub game whose best
+        response is always the same policy, with C 1 and G g_t, and whose
+        pi~ has C 1 and G 0; tau is 0.1. Returns (the block's result, the
+        state, lam and lam-hat over the rounds of the block)."""
         B, J = 30.0, 2 ** 20
         policy = DeterministicPolicy(np.zeros(4, dtype=np.int64))
 
@@ -641,11 +700,11 @@ class TestClosedFormBlocks:
         state.sum_lam[:] = [2 * lam_hat0, 2 * (B - lam_hat0)]
         sig = (policy.actions.tobytes(), policy.actions.tobytes(),
                1.0, (g_t,), 1.0, (0.0,))
-        config = exact_config(eta=1e-5, omega=omega, max_rounds=10 * J)
-        block = (learner_mod._block_advance if advance == "closed_form"
+        config = exact_config(eta=1e-5, omega=omega)
+        block = (learner_mod._closed_form_block if advance == "closed_form"
                  else reference_block_advance)
         out = block(state, FixedSub(), DualVector([lam0, B - lam0], B, EG_FLAVOR),
-                    sig, config, learner_mod._TraceBuffer(64), 10 * J)
+                    sig, config, learner_mod._TraceBuffer(64), J)
         lams = learner_mod._lambda_at(B, math.log((B - lam0) / lam0),
                                       -config.eta * (g_t - 0.1),
                                       np.arange(J, dtype=float))
@@ -693,6 +752,25 @@ class TestClosedFormBlocks:
         n = np.array([0, 1, 2, 2048, J], dtype=float)
         expected = [math.fsum(lam[:int(k)].tolist()) for k in n]
         np.testing.assert_allclose(sums(n), expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d0, de", [(0.4, 0.0), (-3.0, 0.05),
+                                        (12.0, -1e-6)])
+    def test_lambda_sums_over_the_longest_block(self, d0, de):
+        # One case per branch: a constant multiplier, an explicit sum, and
+        # Euler-Maclaurin across the logit's zero at round 12,000,000.
+        B, J, chunk = 30.0, learner_mod._BLOCK_CAP, 1 << 20
+        n, expected, total = [0, 1, 2, 2048], [], 0.0
+        for lo in range(0, J, chunk):
+            lam = learner_mod._lambda_at(B, d0, de,
+                                         np.arange(lo, lo + chunk, dtype=float))
+            if lo == 0:
+                expected = [math.fsum(lam[:k].tolist()) for k in n]
+            total = math.fsum([total, *lam.tolist()])
+            n.append(lo + chunk)
+            expected.append(total)
+        sums = learner_mod._lambda_sums(B, d0, de, J)
+        np.testing.assert_allclose(sums(np.array(n, dtype=float)), expected,
+                                   rtol=1e-12, atol=0)
 
     def test_lambda_sums_of_a_constant_multiplier(self):
         sums = learner_mod._lambda_sums(30.0, 0.4, 0.0, 100)
