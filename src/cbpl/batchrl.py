@@ -1,11 +1,8 @@
 """Fitted batch solvers: Q evaluation (FQE), Q iteration (FQI), and the
 least-squares policy-iteration pair LSTDQ/LSPI for general linear features.
 
-With one-hot features LSTDQ and LSPI are policy evaluation and policy
-iteration on the data's empirical MDP (EmpiricalModel.to_mdp) up to their
-ridge. The learner's lspi flavor and `cbpl lspi` solve that MDP exactly;
-the tests keep lstdq, lstdq_policy, lspi and lspi_policy as their
-reference."""
+Tabular LSPI runs as EmpiricalModel.solver, whose docstring says why; the
+tests keep lstdq, lstdq_policy, lspi and lspi_policy as its reference."""
 
 import collections
 
@@ -15,7 +12,9 @@ from .dataset import check_indices
 # Not called here: benchmarks/tracer.py wraps fit_least_squares by this name.
 from .funcapprox import (QFunction, check_ridge,  # noqa: F401
                          fit_least_squares, greedy_policy, regression)
-from .mdp import StochasticPolicy, TabularMdp, check_gamma, check_policy
+from .mdp import (DeterministicPolicy, StochasticPolicy, TabularMdp,
+                  check_gamma, check_policy)
+from .oracle import ExactSolver
 
 
 class CostSelector:
@@ -165,6 +164,32 @@ class EmpiricalModel:
                if initial_dist is None else initial_dist)
         return TabularMdp(moves, costs[:, :, 0], costs[:, :, 1:], gamma,
                           np.append(chi, 0.0), terminal_states={S})
+
+    def solver(self, num_states, num_actions, gamma, initial_dist=None):
+        """An ExactSolver on to_mdp(num_states, num_actions, gamma,
+        initial_dist) whose policies cover the num_states states only:
+        best_response leaves out the sink's action, and policy_values
+        evaluates a policy with action 0 at the sink, the action policy
+        iteration picks there.
+
+        This is tabular LSPI. With one-hot features LSTDQ is exact policy
+        evaluation on this MDP and LSPI is policy iteration on it, except
+        that their ridge can move an exact value tie apart: iterative lspi
+        may split a tie that this solver breaks by funcapprox.greedy_actions.
+        The learner's lspi flavor and `cbpl lspi` both run it."""
+        return _SinkSolver(self.to_mdp(num_states, num_actions, gamma,
+                                       initial_dist))
+
+
+class _SinkSolver(ExactSolver):
+    """ExactSolver on an empirical MDP whose last state is the sink."""
+
+    def best_response(self, lam):
+        return DeterministicPolicy(super().best_response(lam).actions[:-1])
+
+    def policy_values(self, policy):
+        return super().policy_values(
+            DeterministicPolicy(np.append(policy.actions, 0)))
 
 
 def _packed_key(columns):
@@ -387,10 +412,8 @@ def lspi(dataset, cost, features, gamma, eps_stop=1e-6, max_iters=50, ridge=1e-8
     """Least-squares policy iteration: iterate w <- lstdq(w) from w = 0
     until the l2 change drops to eps_stop; returns an LspiResult.
 
-    For general linear features. With one-hot features the ridge can move
-    exactly tied values further apart than greedy_actions' tolerance, so
-    the tabular case runs ExactSolver on EmpiricalModel.to_mdp instead
-    and keeps this as its reference."""
+    For general linear features; the tabular case is EmpiricalModel.solver,
+    which keeps this as its reference."""
     if not 0 < eps_stop < np.inf:  # NaN fails too
         raise ValueError("eps_stop must be a finite number > 0")
     if max_iters < 1:

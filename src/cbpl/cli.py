@@ -21,7 +21,7 @@ from .learner import (ConvergenceError, LearnerConfig, MixturePolicy,
                       write_trace_csv)
 from .mdp import DeterministicPolicy, build_frozenlake, FROZENLAKE_8X8
 from .ope import OpeConfig, ope_comparison, write_ope_report
-from .oracle import ExactSolver, exact_policy_values
+from .oracle import exact_policy_values
 
 # Fixed labels for deriving independent seed streams from the single --seed.
 _STREAM_COLLECT = 1
@@ -263,18 +263,15 @@ def _cmd_fqi(args):
 
 
 def _cmd_lspi(args):
-    """LSPI with one-hot features is policy iteration on the data's
-    empirical MDP, so this runs the learner's lspi flavor's solver with the
-    --cost selection as the model's only cost channel."""
+    """Tabular LSPI (EmpiricalModel.solver) with the --cost selection as the
+    model's only cost channel."""
     data, _, template = _fitted_common(args)
     model = EmpiricalModel.from_dataset(data)
     model.c, model.g = _parse_cost(args.cost).select(model), model.g[:, :0]
     S, A = template.table.shape
     # A best response does not read the initial distribution.
-    empirical = model.to_mdp(S, A, args.gamma, np.full(S, 1.0 / S))
-    actions = ExactSolver(empirical).best_response([]).actions
-    # The sink, the last state, is not one of the policy's states.
-    save_policy(DeterministicPolicy(actions[:-1]), args.policy_out)
+    solver = model.solver(S, A, args.gamma, np.full(S, 1.0 / S))
+    save_policy(solver.best_response([]), args.policy_out)
     return 0
 
 

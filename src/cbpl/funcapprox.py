@@ -26,9 +26,8 @@ class FeatureMap:
 
 
 def one_hot_features(mdp):
-    """Indicator features: k = S*A, one coordinate per (x, a) cell. On
-    them LSTDQ/LSPI are the reference for the exact solver on the data's
-    empirical MDP (the learner's lspi flavor and `cbpl lspi`)."""
+    """Indicator features: k = S*A, one coordinate per (x, a) cell; on
+    them LSTDQ/LSPI are the reference of batchrl.EmpiricalModel.solver."""
     S, A = mdp.num_states, mdp.num_actions
     phi = np.eye(S * A).reshape(S, A, S * A)
     return FeatureMap(phi)

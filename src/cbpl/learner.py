@@ -2,15 +2,13 @@
 policy player and a no-regret dual player, with duality-gap termination.
 
 Subroutine flavors: fitted (FQI best response + FQE certification), lspi
-and exact. The lspi flavor is policy iteration and exact policy evaluation
-on the dataset's empirical MDP (EmpiricalModel.to_mdp), which is what
-tabular LSPI and LSTDQ with one-hot features compute without a ridge;
-`cbpl lspi` runs the same solver. Every tabular solver breaks value ties
-by the one rule of funcapprox.greedy_actions, so exact ties go to the same
-action in all flavors; iterative ridge LSPI (batchrl.lspi) can split them.
-The exact flavor runs the same tabular oracles on the true MDP. Member
-policies repeat across rounds extremely often, so mixtures store unique
-policies with multiplicities and every evaluation is cached by policy.
+(tabular LSPI, EmpiricalModel.solver) and exact (ExactSolver on the true
+MDP). Every subroutine has ExactSolver's two methods, best_response and
+policy_values. Every tabular solver breaks value ties by the one rule of
+funcapprox.greedy_actions, so exact ties go to the same action in all
+flavors. Member policies repeat across rounds extremely often, so mixtures
+store unique policies with multiplicities and every evaluation is cached by
+policy.
 
 When the exact or lspi flavor (an exact solver, of the true or the
 empirical MDP) runs with a single constraint and EG duals, long
@@ -34,7 +32,6 @@ import numpy as np
 from .batchrl import CostSelector, EmpiricalModel, _resolve_gamma, fqe, fqi
 from .dataset import implied_shape, write_csv
 from .funcapprox import QFunction
-from .mdp import DeterministicPolicy
 from .onlineopt import (DualVector, EG_FLAVOR, OGD_FLAVOR, augmented_loss,
                         eg_init, eg_update, ogd_init, ogd_update)
 from .oracle import ExactSolver, exact_policy_values
@@ -221,30 +218,6 @@ class _TraceBuffer:
         return ts, self.mat
 
 
-class _ExactSub:
-    """Exact best responses and values on a tabular MDP.
-
-    On a dataset's empirical MDP (sink=True) the last state is the sink,
-    which member policies do not carry: best responses drop its action and
-    evaluation puts back action 0, the one policy iteration picks there.
-    """
-
-    def __init__(self, mdp, sink=False):
-        self.solver = ExactSolver(mdp)
-        self.sink = sink
-
-    def best_response(self, lam_m):
-        policy = self.solver.best_response(lam_m)
-        if self.sink:
-            return DeterministicPolicy(policy.actions[:-1])
-        return policy
-
-    def evaluate(self, policy):
-        if self.sink:
-            policy = DeterministicPolicy(np.append(policy.actions, 0))
-        return self.solver.policy_values(policy)
-
-
 class _FittedSub:
     def __init__(self, dataset, mdp, config, num_states, num_actions, gamma):
         # FQI and FQE sweep the deduplicated rows; built once per subroutine.
@@ -261,7 +234,7 @@ class _FittedSub:
         return fqi(self.model, cost, self.config.K_fqi, self.template,
                    gamma=self.gamma, mdp=self.mdp)[0]
 
-    def evaluate(self, policy):
+    def policy_values(self, policy):
         key = policy.actions.tobytes()
         cached = self._eval_cache.get(key)
         if cached is not None:
@@ -296,7 +269,7 @@ def _make_subroutine(dataset, config, mdp_handle):
         raise ValueError("exact flavor requires an mdp handle")
     gamma = _resolve_gamma(config.gamma, mdp_handle)
     if config.subroutine_flavor == "exact":
-        return _ExactSub(mdp_handle)
+        return ExactSolver(mdp_handle)
     if dataset is None or len(dataset) == 0:
         raise ValueError("fitted flavors require a nonempty dataset")
     S, A = (implied_shape(dataset) if mdp_handle is None
@@ -304,8 +277,7 @@ def _make_subroutine(dataset, config, mdp_handle):
     if config.subroutine_flavor == "fitted":
         return _FittedSub(dataset, mdp_handle, config, S, A, gamma)
     chi = None if mdp_handle is None else mdp_handle.initial_dist
-    model = EmpiricalModel.from_dataset(dataset)
-    return _ExactSub(model.to_mdp(S, A, gamma, chi), sink=True)
+    return EmpiricalModel.from_dataset(dataset).solver(S, A, gamma, chi)
 
 
 def _default_g_bar(dataset, mdp_handle, config):
@@ -454,7 +426,7 @@ def run(dataset, config, mdp_handle=None):
         # Closed-form block advance for steady EG/m=1 stretches of a
         # subroutine that solves its MDP exactly (the exact and lspi flavors).
         if (steady_streak >= min_streak and is_eg and m == 1
-                and isinstance(sub, _ExactSub)):
+                and isinstance(sub, ExactSolver)):
             t_before = state.t
             advanced, converged = _block_advance(
                 state, sub, lam, prev_sig, config, trace_buf, max_rounds)
@@ -469,7 +441,7 @@ def run(dataset, config, mdp_handle=None):
 
         lam_m = lam.coords[:m]
         pi_t = sub.best_response(lam_m)
-        c_t, g_t = sub.evaluate(pi_t)
+        c_t, g_t = sub.policy_values(pi_t)
         state.add_member(pi_t, c_t, g_t)
         generic_rounds += 1
         state.sum_lam += lam.coords
@@ -478,7 +450,7 @@ def run(dataset, config, mdp_handle=None):
         g_mix = state.sum_g / t
         lam_hat = state.sum_lam / t
         pi_til = sub.best_response(lam_hat[:m])
-        c_til, g_til = sub.evaluate(pi_til)
+        c_til, g_til = sub.policy_values(pi_til)
         l_max = lagrangian_max(c_mix, g_mix, tau, B, config.dual_flavor)
         l_min = c_til + float(lam_hat[:m] @ (g_til - tau))
         l_mid = c_mix + float(lam_hat[:m] @ (g_mix - tau))
@@ -556,7 +528,7 @@ def _closed_form_block(state, sub, lam, prev_sig, config, trace_buf, J):
     # policy, so its values are the ones the signature recorded.
     c_til, w_til = prev_sig[4], prev_sig[5][0] - tau
     pi_t = state.members[pi_bytes][0]
-    c_t, g_t = sub.evaluate(pi_t)
+    c_t, g_t = sub.policy_values(pi_t)
     exponent = eta * augmented_loss(g_t, config.tau)  # per-round log-multiplier
 
     t0 = state.t
@@ -655,7 +627,7 @@ def regularization_grid(dataset, lams, config, mdp_handle=None):
     for lam in lams:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         policy = sub.best_response(lam)
-        c_hat, g_hat = sub.evaluate(policy)
+        c_hat, g_hat = sub.policy_values(policy)
         out.append((lam, policy, c_hat, g_hat))
     return out
 

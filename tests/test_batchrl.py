@@ -684,6 +684,56 @@ class TestEmpiricalMdp:
                 model.to_mdp(S, A, 0.9)
 
 
+class TestEmpiricalSolver:
+    """EmpiricalModel.solver: ExactSolver on to_mdp's MDP, with policies
+    over the data's states only."""
+
+    # 0.5 comes twice, so policy iteration solves it from two warm starts.
+    LAMS = (0.0, 0.5, 3.0, 30.0, 0.5, 1e3)
+
+    @staticmethod
+    def skipping_data(mdp, actions, num_traj, horizon, seed):
+        """Rollouts of a behavior uniform over the given actions only, so
+        every other action of a visited state is an unvisited cell."""
+        probs = np.zeros((mdp.num_states, mdp.num_actions))
+        probs[:, actions] = 1.0 / len(actions)
+        return collect(mdp, StochasticPolicy(probs), num_traj, horizon,
+                       np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("case", ["random-0", "random-1", "frozenlake"])
+    def test_matches_the_solver_of_to_mdp(self, fl8, case):
+        if case == "frozenlake":
+            # South and east only, from the map's own start distribution.
+            mdp, chi = fl8, fl8.initial_dist
+            data = self.skipping_data(mdp, [1, 2], 300, 50, 2)
+        else:
+            seed = int(case[-1])
+            mdp, chi = build_random_mdp(12, 4, 1, seed, gamma=0.9), None
+            data = self.skipping_data(mdp, [0, 1], 100, 30, seed)
+        S, A = mdp.num_states, mdp.num_actions
+        model = EmpiricalModel.from_dataset(data)
+        seen = np.zeros((S, A), dtype=bool)
+        seen[model.x, model.a] = True
+        assert not seen[seen.any(axis=1)].all()
+        solver = model.solver(S, A, mdp.gamma, chi)
+        full = ExactSolver(model.to_mdp(S, A, mdp.gamma, chi))
+        assert isinstance(solver, ExactSolver)
+        rng = np.random.default_rng(3)
+        policies = [DeterministicPolicy(rng.integers(0, A, size=S))]
+        for lam in self.LAMS:
+            lam = np.full(mdp.m, lam)
+            policy = solver.best_response(lam)
+            assert len(policy.actions) == S
+            assert np.array_equal(policy.actions,
+                                  full.best_response(lam).actions[:-1])
+            policies.append(policy)
+        for policy in policies:
+            c, g = solver.policy_values(policy)
+            c_ref, g_ref = full.policy_values(
+                DeterministicPolicy(np.append(policy.actions, 0)))
+            assert c == c_ref and np.array_equal(g, g_ref)
+
+
 class TestModelMatchesPerSampleRegression:
     """fqe/fqi on the deduplicated table agree with one regression over every
     sample per sweep, in Q and in the residuals."""

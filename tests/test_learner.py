@@ -422,7 +422,7 @@ def reference_block_advance(state, sub, lam, prev_sig, config, trace_buf, J):
     # policy, so its values are the ones the signature recorded.
     c_til, g_til0 = prev_sig[4], prev_sig[5][0]
     pi_t = state.members[pi_bytes][0]
-    c_t, g_t = sub.evaluate(pi_t)
+    c_t, g_t = sub.policy_values(pi_t)
     z = augmented_loss(g_t, tau)
     exponent = eta * z  # per-round log-multiplier
 
@@ -688,7 +688,7 @@ class TestClosedFormBlocks:
         policy = DeterministicPolicy(np.zeros(4, dtype=np.int64))
 
         class FixedSub:
-            def evaluate(self, pi):
+            def policy_values(self, pi):
                 return 1.0, np.array([g_t])
 
             def best_response(self, lam_m):
