@@ -170,15 +170,31 @@ def load_policy(path, num_states, num_actions, allow_mixture=True):
                          [np.zeros(0)] * len(first))
 
 
+def _collect(args, mdp):
+    """The --epsilon behavior policy on mdp and its --trajs rollouts of at
+    most --horizon steps, drawn from the --seed collect stream."""
+    behavior = ds.make_frozenlake_behavior(mdp, args.epsilon)
+    data = ds.collect(mdp, behavior, args.trajs, args.horizon,
+                      _stream(args.seed, _STREAM_COLLECT))
+    return data, behavior
+
+
 def _cmd_collect(args):
     mdp = _load_map(args.map, 0.95)  # a rollout never reads the discount
-    behavior = ds.make_frozenlake_behavior(mdp, args.epsilon)
-    rng = _stream(args.seed, _STREAM_COLLECT)
-    data = ds.collect(mdp, behavior, args.trajs, args.horizon, rng)
+    data, _ = _collect(args, mdp)
     ds.save(data, args.out)
     print(f"wrote {len(data)} transitions over {data.num_trajectories} "
           f"trajectories to {args.out}")
     return 0
+
+
+def _game_config(args, **fields):
+    """LearnerConfig from the game flags, --tau a comma list, and the
+    command's own fields."""
+    return LearnerConfig(
+        B=args.B, eta=args.eta, omega=args.omega,
+        tau=np.array([float(v) for v in args.tau.split(",")]),
+        max_rounds=args.rounds, gamma=args.gamma, **fields)
 
 
 def _resolve_learn_config(args):
@@ -198,13 +214,8 @@ def _resolve_learn_config(args):
     if args.derandomize and not args.policy_out:
         raise ValidationError("--derandomize writes its policy to "
                               "--policy-out, which is missing")
-    return LearnerConfig(
-        B=args.B, eta=args.eta, omega=args.omega,
-        tau=np.array([float(v) for v in args.tau.split(",")]),
-        **given,
-        max_rounds=args.rounds,
-        dual_flavor=args.dual,
-        subroutine_flavor=args.flavor, gamma=args.gamma)
+    return _game_config(args, **given, dual_flavor=args.dual,
+                        subroutine_flavor=args.flavor)
 
 
 def _finish(trace, extra=""):
@@ -303,14 +314,9 @@ def _cmd_ope_compare(args):
 
 def _cmd_frozenlake_experiment(args):
     import os
-    tau = np.array([args.tau])
-    config = LearnerConfig(B=args.B, eta=args.eta, omega=args.omega, tau=tau,
-                           max_rounds=args.rounds, subroutine_flavor="fitted",
-                           gamma=args.gamma)
+    config = _game_config(args)
     mdp = _load_map("8x8", args.gamma)
-    behavior = ds.make_frozenlake_behavior(mdp, args.epsilon)
-    rng = _stream(args.seed, _STREAM_COLLECT)
-    data = ds.collect(mdp, behavior, args.trajs, args.horizon, rng)
+    data, behavior = _collect(args, mdp)
     # Everything is computed before any file is written, so a run that
     # raises (on an empty collection, say) leaves no output behind.
     mixture, trace = run(data, config, mdp_handle=mdp)
@@ -318,7 +324,7 @@ def _cmd_frozenlake_experiment(args):
     c_behavior, g_behavior = exact_policy_values(mdp, behavior)
     try:
         c_star, opt_mixture = exact_constrained_optimum(
-            mdp, tau, args.B, args.eta, args.omega)
+            mdp, config.tau, args.B, args.eta, args.omega)
         _, g_star = exact_policy_values(mdp, opt_mixture)
         opt = [f"{c_star:.6g}", f"{g_star[0]:.6g}"]
     except ConvergenceError as exc:
@@ -342,45 +348,53 @@ def _cmd_frozenlake_experiment(args):
 
 
 def build_parser():
+    # Flags that several commands share, each defined once.
+    discount = argparse.ArgumentParser(add_help=False)
+    discount.add_argument("--gamma", type=float, default=0.95)
+    rollout = argparse.ArgumentParser(add_help=False)
+    rollout.add_argument("--trajs", type=int, default=5000)
+    rollout.add_argument("--horizon", type=int, default=200)
+    rollout.add_argument("--epsilon", type=float, default=0.95)
+    rollout.add_argument("--seed", type=int, default=0)
+    game = argparse.ArgumentParser(add_help=False, parents=[discount])
+    game.add_argument("--tau", default="0.1")
+    game.add_argument("--B", type=float, default=30.0)
+    game.add_argument("--eta", type=float, default=50.0)
+    game.add_argument("--omega", type=float, default=0.05)
+    game.add_argument("--rounds", type=int, default=200)
+
     parser = _Parser(
         prog="cbpl",
         description="Constrained batch policy learning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("collect", help="roll out the behavior policy")
+    p = sub.add_parser("collect", help="roll out the behavior policy",
+                       parents=[rollout])
     p.add_argument("--map", default="8x8")
-    p.add_argument("--trajs", type=int, default=5000)
-    p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--epsilon", type=float, default=0.95)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_collect)
 
-    p = sub.add_parser("learn", help="run the constrained learner")
+    p = sub.add_parser("learn", help="run the constrained learner",
+                       parents=[game])
     p.add_argument("--data")
     p.add_argument("--map")
-    p.add_argument("--tau", default="0.1")
-    p.add_argument("--B", type=float, default=30.0)
-    p.add_argument("--eta", type=float, default=50.0)
-    p.add_argument("--omega", type=float, default=0.05)
     p.add_argument("--iters-fqi", type=int, metavar="K",
                    help="fitted flavor: at most K FQI sweeps (default 100)")
     p.add_argument("--iters-fqe", type=int, metavar="K",
                    help="fitted flavor: at most K FQE sweeps (default 100)")
-    p.add_argument("--rounds", type=int, default=200)
     p.add_argument("--dual", choices=["eg", "ogd"], default="eg")
     p.add_argument("--flavor", choices=["fitted", "lspi", "exact"],
                    default="fitted")
     p.add_argument("--trace-out")
     p.add_argument("--policy-out")
     p.add_argument("--derandomize", action="store_true")
-    p.add_argument("--gamma", type=float, default=0.95)
     p.set_defaults(func=_cmd_learn)
 
     for name, func, needs_policy in (("fqe", _cmd_fqe, True),
                                      ("fqi", _cmd_fqi, False),
                                      ("lspi", _cmd_lspi, False)):
-        p = sub.add_parser(name, help=f"run {name} on a dataset")
+        p = sub.add_parser(name, help=f"run {name} on a dataset",
+                           parents=[discount])
         p.add_argument("--data", required=True)
         p.add_argument("--map")
         p.add_argument("--cost", default="c")
@@ -391,16 +405,16 @@ def build_parser():
             p.add_argument("--policy", required=True)
         else:
             p.add_argument("--policy-out")
-        p.add_argument("--gamma", type=float, default=0.95)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("oracle", help="exact policy values on a map")
+    p = sub.add_parser("oracle", help="exact policy values on a map",
+                       parents=[discount])
     p.add_argument("--map", required=True)
     p.add_argument("--policy", required=True)
-    p.add_argument("--gamma", type=float, default=0.95)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("ope-compare", help="subsampling estimator comparison")
+    p = sub.add_parser("ope-compare", help="subsampling estimator comparison",
+                       parents=[discount])
     p.add_argument("--data", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--policy", required=True)
@@ -411,22 +425,12 @@ def build_parser():
                    help="at most K FQE sweeps per trial (default 100)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gamma", type=float, default=0.95)
     p.set_defaults(func=_cmd_ope_compare)
 
     p = sub.add_parser("frozenlake-experiment",
-                       help="end-to-end safety experiment pipeline")
+                       help="end-to-end safety experiment pipeline",
+                       parents=[rollout, game])
     p.add_argument("--outdir", required=True)
-    p.add_argument("--trajs", type=int, default=5000)
-    p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--epsilon", type=float, default=0.95)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--B", type=float, default=30.0)
-    p.add_argument("--eta", type=float, default=50.0)
-    p.add_argument("--omega", type=float, default=0.05)
-    p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gamma", type=float, default=0.95)
     p.set_defaults(func=_cmd_frozenlake_experiment)
 
     return parser

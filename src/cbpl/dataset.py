@@ -200,13 +200,21 @@ def make_frozenlake_behavior(mdp, epsilon_random):
 def check_indices(data, num_states, num_actions):
     """Raise ValueError naming the first row (1-based) whose x or x_next lies
     outside [0, num_states) or whose a lies outside [0, num_actions)."""
-    for name, upper in (("x", num_states), ("x_next", num_states),
-                        ("a", num_actions)):
-        col = getattr(data, name)
-        bad = np.flatnonzero((col < 0) | (col >= upper))
+    _check_ranges((name, col, (col >= 0) & (col < upper), f"[0, {upper})")
+                  for name, col, upper in (("x", data.x, num_states),
+                                           ("x_next", data.x_next, num_states),
+                                           ("a", data.a, num_actions)))
+
+
+def _check_ranges(checks, where=""):
+    """Raise ValueError, prefixed by where, naming the first row (1-based)
+    of the first column whose values are not all in range: checks yields
+    (name, column, in-range mask, the range as text)."""
+    for name, col, ok, text in checks:
+        bad = np.flatnonzero(~ok)
         if len(bad):
-            raise ValueError(f"row {bad[0] + 1} has {name} = {col[bad[0]]}, "
-                             f"outside [0, {upper})")
+            raise ValueError(f"{where}row {bad[0] + 1} has {name} = "
+                             f"{col[bad[0]]}, outside {text}")
 
 
 def implied_shape(data):
@@ -315,10 +323,18 @@ def _dataset_fields(header, path):
 
 
 def load(path):
-    """Inverse of save; malformed rows raise with the 1-based line number."""
+    """Inverse of save; malformed rows raise with the 1-based line number,
+    and values a dataset cannot hold as check_indices does: a c that is not
+    finite, a g outside [0, inf) and a behavior_prob outside (0, 1]."""
     columns = read_csv(path, _dataset_fields)
     n, m = len(columns[0]), len(columns) - 8
-    g = np.array(columns[6:-2], dtype=float).reshape(m, n).T.copy()
+    c, *g_cols, _, prob = columns[5:]
+    _check_ranges([("c", c, np.isfinite(c), "(-inf, inf)"),
+                   *((f"g_{i + 1}", g, (g >= 0) & (g < np.inf), "[0, inf)")
+                     for i, g in enumerate(g_cols)),
+                   ("behavior_prob", prob, (prob > 0) & (prob <= 1),
+                    "(0, 1]")], f"{path}: ")
+    g = np.array(g_cols, dtype=float).reshape(m, n).T.copy()
     return Dataset(*columns[:6], g, *columns[-2:])
 
 

@@ -219,9 +219,9 @@ class _TraceBuffer:
 
 
 class _FittedSub:
-    def __init__(self, dataset, mdp, config, num_states, num_actions, gamma):
-        # FQI and FQE sweep the deduplicated rows; built once per subroutine.
-        self.model = EmpiricalModel.from_dataset(dataset)
+    def __init__(self, model, mdp, config, num_states, num_actions, gamma):
+        # FQI and FQE sweep the deduplicated rows of the data's model.
+        self.model = model
         self.mdp = mdp
         self.config = config
         self.template = QFunction.tabular_zeros(num_states, num_actions)
@@ -265,30 +265,27 @@ def lagrangian_max(c_hat, g_hat, tau, B, flavor=EG_FLAVOR):
 
 
 def _make_subroutine(dataset, config, mdp_handle):
+    """The flavor's policy player and its Gbar, max |g| / (1 - gamma) over
+    the constraint costs it solves: the map's for the exact flavor, the
+    data's for the others, which solve the data's one EmpiricalModel."""
     if config.subroutine_flavor == "exact" and mdp_handle is None:
         raise ValueError("exact flavor requires an mdp handle")
     gamma = _resolve_gamma(config.gamma, mdp_handle)
     if config.subroutine_flavor == "exact":
-        return ExactSolver(mdp_handle)
-    if dataset is None or len(dataset) == 0:
-        raise ValueError("fitted flavors require a nonempty dataset")
-    S, A = (implied_shape(dataset) if mdp_handle is None
-            else (mdp_handle.num_states, mdp_handle.num_actions))
-    if config.subroutine_flavor == "fitted":
-        return _FittedSub(dataset, mdp_handle, config, S, A, gamma)
-    chi = None if mdp_handle is None else mdp_handle.initial_dist
-    return EmpiricalModel.from_dataset(dataset).solver(S, A, gamma, chi)
-
-
-def _default_g_bar(dataset, mdp_handle, config):
-    gamma = _resolve_gamma(config.gamma, mdp_handle)
-    if dataset is not None and len(dataset) and dataset.m:
-        peak = float(np.abs(dataset.g).max())
-    elif mdp_handle is not None and mdp_handle.m:
-        peak = float(np.abs(mdp_handle.cost_g).max())
+        sub, g = ExactSolver(mdp_handle), mdp_handle.cost_g
     else:
-        peak = 0.0
-    return peak / (1.0 - gamma)
+        if dataset is None or len(dataset) == 0:
+            raise ValueError("fitted flavors require a nonempty dataset")
+        S, A = (implied_shape(dataset) if mdp_handle is None
+                else (mdp_handle.num_states, mdp_handle.num_actions))
+        model = EmpiricalModel.from_dataset(dataset)
+        g = model.g
+        if config.subroutine_flavor == "fitted":
+            sub = _FittedSub(model, mdp_handle, config, S, A, gamma)
+        else:
+            chi = None if mdp_handle is None else mdp_handle.initial_dist
+            sub = model.solver(S, A, gamma, chi)
+    return sub, float(np.abs(g).max(initial=0.0)) / (1.0 - gamma)
 
 
 def default_max_rounds(B, g_bar, omega, m):
@@ -397,8 +394,7 @@ def run(dataset, config, mdp_handle=None):
                     else (dataset, "dataset"))
     if solved is not None and solved.m != m:
         raise ValueError(f"{name} constraint count does not match tau")
-    sub = _make_subroutine(dataset, config, mdp_handle)
-    g_bar = _default_g_bar(dataset, mdp_handle, config)
+    sub, g_bar = _make_subroutine(dataset, config, mdp_handle)
     max_rounds = (config.max_rounds if config.max_rounds is not None
                   else default_max_rounds(config.B, g_bar, config.omega, m))
     B, eta, omega, tau = config.B, config.eta, config.omega, config.tau
@@ -622,7 +618,7 @@ def regularization_grid(dataset, lams, config, mdp_handle=None):
     """For each multiplier lam of the grid, the best response to cost
     c + lam.g and its value estimates; returns a list of (lam, policy,
     C_hat, G_hat) in grid order."""
-    sub = _make_subroutine(dataset, config, mdp_handle)
+    sub, _ = _make_subroutine(dataset, config, mdp_handle)
     out = []
     for lam in lams:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))

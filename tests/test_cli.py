@@ -1,4 +1,5 @@
 import filecmp
+import re
 import warnings
 
 import numpy as np
@@ -371,11 +372,11 @@ def _raise(exc):
     return raiser
 
 
-def _data_rows(x=0, a=1, x_next=4):
+def _data_rows(x=0, a=1, x_next=4, c="0", g="0", bp="0.25"):
     """Two one-step trajectories on the 4x4 map; the first row has the given
-    x, a and x_next."""
+    x, a, x_next, c, g_1 and behavior_prob."""
     return ("traj_id,t,x,a,x_next,c,g_1,done,behavior_prob\n"
-            f"0,0,{x},{a},{x_next},0,0,0,0.25\n"
+            f"0,0,{x},{a},{x_next},{c},{g},0,{bp}\n"
             "1,0,1,2,2,0,0,0,0.25\n")
 
 
@@ -395,6 +396,16 @@ class TestErrorExitCodes:
         "empty": _data_rows().splitlines()[0] + "\n",
         "blank": "",
         "g_2_without_g_1": _data_rows().replace("g_1", "g_2"),
+        # Values a dataset cannot hold.
+        "c_nan": _data_rows(c="nan"),
+        "c_inf": _data_rows(c="inf"),
+        "g_nan": _data_rows(g="nan"),
+        "g_negative": _data_rows(g="-1"),
+        "bp_inf": _data_rows(bp="inf"),
+        "bp_zero": _data_rows(bp="0"),
+        "bp_above_1": _data_rows(bp="1.5"),
+        "bp_zero_then_c_nan": _data_rows(bp="0").replace("\n1,0,1,2,2,0,",
+                                                         "\n1,0,1,2,2,nan,"),
         # One trajectory that starts at t = 3 and reaches state 15.
         "starts_at_t3": _data_rows().splitlines()[0] + "\n"
                         "0,3,0,3,15,0,0,0,0.25\n",
@@ -524,6 +535,37 @@ class TestErrorExitCodes:
         "fqe_without_map_or_t0_samples": (
             ["fqe", "--data", "{starts_at_t3}", "--policy", "{policy}"],
             None, 1),
+        # load rejects the values a dataset cannot hold, naming the row.
+        "fqi_data_c_nan": (
+            ["fqi", "--data", "{c_nan}", "--policy-out", "{dir}/new.csv"],
+            None, 1),
+        "fqi_data_c_inf": (
+            ["fqi", "--data", "{c_inf}", "--policy-out", "{dir}/new.csv"],
+            None, 1),
+        "learn_data_g_nan": (
+            ["learn", "--data", "{g_nan}", "--map", "{map}",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        "learn_data_g_negative": (
+            ["learn", "--data", "{g_negative}", "--flavor", "lspi",
+             "--policy-out", "{dir}/new.csv"], None, 1),
+        "ope_compare_data_bp_inf": (
+            ["ope-compare", "--data", "{bp_inf}", "--map", "{map}",
+             "--policy", "{policy}", "--out", "{dir}/new.csv"], None, 1),
+        "ope_compare_data_bp_zero": (
+            ["ope-compare", "--data", "{bp_zero}", "--map", "{map}",
+             "--policy", "{policy}", "--out", "{dir}/new.csv"], None, 1),
+        "ope_compare_data_bp_above_1": (
+            ["ope-compare", "--data", "{bp_above_1}", "--map", "{map}",
+             "--policy", "{policy}", "--out", "{dir}/new.csv"], None, 1),
+        # As check_indices: the first column with a fault, then its row.
+        "fqi_data_first_bad_column": (
+            ["fqi", "--data", "{bp_zero_then_c_nan}", "--policy-out",
+             "{dir}/new.csv"], None, 1),
+        # --tau is a comma list, as learn's; the collection has one
+        # constraint.
+        "experiment_tau_longer_than_data": (
+            ["frozenlake-experiment", "--outdir", "{dir}/new", "--trajs", "50",
+             "--horizon", "50", "--tau", "0.1,0.2"], None, 1),
         "no_command": ([], None, 1),
         "unknown_flag": (
             ["learn", "--map", "{map}", "--flavor", "exact", "--bogus"],
@@ -615,6 +657,24 @@ class TestErrorExitCodes:
         "fqe_without_map_or_t0_samples": (
             "error: dataset has no t=0 samples to infer the initial "
             "distribution from"),
+        "fqi_data_c_nan": ("error: {c_nan}: row 1 has c = nan, outside "
+                           "(-inf, inf)"),
+        "fqi_data_c_inf": ("error: {c_inf}: row 1 has c = inf, outside "
+                           "(-inf, inf)"),
+        "learn_data_g_nan": ("error: {g_nan}: row 1 has g_1 = nan, outside "
+                             "[0, inf)"),
+        "learn_data_g_negative": ("error: {g_negative}: row 1 has g_1 = -1.0, "
+                                  "outside [0, inf)"),
+        "ope_compare_data_bp_inf": ("error: {bp_inf}: row 1 has behavior_prob "
+                                    "= inf, outside (0, 1]"),
+        "ope_compare_data_bp_zero": ("error: {bp_zero}: row 1 has "
+                                     "behavior_prob = 0.0, outside (0, 1]"),
+        "ope_compare_data_bp_above_1": ("error: {bp_above_1}: row 1 has "
+                                        "behavior_prob = 1.5, outside (0, 1]"),
+        "fqi_data_first_bad_column": ("error: {bp_zero_then_c_nan}: row 2 "
+                                      "has c = nan, outside (-inf, inf)"),
+        "experiment_tau_longer_than_data": (
+            "error: dataset constraint count does not match tau"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -658,6 +718,32 @@ class TestErrorExitCodes:
                      "--tau", "0.1,0.2", "--rounds", "3"]) == 1
         assert capsys.readouterr().err == ("error: map constraint count does "
                                            "not match tau\n")
+
+
+class TestHelp:
+    # Each command's flags as its --help lists them, the shared ones first.
+    FLAGS = {
+        "collect": "-h --trajs --horizon --epsilon --seed --map --out",
+        "learn": ("-h --gamma --tau --B --eta --omega --rounds --data --map "
+                  "--iters-fqi --iters-fqe --dual --flavor --trace-out "
+                  "--policy-out --derandomize"),
+        "fqe": "-h --gamma --data --map --cost --iters --policy",
+        "fqi": "-h --gamma --data --map --cost --iters --policy-out",
+        "lspi": "-h --gamma --data --map --cost --policy-out",
+        "oracle": "-h --gamma --map --policy",
+        "ope-compare": ("-h --gamma --data --map --policy --fractions --trials "
+                        "--iters --out --seed"),
+        "frozenlake-experiment": ("-h --trajs --horizon --epsilon --seed "
+                                  "--gamma --tau --B --eta --omega --rounds "
+                                  "--outdir"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_lists_the_commands_flags(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        options = capsys.readouterr().out.split("options:\n")[1]
+        assert (re.findall(r"^  (-[-\w]+)", options, re.M)
+                == self.FLAGS[command].split())
 
 
 class TestOpeCompare:

@@ -311,6 +311,26 @@ class TestTrajectoryIndex:
                 Dataset(**columns, g=g)
 
 
+class TestColumnChecks:
+    """Dataset's checks on its columns; load checks a file's values before
+    them and names the row (tests/test_cli.py)."""
+
+    COLUMNS = dict(traj_id=[0, 0], t=[0, 1], x=[0, 1], a=[0, 0],
+                   x_next=[1, 2], c=[0.0, 0.0], g=np.zeros((2, 1)),
+                   done=[False, True], behavior_prob=[1.0, 1.0])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("t", [0], "all columns must have equal length"),
+        ("behavior_prob", [1.0, 0.0], "behavior_prob must be positive"),
+        ("behavior_prob", [-0.5, 1.0], "behavior_prob must be positive"),
+        ("g", [[0.0], [-1.0]], "constraint costs must be nonnegative"),
+    ])
+    def test_rejects(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            Dataset(**{**self.COLUMNS, field: value})
+        assert str(info.value) == message
+
+
 class TestFrozenlakeBehavior:
     def test_full_randomization_is_uniform(self, fl8):
         policy = make_frozenlake_behavior(fl8, 1.0)

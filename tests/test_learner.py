@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import cbpl.learner as learner_mod
 from cbpl.batchrl import (CostSelector, EmpiricalModel, fqi, lspi,
                           lstdq_policy)
-from cbpl.dataset import (collect, full_coverage_dataset,
+from cbpl.dataset import (Dataset, collect, full_coverage_dataset,
                           make_frozenlake_behavior)
 from cbpl.funcapprox import FeatureMap, QFunction
 from cbpl.learner import (ConvergenceError, LearnerConfig, MixturePolicy,
@@ -1139,6 +1139,32 @@ class TestDiscountRule:
                                subroutine_flavor=flavor)
         with pytest.raises(ValueError, match="provide gamma"):
             run(full_coverage_dataset(mdp), config)
+
+
+class TestGBar:
+    """_make_subroutine's Gbar, which the default round cap reads: max |g| /
+    (1 - gamma) over the constraint costs the flavor solves."""
+
+    @pytest.mark.parametrize("flavor, peak", [("exact", 1.0), ("fitted", 2.0),
+                                              ("lspi", 2.0)])
+    def test_reads_the_costs_the_flavor_solves(self, fl8, flavor, peak):
+        d = full_coverage_dataset(fl8)
+        doubled = Dataset(d.traj_id, d.t, d.x, d.a, d.x_next, d.c, 2.0 * d.g,
+                          d.done, d.behavior_prob)
+        assert doubled.g.max() == 2.0 and fl8.cost_g.max() == 1.0
+        config = LearnerConfig(B=30.0, eta=50.0, omega=0.05, tau=[0.1],
+                               subroutine_flavor=flavor)
+        _, g_bar = learner_mod._make_subroutine(doubled, config, fl8)
+        assert g_bar == peak / (1.0 - fl8.gamma)
+
+    @pytest.mark.parametrize("flavor", ["fitted", "lspi", "exact"])
+    def test_is_zero_without_constraints(self, flavor):
+        mdp = build_combination_lock(4)
+        config = LearnerConfig(B=10.0, eta=1.0, omega=0.01, tau=[],
+                               subroutine_flavor=flavor)
+        _, g_bar = learner_mod._make_subroutine(full_coverage_dataset(mdp),
+                                                config, mdp)
+        assert g_bar == 0.0
 
 
 class TestConfigValidation:
